@@ -163,14 +163,23 @@ class Cohort:
             return np.zeros((0, N_MODALITIES), dtype=np.int64)
         return np.stack([r.availability for r in self.records])
 
+    @property
     def n_events(self) -> int:
         return int(sum(r.event for r in self.records))
+
+    def block(self, modality: ModalityId) -> np.ndarray:
+        """(n, width) features of one modality, zero rows where it is absent."""
+        out = np.zeros((len(self.records), self.schema.dim(modality)))
+        for i, r in enumerate(self.records):
+            if r.has(modality):
+                out[i] = r.features[modality]
+        return out
 
     def require_events(self, context: str) -> None:
         """Loss-bearing entry points call this; an eventless cohort is unusable."""
         if not self.records:
             raise DataError(f"{context}: cohort is empty")
-        if self.n_events() == 0:
+        if self.n_events == 0:
             raise DataError(f"{context}: cohort has zero observed events")
 
     def subset(self, indices) -> "Cohort":

@@ -60,11 +60,3 @@ class TrainingTrace:
 
     def log(self, epoch: int, train_loss: float, val_cindex) -> None:
         self.epochs.append({"epoch": epoch, "train_loss": train_loss, "val_cindex": val_cindex})
-
-    @property
-    def final_loss(self) -> float:
-        return self.epochs[-1]["train_loss"]
-
-    @property
-    def initial_loss(self) -> float:
-        return self.epochs[0]["train_loss"]

@@ -11,6 +11,12 @@ every modality absent from the product the fused vector would collapse to a
 single 1 in the last position (index 6560 at the default widths), but
 masks with no present modality are rejected before that can happen.
 
+Everything works on batches: an (n, 4, embed) block of embeddings plus an
+(n, 4) 0/1 mask. Each extender or reducer runs once per batch, on the rows
+where its modality is visible, in modality-id order. Concatenation is a
+masked reshape, mean vector a masked sum over the visible count, and the
+tensor product one einsum over the batch.
+
 Training-time modality dropout hides a random subset of the present
 modalities and redraws whenever the draw would hide all of them. The
 reconstruction loss compares decoded embeddings against the originally
@@ -19,16 +25,17 @@ exactly what it was shown before hiding. Its normalizer is the total count
 of available modality instances in the batch.
 
 All gradients are hand-derived, including the backward pass through the
-four-way outer product.
+four-way outer product, which contracts the fused gradient against the
+other three factors of each row.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
-from .cohort import MODALITIES, N_MODALITIES, ModalityId
+from .cohort import MODALITIES, N_MODALITIES
 from .errors import ConfigError, DataError, NumericalError
 from .nets import DenseNet, GradientSet, init_net, net_from_dict, net_to_dict
 from .survival import SurvivalBatch, cox_loss, cox_loss_grad
@@ -36,6 +43,9 @@ from .survival import SurvivalBatch, cox_loss, cox_loss_grad
 FUSION_KINDS = ("concat", "mean", "tensor")
 CHECKPOINT_FORMAT = "fusion-v1"
 NORM_EPS = 1e-12  # guards the derivative of the unsquared norm
+# Rows fused at a time when scoring: a tensor block is SCORE_CHUNK x 6561
+# doubles (13 MB), so scoring memory does not grow with the cohort.
+SCORE_CHUNK = 256
 
 _FUSION_SALT = 0xF05E
 
@@ -56,6 +66,8 @@ class FusionStrategy:
     def __post_init__(self):
         if self.kind not in FUSION_KINDS:
             raise ConfigError(f"unknown fusion strategy {self.kind!r}, expected one of {FUSION_KINDS}")
+        if not all(isinstance(w, (int, np.integer)) and w > 0 for w in astuple(self)[1:]):
+            raise ConfigError("fusion widths must be positive integers")
 
     @property
     def fused_dim(self) -> int:
@@ -119,30 +131,42 @@ class FusionModel:
             raise ConfigError("flat parameter vector has wrong length")
 
 
+def _part_dims(s: FusionStrategy, recon: bool) -> dict[str, tuple[int, ...]]:
+    """Layer widths of every part, input first, in ``FusionModel.parts()`` order."""
+    dims = {}
+    if s.kind == "mean":
+        dims.update({f"extender_{m.label}": (s.embed_dim, s.extender_hidden, s.extended_dim)
+                     for m in MODALITIES})
+    elif s.kind == "tensor":
+        dims.update({f"reducer_{m.label}": (s.embed_dim, s.reducer_hidden, s.reduced_dim)
+                     for m in MODALITIES})
+    dims["hazard_head"] = (s.fused_dim, s.head_hidden, 1)
+    if recon:
+        dims["recon_head"] = (s.fused_dim, s.recon_hidden, N_MODALITIES * s.embed_dim)
+    return dims
+
+
+def _assemble(strategy: FusionStrategy, parts: dict, lam: float) -> FusionModel:
+    extenders = reducers = None
+    if strategy.kind == "mean":
+        extenders = {m: parts[f"extender_{m.label}"] for m in MODALITIES}
+    elif strategy.kind == "tensor":
+        reducers = {m: parts[f"reducer_{m.label}"] for m in MODALITIES}
+    return FusionModel(strategy, extenders, reducers, parts["hazard_head"],
+                       parts.get("recon_head"), lam)
+
+
 def init_fusion_model(strategy: FusionStrategy, seed, recon: bool = False, lam: float = 1.0) -> FusionModel:
     if isinstance(seed, np.random.SeedSequence):
         base = seed
     else:
         base = np.random.SeedSequence([_FUSION_SALT, int(seed)])
-    seeds = iter(base.spawn(N_MODALITIES + 2))
-    s = strategy
-    extenders = reducers = None
-    if s.kind == "mean":
-        extenders = {m: init_net((s.embed_dim, s.extender_hidden, s.extended_dim), "relu",
-                                 next(seeds), output_activation="identity") for m in MODALITIES}
-    elif s.kind == "tensor":
-        reducers = {m: init_net((s.embed_dim, s.reducer_hidden, s.reduced_dim), "relu",
-                                next(seeds), output_activation="identity") for m in MODALITIES}
-    else:
-        for _ in MODALITIES:
-            next(seeds)
-    hazard_head = init_net((s.fused_dim, s.head_hidden, 1), "relu", next(seeds),
-                           output_activation="identity")
-    recon_head = None
-    if recon:
-        recon_head = init_net((s.fused_dim, s.recon_hidden, N_MODALITIES * s.embed_dim), "relu",
-                              next(seeds), output_activation="identity")
-    return FusionModel(s, extenders, reducers, hazard_head, recon_head, lam)
+    # body nets take the first four streams (concat leaves them unused), then the two heads
+    seeds = base.spawn(N_MODALITIES + 2)
+    slot = {"hazard_head": N_MODALITIES, "recon_head": N_MODALITIES + 1}
+    parts = {name: init_net(dims, "relu", seeds[slot.get(name, k)], output_activation="identity")
+             for k, (name, dims) in enumerate(_part_dims(strategy, recon).items())}
+    return _assemble(strategy, parts, lam)
 
 
 def modality_dropout(mask: np.ndarray, policy: DropoutPolicy, rng) -> np.ndarray:
@@ -170,107 +194,119 @@ def modality_dropout(mask: np.ndarray, policy: DropoutPolicy, rng) -> np.ndarray
 class FuseTape:
     """Bookkeeping from one fuse() call, consumed by the backward pass."""
 
-    present: tuple
-    net_tapes: dict = field(default_factory=dict)
-    factors: np.ndarray | None = None  # tensor: the four (reduced+1) vectors
+    mask: np.ndarray                               # (n, 4) bool, the visible slots
+    net_tapes: dict = field(default_factory=dict)  # modality -> (rows, net tape), id order
+    factors: np.ndarray | None = None              # tensor: (n, 4, reduced + 1)
 
 
-def _check_fuse_inputs(model: FusionModel, embeddings, mask) -> list[ModalityId]:
-    mask = np.asarray(mask)
-    present = [m for m in MODALITIES if mask[m]]
-    if not present:
-        raise DataError("cannot fuse with no present modality")
-    keys = set(embeddings.keys())
-    if keys != set(present):
-        raise DataError("embeddings must cover exactly the masked-in modalities")
+def _check_fuse_inputs(model: FusionModel, embeddings, mask) -> tuple[np.ndarray, np.ndarray]:
     e = model.strategy.embed_dim
-    for m in present:
-        if np.asarray(embeddings[m]).shape != (e,):
-            raise DataError(f"{m.label} embedding must have width {e}")
-    return present
+    x = np.asarray(embeddings, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1:] != (N_MODALITIES, e):
+        raise DataError(f"embeddings must be an (n, {N_MODALITIES}, {e}) block, got {x.shape}")
+    mask = np.asarray(mask)
+    if mask.shape != x.shape[:2]:
+        raise DataError(f"mask must be (n, {N_MODALITIES}) with one row per embedding row, got {mask.shape}")
+    visible = mask.astype(bool)
+    if not visible.any(axis=1).all():
+        raise DataError("cannot fuse a row with no present modality")
+    return x, visible
 
 
 def fuse(model: FusionModel, embeddings, mask) -> tuple[np.ndarray, FuseTape]:
-    """Combine present-modality embeddings into one fused vector.
+    """Combine each row's visible embeddings into one fused vector.
 
-    ``embeddings`` maps exactly the modalities where ``mask`` is 1 to their
-    vectors. Accumulation always walks modalities in fixed id order, so the
-    result is independent of the caller's key order, bit for bit.
+    ``embeddings`` is an (n, 4, embed) block and ``mask`` its (n, 4) 0/1
+    visibility; hidden slots are ignored whatever they hold. Returns the
+    (n, fused_dim) block. Body nets run once each, on the rows where their
+    modality is visible, and accumulate in fixed modality-id order.
     """
     s = model.strategy
-    present = _check_fuse_inputs(model, embeddings, mask)
-    tape = FuseTape(present=tuple(present))
+    x, visible = _check_fuse_inputs(model, embeddings, mask)
+    n = x.shape[0]
+    tape = FuseTape(visible)
     if s.kind == "concat":
-        h = np.zeros(s.fused_dim)
-        for m in present:
-            h[m * s.embed_dim:(m + 1) * s.embed_dim] = embeddings[m]
-        return h, tape
+        return np.where(visible[:, :, None], x, 0.0).reshape(n, s.fused_dim), tape
     if s.kind == "mean":
-        acc = np.zeros(s.extended_dim)
-        for m in present:
-            y, t = model.extenders[m].forward(np.asarray(embeddings[m], dtype=np.float64))
-            acc += y
-            tape.net_tapes[m] = t
-        return acc / len(present), tape
+        acc = np.zeros((n, s.extended_dim))
+        for m, rows, y in _run_body_nets(model.extenders, x, visible, tape):
+            acc[rows] += y
+        return acc / visible.sum(axis=1)[:, None], tape
     # tensor: reduce, append the constant slot, then the 4-way outer product
-    factors = np.zeros((N_MODALITIES, s.reduced_dim + 1))
-    factors[:, s.reduced_dim] = 1.0
-    for m in present:
-        y, t = model.reducers[m].forward(np.asarray(embeddings[m], dtype=np.float64))
-        factors[m, :s.reduced_dim] = y
-        tape.net_tapes[m] = t
+    factors = np.zeros((n, N_MODALITIES, s.reduced_dim + 1))
+    factors[:, :, s.reduced_dim] = 1.0
+    for m, rows, y in _run_body_nets(model.reducers, x, visible, tape):
+        factors[rows, m, :s.reduced_dim] = y
     tape.factors = factors
-    h = np.einsum("i,j,k,l->ijkl", factors[0], factors[1], factors[2], factors[3]).ravel()
-    return h, tape
+    h = np.einsum("bi,bj,bk,bl->bijkl", *factors.transpose(1, 0, 2))
+    return h.reshape(n, s.fused_dim), tape
 
 
-def _tensor_factor_grads(dh: np.ndarray, factors: np.ndarray, rd: int) -> list[np.ndarray]:
-    u = dh.reshape((rd + 1,) * N_MODALITIES)
-    f0, f1, f2, f3 = factors
-    return [np.einsum("ijkl,j,k,l->i", u, f1, f2, f3),
-            np.einsum("ijkl,i,k,l->j", u, f0, f2, f3),
-            np.einsum("ijkl,i,j,l->k", u, f0, f1, f3),
-            np.einsum("ijkl,i,j,k->l", u, f0, f1, f2)]
+def _run_body_nets(nets: dict, x: np.ndarray, visible: np.ndarray, tape: FuseTape):
+    """Forward each modality's net on its visible rows, in id order; yields (m, rows, output)."""
+    for m in MODALITIES:
+        rows = np.flatnonzero(visible[:, m])
+        if rows.size:
+            y, net_tape = nets[m].forward(x[rows, m])
+            tape.net_tapes[m] = (rows, net_tape)
+            yield m, rows, y
+
+
+def _tensor_factor_grads(dh: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Gradient of the flattened outer product with respect to each factor, (n, 4, reduced + 1)."""
+    n, _, width = factors.shape
+    u = dh.reshape((n,) + (width,) * N_MODALITIES)
+    f0, f1, f2, f3 = factors.transpose(1, 0, 2)
+    return np.stack([np.einsum("bijkl,bj,bk,bl->bi", u, f1, f2, f3),
+                     np.einsum("bijkl,bi,bk,bl->bj", u, f0, f2, f3),
+                     np.einsum("bijkl,bi,bj,bl->bk", u, f0, f1, f3),
+                     np.einsum("bijkl,bi,bj,bk->bl", u, f0, f1, f2)], axis=1)
 
 
 def fuse_backward(model: FusionModel, tape: FuseTape, dh: np.ndarray):
-    """Push a fused-vector gradient back to body nets and input embeddings.
+    """Push an (n, fused_dim) gradient back to body nets and input embeddings.
 
-    Returns ({part name: GradientSet}, {modality: input gradient}).
+    Returns ({part name: GradientSet} for the body nets that ran, and the
+    (n, 4, embed) input gradient, zero on hidden slots).
     """
     s = model.strategy
+    n = dh.shape[0]
     grads: dict[str, GradientSet] = {}
-    dx: dict[ModalityId, np.ndarray] = {}
     if s.kind == "concat":
-        for m in tape.present:
-            dx[m] = dh[m * s.embed_dim:(m + 1) * s.embed_dim].copy()
-        return grads, dx
+        return grads, np.where(tape.mask[:, :, None], dh.reshape(n, N_MODALITIES, s.embed_dim), 0.0)
+    dx = np.zeros((n, N_MODALITIES, s.embed_dim))
     if s.kind == "mean":
-        upstream = dh / len(tape.present)
-        for m in tape.present:
-            g, d_in = model.extenders[m].backward(tape.net_tapes[m], upstream)
-            grads[f"extender_{m.label}"] = g
-            dx[m] = d_in
-        return grads, dx
-    factor_grads = _tensor_factor_grads(dh, tape.factors, s.reduced_dim)
-    for m in tape.present:
-        g, d_in = model.reducers[m].backward(tape.net_tapes[m], factor_grads[m][:s.reduced_dim])
-        grads[f"reducer_{m.label}"] = g
-        dx[m] = d_in
+        nets, prefix, up = model.extenders, "extender", dh / tape.mask.sum(axis=1)[:, None]
+    else:
+        nets, prefix, up = model.reducers, "reducer", _tensor_factor_grads(dh, tape.factors)
+    for m, (rows, net_tape) in tape.net_tapes.items():
+        upstream = up[rows] if s.kind == "mean" else up[rows, m, :s.reduced_dim]
+        grads[f"{prefix}_{m.label}"], dx[rows, m] = nets[m].backward(net_tape, upstream)
     return grads, dx
 
 
-def predict_hazard(model: FusionModel, h: np.ndarray) -> float:
+def predict_hazard(model: FusionModel, h: np.ndarray) -> np.ndarray:
+    """Hazard score of each row of an (n, fused_dim) block."""
     y, _ = model.hazard_head.forward(h)
-    return float(y[0])
+    return y[:, 0]
+
+
+def predict_risk(model: FusionModel, embeddings: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Hazard score per row of an (n, 4, embed) block, fusing SCORE_CHUNK rows at a time."""
+    out = np.empty(len(embeddings))
+    for start in range(0, len(embeddings), SCORE_CHUNK):
+        block = slice(start, start + SCORE_CHUNK)
+        h, _ = fuse(model, embeddings[block], mask[block])
+        out[block] = predict_hazard(model, h)
+    return out
 
 
 def reconstruct(model: FusionModel, h: np.ndarray) -> np.ndarray:
-    """Decode a fused vector back to all four embedding slots, shape (4, embed)."""
+    """Decode an (n, fused_dim) block back to all four embedding slots, (n, 4, embed)."""
     if model.recon_head is None:
         raise ConfigError("model has no reconstruction head")
     y, _ = model.recon_head.forward(h)
-    return y.reshape(N_MODALITIES, model.strategy.embed_dim)
+    return y.reshape(len(h), N_MODALITIES, model.strategy.embed_dim)
 
 
 def recon_loss(decoded: np.ndarray, targets: np.ndarray, alpha: np.ndarray) -> float:
@@ -319,128 +355,95 @@ def total_loss(cox: float, recon: float, lam: float) -> float:
     return out
 
 
-# ── per-sample training plumbing ─────────────────────────────────────────────
+# ── batched training math ───────────────────────────────────────────────────
 
 @dataclass
-class FusionSample:
-    """One record prepared for fusion training.
+class FusionBatch:
+    """Records prepared for fusion training, as aligned arrays.
 
-    ``embeddings`` holds every originally available modality (these are also
-    the reconstruction targets); ``mask`` is the training-time view after
-    modality dropout and is never wider than the availability.
+    ``embeddings`` is (n, 4, embed) and holds every originally available
+    modality, zeros elsewhere; these are also the reconstruction targets.
+    ``alpha`` is the (n, 4) availability and ``mask`` the training-time view
+    after modality dropout, which is never wider than the availability.
     """
 
-    embeddings: dict
+    embeddings: np.ndarray
+    alpha: np.ndarray
     mask: np.ndarray
-    time: float
-    event: float
+    times: np.ndarray
+    events: np.ndarray
 
-    @property
-    def alpha(self) -> np.ndarray:
-        return np.array([1.0 if m in self.embeddings else 0.0 for m in MODALITIES])
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def take(self, rows) -> "FusionBatch":
+        return FusionBatch(self.embeddings[rows], self.alpha[rows], self.mask[rows],
+                           self.times[rows], self.events[rows])
+
+
+def dropout_masks(alpha: np.ndarray, policy: DropoutPolicy, rng) -> np.ndarray:
+    """Training masks for a batch: one ``modality_dropout`` draw per row, in row order."""
+    alpha = np.asarray(alpha, dtype=np.int64)
+    if not policy.enabled:
+        return alpha.copy()
+    return np.stack([modality_dropout(a, policy, rng) for a in alpha])
 
 
 @dataclass
-class SampleForward:
-    h: np.ndarray
+class BatchForward:
+    """The forward half of a training step, kept for the backward half."""
+
     fuse_tape: FuseTape
-    score: float
     head_tape: list
-    decoded: np.ndarray | None
-    recon_tape: list | None
+    survival: SurvivalBatch
+    recon_tape: list | None = None
+    decoded: np.ndarray | None = None   # (n, 4, embed)
+
+    def net_tapes(self) -> list:
+        """Every network tape of the pass, hazard head first."""
+        tapes = [self.head_tape] + [t for _, t in self.fuse_tape.net_tapes.values()]
+        return tapes + ([self.recon_tape] if self.recon_tape is not None else [])
 
 
-def forward_sample(model: FusionModel, sample: FusionSample) -> SampleForward:
-    visible = {m: sample.embeddings[m] for m in MODALITIES
-               if sample.mask[m] and m in sample.embeddings}
-    h, fuse_tape = fuse(model, visible, sample.mask)
+def forward_loss(model: FusionModel, batch: FusionBatch) -> tuple[float, float, float, BatchForward]:
+    """Forward a batch; returns (total, cox, recon, forward record)."""
+    if (batch.mask > batch.alpha).any():
+        raise DataError("training mask shows a modality the record does not have")
+    h, fuse_tape = fuse(model, batch.embeddings, batch.mask)
     y, head_tape = model.hazard_head.forward(h)
-    decoded = recon_tape = None
-    if model.recon_head is not None:
-        flat, recon_tape = model.recon_head.forward(h)
-        decoded = flat.reshape(N_MODALITIES, model.strategy.embed_dim)
-    return SampleForward(h, fuse_tape, float(y[0]), head_tape, decoded, recon_tape)
-
-
-class FusionGrads:
-    """Gradients for every part of a fusion model, accumulated in place."""
-
-    def __init__(self, model: FusionModel):
-        self.by_part = {name: GradientSet.zeros_like(net) for name, net in model.parts()}
-
-    def accumulate(self, name: str, grads: GradientSet) -> None:
-        self.by_part[name].add(grads)
-
-
-def backward_sample(model: FusionModel, fwd: SampleForward, d_score: float,
-                    d_decoded: np.ndarray | None, out: FusionGrads):
-    """Accumulate one sample's parameter gradients; returns embedding grads."""
-    head_grads, dh = model.hazard_head.backward(fwd.head_tape, np.array([d_score]))
-    out.accumulate("hazard_head", head_grads)
-    if d_decoded is not None:
-        if model.recon_head is None:
-            raise ConfigError("reconstruction gradient without a reconstruction head")
-        recon_grads, dh_recon = model.recon_head.backward(fwd.recon_tape, d_decoded.ravel())
-        out.accumulate("recon_head", recon_grads)
-        dh = dh + dh_recon
-    body_grads, dx = fuse_backward(model, fwd.fuse_tape, dh)
-    for name, g in body_grads.items():
-        out.accumulate(name, g)
-    return dx
-
-
-def batch_losses(model: FusionModel, samples: list) -> tuple[float, float, float, list]:
-    """Forward a batch; returns (total, cox, recon, per-sample forwards)."""
-    forwards = [forward_sample(model, s) for s in samples]
-    sb = SurvivalBatch(np.array([f.score for f in forwards]),
-                       np.array([s.time for s in samples]),
-                       np.array([s.event for s in samples]))
-    cox = cox_loss(sb)
+    fwd = BatchForward(fuse_tape, head_tape, SurvivalBatch(y[:, 0], batch.times, batch.events))
+    cox = cox_loss(fwd.survival)
     recon = 0.0
     if model.recon_head is not None:
-        decoded, targets, alpha = _recon_arrays(model, samples, forwards)
-        recon = recon_loss(decoded, targets, alpha)
-    return total_loss(cox, recon, model.lam), cox, recon, forwards
+        flat, fwd.recon_tape = model.recon_head.forward(h)
+        fwd.decoded = flat.reshape(len(h), N_MODALITIES, model.strategy.embed_dim)
+        recon = recon_loss(fwd.decoded, batch.embeddings, batch.alpha)
+    return total_loss(cox, recon, model.lam), cox, recon, fwd
 
 
-def _recon_arrays(model: FusionModel, samples: list, forwards: list):
-    e = model.strategy.embed_dim
-    n = len(samples)
-    decoded = np.stack([f.decoded for f in forwards])
-    targets = np.zeros((n, N_MODALITIES, e))
-    alpha = np.zeros((n, N_MODALITIES))
-    for i, s in enumerate(samples):
-        for m, x in s.embeddings.items():
-            targets[i, m] = x
-            alpha[i, m] = 1.0
-    return decoded, targets, alpha
-
-
-def batch_loss_and_grads(model: FusionModel, samples: list):
+def batch_loss_and_grads(model: FusionModel, batch: FusionBatch):
     """One full training step's worth of math, no parameter updates.
 
-    Returns (total, cox, recon, FusionGrads, per-sample embedding grads).
-    Reconstruction targets are treated as constants, gradients flow into the
-    decoder and the fused representation but not through the target side.
+    Returns (total, cox, recon, {part name: GradientSet} in ``parts()``
+    order, (n, 4, embed) input gradient). A part that saw no rows gets a
+    zero gradient. Reconstruction targets are treated as constants,
+    gradients flow into the decoder and the fused representation but not
+    through the target side.
     """
-    forwards = [forward_sample(model, s) for s in samples]
-    sb = SurvivalBatch(np.array([f.score for f in forwards]),
-                       np.array([s.time for s in samples]),
-                       np.array([s.event for s in samples]))
-    cox = cox_loss(sb)
-    d_scores = cox_loss_grad(sb)
-    recon = 0.0
-    d_decoded = [None] * len(samples)
-    if model.recon_head is not None:
-        decoded, targets, alpha = _recon_arrays(model, samples, forwards)
-        recon = recon_loss(decoded, targets, alpha)
-        d_dec = model.lam * recon_loss_grad(decoded, targets, alpha)
-        d_decoded = list(d_dec)
-    grads = FusionGrads(model)
-    dxs = []
-    for k, fwd in enumerate(forwards):
-        dxs.append(backward_sample(model, fwd, d_scores[k], d_decoded[k], grads))
-    return total_loss(cox, recon, model.lam), cox, recon, grads, dxs
+    total, cox, recon, fwd = forward_loss(model, batch)
+    d_scores = cox_loss_grad(fwd.survival)
+    grads: dict[str, GradientSet] = {}
+    grads["hazard_head"], dh = model.hazard_head.backward(fwd.head_tape, d_scores[:, None])
+    if fwd.recon_tape is not None:
+        d_decoded = model.lam * recon_loss_grad(fwd.decoded, batch.embeddings, batch.alpha)
+        grads["recon_head"], dh_recon = model.recon_head.backward(
+            fwd.recon_tape, d_decoded.reshape(len(dh), -1))
+        dh = dh + dh_recon
+    body, dx = fuse_backward(model, fwd.fuse_tape, dh)
+    grads.update(body)
+    ordered = {name: grads[name] if name in grads else GradientSet.zeros_like(net)
+               for name, net in model.parts()}
+    return total, cox, recon, ordered, dx
 
 
 # ── model size ───────────────────────────────────────────────────────────────
@@ -462,30 +465,33 @@ def model_footprint(model: FusionModel) -> Footprint:
 # ── checkpoints ──────────────────────────────────────────────────────────────
 
 def fusion_to_dict(model: FusionModel) -> dict:
-    s = model.strategy
     return {
         "format": CHECKPOINT_FORMAT,
-        "strategy": {"kind": s.kind, "embed_dim": s.embed_dim, "extended_dim": s.extended_dim,
-                     "reduced_dim": s.reduced_dim, "extender_hidden": s.extender_hidden,
-                     "reducer_hidden": s.reducer_hidden, "head_hidden": s.head_hidden,
-                     "recon_hidden": s.recon_hidden},
+        "strategy": asdict(model.strategy),
         "lam": model.lam,
         "parts": {name: net_to_dict(net) for name, net in model.parts()},
     }
 
 
 def fusion_from_dict(payload: dict, origin: str = "payload") -> FusionModel:
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"{origin}: not a fusion checkpoint (format {payload.get('format')!r})")
-    strategy = FusionStrategy(**payload["strategy"])
-    parts = {name: net_from_dict(blob) for name, blob in payload["parts"].items()}
-    extenders = reducers = None
-    if strategy.kind == "mean":
-        extenders = {m: parts[f"extender_{m.label}"] for m in MODALITIES}
-    elif strategy.kind == "tensor":
-        reducers = {m: parts[f"reducer_{m.label}"] for m in MODALITIES}
-    return FusionModel(strategy, extenders, reducers, parts["hazard_head"],
-                       parts.get("recon_head"), payload["lam"])
+    """Rebuild a fusion model, checking every part against its strategy's widths."""
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise DataError(f"{origin}: not a fusion checkpoint (format {fmt!r})")
+    try:
+        strategy = FusionStrategy(**payload["strategy"])
+        lam, blobs = float(payload["lam"]), dict(payload["parts"])
+    except (KeyError, TypeError, ValueError, ConfigError) as e:
+        raise DataError(f"{origin}: missing or malformed strategy, lam or parts "
+                        f"({type(e).__name__}: {e})") from e
+    expected = _part_dims(strategy, recon="recon_head" in blobs)
+    if set(blobs) != set(expected):
+        raise DataError(f"{origin}: parts {sorted(blobs)} do not make a {strategy.kind} model")
+    parts = {name: net_from_dict(blobs[name], origin=f"{origin}: {name}") for name in expected}
+    for name, dims in expected.items():
+        if parts[name].dims != dims:
+            raise DataError(f"{origin}: {name} has widths {parts[name].dims}, the strategy needs {dims}")
+    return _assemble(strategy, parts, lam)
 
 
 def save_fusion(model: FusionModel, path: str) -> None:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import DEFAULT_SCHEMA, MODALITIES
-from .fusion import (FusionSample, FusionStrategy, batch_loss_and_grads,
-                     batch_losses, init_fusion_model, recon_loss, recon_loss_grad)
+from .fusion import (FusionBatch, FusionStrategy, batch_loss_and_grads, forward_loss,
+                     init_fusion_model, recon_loss, recon_loss_grad)
 from .nets import init_net
 from .survival import SurvivalBatch, cox_loss, cox_loss_grad
 
@@ -103,34 +103,31 @@ def _check_recon(rng, instances: int, h: float) -> float:
     return worst
 
 
-def _random_samples(rng, n: int, embed_dim: int) -> list[FusionSample]:
-    samples = []
+def _random_batch(rng, n: int, embed_dim: int) -> FusionBatch:
+    k = len(MODALITIES)
+    batch = FusionBatch(np.zeros((n, k, embed_dim)), np.zeros((n, k), dtype=np.int64),
+                        np.zeros((n, k), dtype=np.int64), np.zeros(n), np.zeros(n))
     for i in range(n):
-        avail = rng.integers(0, 2, len(MODALITIES))
+        avail = rng.integers(0, 2, k)
         if avail.sum() == 0:
-            avail[int(rng.integers(0, len(MODALITIES)))] = 1
-        emb = {m: rng.normal(0, 1, embed_dim) for m in MODALITIES if avail[m]}
-        mask = avail.copy()
-        if mask.sum() > 1 and rng.random() < 0.5:  # emulate dropout: hide one
-            mask[int(rng.choice(np.flatnonzero(mask)))] = 0
-        t = float(rng.exponential(100.0) + 1e-3)
-        samples.append(FusionSample(emb, mask, t, float(i == 0 or rng.random() < 0.5)))
-    return samples
+            avail[int(rng.integers(0, k))] = 1
+        for m in np.flatnonzero(avail):
+            batch.embeddings[i, m] = rng.normal(0, 1, embed_dim)
+        batch.alpha[i] = batch.mask[i] = avail
+        if avail.sum() > 1 and rng.random() < 0.5:  # emulate dropout: hide one
+            batch.mask[i, int(rng.choice(np.flatnonzero(avail)))] = 0
+        batch.times[i] = rng.exponential(100.0) + 1e-3
+        batch.events[i] = float(i == 0 or rng.random() < 0.5)
+    return batch
 
 
 def _tape_kink_gap(tapes) -> float:
+    """Smallest |pre-activation| over the hidden layers of batched tapes."""
     gap = np.inf
     for tape in tapes:
         for _, z in tape[:-1]:  # hidden layers only; outputs are identity
             gap = min(gap, float(np.min(np.abs(z))))
     return gap
-
-
-def _forward_tapes(fwd) -> list:
-    tapes = [fwd.head_tape] + list(fwd.fuse_tape.net_tapes.values())
-    if fwd.recon_tape is not None:
-        tapes.append(fwd.recon_tape)
-    return tapes
 
 
 def _check_total(rng, instances: int, h: float) -> float:
@@ -143,18 +140,17 @@ def _check_total(rng, instances: int, h: float) -> float:
         for _ in range(_MAX_REDRAWS):
             model = init_fusion_model(strategy, int(rng.integers(0, 2**31)),
                                       recon=bool(k % 2), lam=0.7)
-            samples = _random_samples(rng, 4, dims["embed_dim"])
-            _, _, _, forwards = batch_losses(model, samples)
-            if min(_tape_kink_gap(_forward_tapes(f)) for f in forwards) >= _KINK_GUARD:
+            batch = _random_batch(rng, 4, dims["embed_dim"])
+            if _tape_kink_gap(forward_loss(model, batch)[3].net_tapes()) >= _KINK_GUARD:
                 break
-        _, _, _, grads, _ = batch_loss_and_grads(model, samples)
-        analytic = np.concatenate([grads.by_part[name].flat() for name, _ in model.parts()])
+        _, _, _, grads, _ = batch_loss_and_grads(model, batch)
+        analytic = np.concatenate([g.flat() for g in grads.values()])
         p = model.flat_params()
         coords = rng.choice(p.size, size=min(_COORDS_PER_INSTANCE, p.size), replace=False)
 
         def loss_at():
             model.set_flat_params(p)
-            return batch_losses(model, samples)[0]
+            return forward_loss(model, batch)[0]
 
         numeric = _fd_coords(loss_at, p, coords, h)
         model.set_flat_params(p)
@@ -196,11 +192,11 @@ def _check_net(rng, dims, activation, output_activation, instances: int, h: floa
         for _ in range(_MAX_REDRAWS):
             net = init_net(dims, activation, int(rng.integers(0, 2**31)),
                            output_activation=output_activation)
-            x = rng.normal(0, 1, dims[0])
+            x = rng.normal(0, 1, (1, dims[0]))
             _, tape = net.forward(x)
             if _tape_kink_gap([tape]) >= _KINK_GUARD:
                 break
-        w = rng.normal(0, 1, dims[-1])
+        w = rng.normal(0, 1, (1, dims[-1]))
         grads, _ = net.backward(tape, w)
         analytic = grads.flat()
         p = net.flat_params()
@@ -208,7 +204,7 @@ def _check_net(rng, dims, activation, output_activation, instances: int, h: floa
 
         def loss_at():
             net.set_flat_params(p)
-            return float(w @ net.forward(x)[0])
+            return float((w * net.forward(x)[0]).sum())
 
         numeric = _fd_coords(loss_at, p, coords, h)
         net.set_flat_params(p)

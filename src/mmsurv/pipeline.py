@@ -30,15 +30,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cohort import (MODALITIES, Cohort, MissingnessScenario, ModalityId,
-                     apply_scenario, complete_subset, generate_synthetic,
-                     scenario_by_name)
+from .cohort import (MODALITIES, N_MODALITIES, Cohort, MissingnessScenario,
+                     ModalityId, apply_scenario, complete_subset,
+                     generate_synthetic, scenario_by_name)
 from .config import TrainConfig, TrainingTrace
 from .errors import ConfigError, DataError, NumericalError
-from .fusion import (DropoutPolicy, FusionModel, FusionSample, FusionStrategy,
-                     batch_loss_and_grads, forward_sample, fusion_from_dict,
-                     fusion_to_dict, init_fusion_model, modality_dropout,
-                     model_footprint)
+from .fusion import (DropoutPolicy, FusionBatch, FusionModel, FusionStrategy,
+                     batch_loss_and_grads, dropout_masks, fusion_from_dict,
+                     fusion_to_dict, init_fusion_model, model_footprint,
+                     predict_risk)
 from .nets import (GradientSet, OptimizerState, init_net, net_from_dict,
                    net_to_dict, optimizer_step)
 from .survival import concordance_index
@@ -94,41 +94,36 @@ class EvalResult:
 class SurvivalPredictor:
     """Frozen encoders (optional) plus a fusion model; scores raw cohorts."""
 
-    def __init__(self, fusion: FusionModel, encoders=None,
-                 stage1: dict | None = None, trace: TrainingTrace | None = None):
+    def __init__(self, fusion: FusionModel, encoders=None, trace: TrainingTrace | None = None):
         self.fusion = fusion
         self.encoders = encoders  # {ModalityId: DenseNet}, None for embedding input
-        self.stage1 = stage1      # full stage-1 bundles, kept for checkpointing
         self.trace = trace
 
-    def record_embeddings(self, record, schema) -> dict:
-        out = {}
+    def cohort_embeddings(self, cohort: Cohort) -> np.ndarray:
+        """(n, 4, embed) embeddings of every record, zeros where a modality is absent."""
+        e = self.fusion.strategy.embed_dim
+        out = np.zeros((len(cohort), N_MODALITIES, e))
+        avail = cohort.availability
         for m in MODALITIES:
-            if not record.has(m):
+            rows = np.flatnonzero(avail[:, m])
+            if not rows.size:
                 continue
-            x = record.features[m]
+            width = cohort.schema.dim(m)
             if self.encoders is None:
-                if x.shape[0] != self.fusion.strategy.embed_dim:
-                    raise DataError(f"record {record.id!r}: {m.label} has width {x.shape[0]}, "
-                                    f"expected embeddings of width {self.fusion.strategy.embed_dim}")
-                out[m] = x
-            else:
-                enc = self.encoders.get(m)
-                if enc is None:
-                    raise DataError(f"record {record.id!r}: no encoder for {m.label}")
-                if enc.input_dim != x.shape[0]:
-                    raise DataError(f"record {record.id!r}: {m.label} has width {x.shape[0]}, "
-                                    f"encoder expects {enc.input_dim}")
-                out[m], _ = enc.forward(x)
+                if width != e:
+                    raise DataError(f"{m.label} has width {width}, expected embeddings of width {e}")
+                out[rows, m] = cohort.block(m)[rows]
+                continue
+            enc = self.encoders.get(m)
+            if enc is None:
+                raise DataError(f"no encoder for {m.label}, which {rows.size} record(s) carry")
+            if enc.input_dim != width:
+                raise DataError(f"{m.label} has width {width}, encoder expects {enc.input_dim}")
+            out[rows, m], _ = enc.forward(cohort.block(m)[rows])
         return out
 
     def risk_scores(self, cohort: Cohort) -> np.ndarray:
-        scores = np.zeros(len(cohort))
-        for i, r in enumerate(cohort.records):
-            emb = self.record_embeddings(r, cohort.schema)
-            sample = FusionSample(emb, r.availability, r.time, float(r.event))
-            scores[i] = forward_sample(self.fusion, sample).score
-        return scores
+        return predict_risk(self.fusion, self.cohort_embeddings(cohort), cohort.availability)
 
 
 PREDICTOR_FORMAT = "predictor-v1"
@@ -147,15 +142,23 @@ def save_predictor(predictor: SurvivalPredictor, path: str) -> None:
 
 
 def load_predictor(path: str) -> SurvivalPredictor:
+    """Read a predictor checkpoint; anything malformed or mismatched is a DataError."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != PREDICTOR_FORMAT:
-        raise DataError(f"{path}: not a predictor checkpoint (format {payload.get('format')!r})")
-    fusion = fusion_from_dict(payload["fusion"], origin=path)
-    encoders = None
-    if payload.get("encoders") is not None:
-        encoders = {ModalityId.from_name(label): net_from_dict(blob)
-                    for label, blob in payload["encoders"].items()}
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != PREDICTOR_FORMAT:
+        raise DataError(f"{path}: not a predictor checkpoint (format {fmt!r})")
+    fusion = fusion_from_dict(payload.get("fusion"), origin=path)
+    blobs = payload.get("encoders")
+    if blobs is None:
+        return SurvivalPredictor(fusion, None)
+    if not isinstance(blobs, dict) or not set(blobs) <= {m.label for m in MODALITIES}:
+        raise DataError(f"{path}: encoders must map modality names to networks")
+    encoders = {ModalityId.from_name(label): net_from_dict(blob, origin=f"{path}: {label} encoder")
+                for label, blob in blobs.items()}
+    if any(net.output_dim != fusion.strategy.embed_dim for net in encoders.values()):
+        raise DataError(f"{path}: encoder output widths do not match the fusion "
+                        f"embedding width {fusion.strategy.embed_dim}")
     return SurvivalPredictor(fusion, encoders)
 
 
@@ -175,25 +178,19 @@ def train_stage1_encoders(train: Cohort, config: TrainConfig, regime: str) -> di
     return {m: train_unimodal(pool, m, config) for m in MODALITIES}
 
 
-def _record_samples(table: Cohort) -> list[FusionSample]:
-    samples = []
-    for r in table.records:
-        emb = {m: r.features[m] for m in MODALITIES if r.has(m)}
-        samples.append(FusionSample(emb, r.availability.copy(), r.time, float(r.event)))
-    return samples
+def _table_batch(table: Cohort) -> FusionBatch:
+    """An embedding table as one FusionBatch, masks set to the availability."""
+    alpha = table.availability
+    embeddings = np.stack([table.block(m) for m in MODALITIES], axis=1)
+    return FusionBatch(embeddings, alpha, alpha.copy(), table.times, table.events)
 
 
-def _val_cindex(model: FusionModel, samples: list[FusionSample]):
-    if len(samples) < 2:
+def _val_cindex(model: FusionModel, val: FusionBatch):
+    """Validation c-index with every available modality shown; None when undefined."""
+    if len(val) < 2:
         return None
-    risks, times, events = [], [], []
-    for s in samples:
-        full = FusionSample(s.embeddings, s.alpha.astype(np.int64), s.time, s.event)
-        risks.append(forward_sample(model, full).score)
-        times.append(s.time)
-        events.append(s.event)
     try:
-        return concordance_index(np.array(risks), np.array(times), np.array(events))
+        return concordance_index(predict_risk(model, val.embeddings, val.alpha), val.times, val.events)
     except DataError:
         return None
 
@@ -208,11 +205,10 @@ def _fit_fusion(table: Cohort, config: TrainConfig, cell: ExperimentCell) -> tup
     opts = {name: OptimizerState(config.optimizer, config.fusion_lr, net)
             for name, net in model.parts()}
 
-    samples = _record_samples(table)
-    n_val = int(round(len(samples) * config.val_fraction))
-    perm = np.random.default_rng(split_seed).permutation(len(samples))
-    val = [samples[i] for i in perm[:n_val]]
-    fit = [samples[i] for i in perm[n_val:]]
+    data = _table_batch(table)
+    n_val = int(round(len(data) * config.val_fraction))
+    perm = np.random.default_rng(split_seed).permutation(len(data))
+    val, fit = data.take(perm[:n_val]), data.take(perm[n_val:])
     use_val = _val_cindex(model, val) is not None
 
     policy = DropoutPolicy(rate=config.dropout_rate, enabled=cell.dropout)
@@ -225,15 +221,14 @@ def _fit_fusion(table: Cohort, config: TrainConfig, cell: ExperimentCell) -> tup
         order = shuffle_rng.permutation(len(fit))
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, len(fit), config.fusion_batch):
-            batch = [fit[i] for i in order[start:start + config.fusion_batch]]
-            if sum(s.event for s in batch) == 0:
+            batch = fit.take(order[start:start + config.fusion_batch])
+            if not batch.events.any():
                 continue
-            for s in batch:
-                s.mask = modality_dropout_or_full(s, policy, dropout_rng)
+            batch.mask = dropout_masks(batch.alpha, policy, dropout_rng)
             try:
                 total, _, _, grads, _ = batch_loss_and_grads(model, batch)
                 for name, net in model.parts():
-                    optimizer_step(net, grads.by_part[name], opts[name])
+                    optimizer_step(net, grads[name], opts[name])
             except NumericalError as e:
                 raise NumericalError(f"fusion training diverged ({cell.label()}, epoch {epoch}): {e}") from e
             epoch_loss += total
@@ -248,13 +243,6 @@ def _fit_fusion(table: Cohort, config: TrainConfig, cell: ExperimentCell) -> tup
                 if stale > config.patience:
                     break
     return (best_model if best_model is not None else model), trace
-
-
-def modality_dropout_or_full(sample: FusionSample, policy: DropoutPolicy, rng) -> np.ndarray:
-    alpha = sample.alpha.astype(np.int64)
-    if not policy.enabled:
-        return alpha
-    return modality_dropout(alpha, policy, rng)
 
 
 def train_fusion_on_table(table: Cohort, config: TrainConfig, cell: ExperimentCell) -> SurvivalPredictor:
@@ -278,7 +266,7 @@ def train_two_stage(train: Cohort, config: TrainConfig, cell: ExperimentCell,
     table = export_embeddings(stage1, pool)
     fusion, trace = _fit_fusion(table, config, cell)
     encoders = {m: u.encoder for m, u in stage1.items()}
-    return SurvivalPredictor(fusion, encoders, stage1=stage1, trace=trace)
+    return SurvivalPredictor(fusion, encoders, trace=trace)
 
 
 def train_end_to_end(train: Cohort, config: TrainConfig, cell: ExperimentCell,
@@ -312,64 +300,49 @@ def train_end_to_end(train: Cohort, config: TrainConfig, cell: ExperimentCell,
     enc_opts = {m: OptimizerState(config.optimizer, config.fusion_lr, encoders[m])
                 for m in MODALITIES}
 
-    records = pool.records
-    n_val = int(round(len(records) * config.val_fraction))
-    perm = np.random.default_rng(split_seed).permutation(len(records))
-    val_records = [records[i] for i in perm[:n_val]]
-    fit_records = [records[i] for i in perm[n_val:]]
+    alpha, times, events = pool.availability, pool.times, pool.events
+    blocks = {m: pool.block(m) for m in MODALITIES}
+    n_val = int(round(len(pool) * config.val_fraction))
+    perm = np.random.default_rng(split_seed).permutation(len(pool))
+    val_idx, fit_idx = perm[:n_val], perm[n_val:]
 
     policy = DropoutPolicy(rate=config.dropout_rate, enabled=cell.dropout)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     dropout_rng = np.random.default_rng(dropout_seed)
 
-    def embed(record):
-        emb, tapes = {}, {}
+    def embed(idx):
+        """Encode the records idx; returns their FusionBatch and {modality: (rows, tape)}."""
+        emb = np.zeros((len(idx), N_MODALITIES, pool.schema.embed_dim))
+        tapes = {}
         for m in MODALITIES:
-            if record.has(m):
-                emb[m], tapes[m] = encoders[m].forward(record.features[m])
-        return emb, tapes
+            rows = np.flatnonzero(alpha[idx, m])
+            if rows.size:
+                emb[rows, m], tape = encoders[m].forward(blocks[m][idx[rows]])
+                tapes[m] = (rows, tape)
+        return FusionBatch(emb, alpha[idx], alpha[idx], times[idx], events[idx]), tapes
 
     def val_ci_now():
-        if len(val_records) < 2:
-            return None
-        risks = []
-        for r in val_records:
-            emb, _ = embed(r)
-            s = FusionSample(emb, r.availability, r.time, float(r.event))
-            risks.append(forward_sample(model, s).score)
-        try:
-            return concordance_index(np.array(risks),
-                                     np.array([r.time for r in val_records]),
-                                     np.array([float(r.event) for r in val_records]))
-        except DataError:
-            return None
+        return _val_cindex(model, embed(val_idx)[0])
 
     use_val = val_ci_now() is not None
     trace = TrainingTrace()
     best_ci, best_state, stale = -np.inf, None, 0
     for epoch in range(config.fusion_epochs):
-        order = shuffle_rng.permutation(len(fit_records))
+        order = shuffle_rng.permutation(len(fit_idx))
         epoch_loss, n_batches = 0.0, 0
-        for start in range(0, len(fit_records), config.fusion_batch):
-            chunk = [fit_records[i] for i in order[start:start + config.fusion_batch]]
-            if sum(r.event for r in chunk) == 0:
+        for start in range(0, len(fit_idx), config.fusion_batch):
+            idx = fit_idx[order[start:start + config.fusion_batch]]
+            if not events[idx].any():
                 continue
-            samples, tape_sets = [], []
-            for r in chunk:
-                emb, tapes = embed(r)
-                mask = modality_dropout_or_full(
-                    FusionSample(emb, r.availability, r.time, float(r.event)), policy, dropout_rng)
-                samples.append(FusionSample(emb, mask, r.time, float(r.event)))
-                tape_sets.append(tapes)
+            batch, tapes = embed(idx)
+            batch.mask = dropout_masks(batch.alpha, policy, dropout_rng)
             try:
-                total, _, _, grads, dxs = batch_loss_and_grads(model, samples)
-                enc_grads = {m: GradientSet.zeros_like(encoders[m]) for m in MODALITIES}
-                for tapes, dx in zip(tape_sets, dxs):
-                    for m, g in dx.items():
-                        part, _ = encoders[m].backward(tapes[m], g)
-                        enc_grads[m].add(part)
+                total, _, _, grads, dx = batch_loss_and_grads(model, batch)
+                enc_grads = {m: GradientSet.zeros_like(encoders[m]) for m in MODALITIES if m not in tapes}
+                for m, (rows, tape) in tapes.items():
+                    enc_grads[m], _ = encoders[m].backward(tape, dx[rows, m])
                 for name, net in model.parts():
-                    optimizer_step(net, grads.by_part[name], opts[name])
+                    optimizer_step(net, grads[name], opts[name])
                 for m in MODALITIES:
                     optimizer_step(encoders[m], enc_grads[m], enc_opts[m])
             except NumericalError as e:

@@ -21,7 +21,7 @@ import numpy as np
 from .cohort import Cohort, ModalityId, PatientRecord, embedding_schema
 from .config import TrainConfig, TrainingTrace
 from .errors import DataError
-from .nets import DenseNet, GradientSet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step
+from .nets import DenseNet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step
 from .survival import SurvivalBatch, concordance_index, cox_loss, cox_loss_grad
 
 ENCODER_HIDDEN = 64
@@ -40,12 +40,14 @@ class UnimodalEncoder:
     trace: TrainingTrace | None = field(default=None, repr=False)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
+        """Embeddings of an (n, raw) block of feature rows, (n, embed)."""
         y, _ = self.encoder.forward(x)
         return y
 
-    def score(self, x: np.ndarray) -> float:
+    def score(self, x: np.ndarray) -> np.ndarray:
+        """Stage-1 risk score of each row of an (n, raw) block."""
         y, _ = self.head.forward(self.embed(x))
-        return float(y[0])
+        return y[:, 0]
 
 
 def _validation_split(n: int, val_fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -62,11 +64,11 @@ def has_comparable_pair(times: np.ndarray, events: np.ndarray) -> bool:
 
 def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) -> UnimodalEncoder:
     """Train one modality's encoder on the records where it is present."""
-    rows = [(r.features[modality], r.time, float(r.event))
-            for r in cohort.records if r.has(modality)]
-    if not rows:
+    present = cohort.availability[:, modality] == 1
+    if not present.any():
         raise DataError(f"no records carry {modality.label}, nothing to train on")
-    if sum(e for _, _, e in rows) == 0:
+    x, times, events = cohort.block(modality)[present], cohort.times[present], cohort.events[present]
+    if events.sum() == 0:
         raise DataError(f"records carrying {modality.label} have zero observed events")
     raw_dim = cohort.schema.dim(modality)
     embed_dim = cohort.schema.embed_dim
@@ -76,12 +78,9 @@ def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) ->
     encoder = init_net((raw_dim, ENCODER_HIDDEN, embed_dim), "selu", init_seed)
     head = init_net((embed_dim, 1), "identity", head_seed)
 
-    train_idx, val_idx = _validation_split(len(rows), config.val_fraction,
+    train_idx, val_idx = _validation_split(len(times), config.val_fraction,
                                            np.random.default_rng(split_seed))
-    val = [rows[i] for i in val_idx]
-    train = [rows[i] for i in train_idx]
-    use_val = len(val) >= 2 and has_comparable_pair(np.array([t for _, t, _ in val]),
-                                                    np.array([e for _, _, e in val]))
+    use_val = len(val_idx) >= 2 and has_comparable_pair(times[val_idx], events[val_idx])
 
     opt_enc = OptimizerState(config.optimizer, config.stage1_lr, encoder)
     opt_head = OptimizerState(config.optimizer, config.stage1_lr, head)
@@ -90,39 +89,25 @@ def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) ->
     trace = TrainingTrace()
     best_ci, best_params, stale = -np.inf, None, 0
     for epoch in range(config.stage1_epochs):
-        order = shuffle_rng.permutation(len(train))
+        order = shuffle_rng.permutation(len(train_idx))
         epoch_loss, n_batches = 0.0, 0
-        for start in range(0, len(train), config.stage1_batch):
-            batch = [train[i] for i in order[start:start + config.stage1_batch]]
-            if sum(e for _, _, e in batch) == 0:
+        for start in range(0, len(train_idx), config.stage1_batch):
+            idx = train_idx[order[start:start + config.stage1_batch]]
+            if not events[idx].any():
                 continue  # Cox loss needs at least one event
-            scores, tapes = [], []
-            for x, _, _ in batch:
-                emb, tape_e = encoder.forward(x)
-                f, tape_h = head.forward(emb)
-                scores.append(f[0])
-                tapes.append((tape_e, tape_h))
-            sb = SurvivalBatch(np.array(scores),
-                               np.array([t for _, t, _ in batch]),
-                               np.array([e for _, _, e in batch]))
-            dF = cox_loss_grad(sb)
-            g_enc = GradientSet.zeros_like(encoder)
-            g_head = GradientSet.zeros_like(head)
-            for k, (tape_e, tape_h) in enumerate(tapes):
-                gh, d_emb = head.backward(tape_h, np.array([dF[k]]))
-                ge, _ = encoder.backward(tape_e, d_emb)
-                g_head.add(gh)
-                g_enc.add(ge)
+            emb, tape_e = encoder.forward(x[idx])
+            f, tape_h = head.forward(emb)
+            sb = SurvivalBatch(f[:, 0], times[idx], events[idx])
+            g_head, d_emb = head.backward(tape_h, cox_loss_grad(sb)[:, None])
+            g_enc, _ = encoder.backward(tape_e, d_emb)
             optimizer_step(encoder, g_enc, opt_enc)
             optimizer_step(head, g_head, opt_head)
             epoch_loss += cox_loss(sb)
             n_batches += 1
         val_ci = None
         if use_val:
-            risks = np.array([float(head.forward(encoder.forward(x)[0])[0][0]) for x, _, _ in val])
-            val_ci = concordance_index(risks,
-                                       np.array([t for _, t, _ in val]),
-                                       np.array([e for _, _, e in val]))
+            risks = head.forward(encoder.forward(x[val_idx])[0])[0][:, 0]
+            val_ci = concordance_index(risks, times[val_idx], events[val_idx])
         trace.log(epoch, epoch_loss / max(n_batches, 1), val_ci)
         if use_val:
             if val_ci > best_ci:
@@ -141,13 +126,11 @@ def export_embeddings(encoders, cohort: Cohort) -> Cohort:
 
     Returns a cohort over the embedding schema with identical ids, times,
     events, and availability. Missing modalities stay missing, nothing is
-    imputed here.
+    imputed here. Each encoder runs once, on all records carrying its
+    modality.
     """
-    needed = set()
-    for r in cohort.records:
-        for m in ModalityId:
-            if r.has(m):
-                needed.add(m)
+    avail = cohort.availability
+    needed = [m for m in ModalityId if avail[:, m].any()]
     missing = sorted(m.label for m in needed if m not in encoders)
     if missing:
         raise DataError("no encoder for modalities present in cohort: " + ", ".join(missing))
@@ -155,10 +138,12 @@ def export_embeddings(encoders, cohort: Cohort) -> Cohort:
         if encoders[m].encoder.input_dim != cohort.schema.dim(m):
             raise DataError(f"{m.label} encoder expects {encoders[m].encoder.input_dim} features, "
                             f"cohort provides {cohort.schema.dim(m)}")
-    records = []
-    for r in cohort.records:
-        feats = tuple(encoders[m].embed(r.features[m]) if r.has(m) else None for m in ModalityId)
-        records.append(PatientRecord(r.id, r.time, r.event, feats))
+    feats = [[None] * len(ModalityId) for _ in cohort.records]
+    for m in needed:
+        rows = np.flatnonzero(avail[:, m])
+        for i, y in zip(rows, encoders[m].embed(cohort.block(m)[rows])):
+            feats[i][m] = y
+    records = [PatientRecord(r.id, r.time, r.event, tuple(f)) for r, f in zip(cohort.records, feats)]
     return Cohort(embedding_schema(cohort.schema), records, cohort.ground_truth_risk)
 
 

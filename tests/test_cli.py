@@ -1,11 +1,13 @@
 """CLI workflows, exit codes, and byte determinism, driven in-process."""
 import hashlib
 import json
+import re
 
 from mmsurv.cli import main
 from mmsurv.cohort import generate_synthetic, save_cohort, save_schema
 from mmsurv.config import TrainConfig
-from mmsurv.pipeline import train_stage1_encoders
+from mmsurv.fusion import FusionStrategy, init_fusion_model
+from mmsurv.pipeline import SurvivalPredictor, save_predictor, train_stage1_encoders
 from mmsurv.unimodal import export_embeddings
 
 FAST_UNI = ["--stage1-epochs", "10"]
@@ -56,6 +58,12 @@ def test_quiet_moves_configuration_off_stdout(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "resolved configuration:" in captured.err
+
+
+def test_synth_reports_its_event_count(tmp_path, capsys):
+    assert run("synth", "--n", 30, "--seed", 4, "--out", tmp_path / "c.csv") == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("wrote"))
+    assert re.fullmatch(r"wrote 30 records \(\d+ events\) to .*", line), line
 
 
 def test_synth_twice_is_byte_identical(tmp_path, capsys):
@@ -164,6 +172,23 @@ def test_footprint_prints_ordering(capsys):
                      if "total" in l)
         counts[kind] = int(total.split()[1])
     assert counts["tensor"] > counts["mean"] > counts["concat"]
+
+
+def test_eval_rejects_a_damaged_checkpoint_with_exit_two(tmp_path, capsys):
+    _, test = workflow_files(tmp_path, capsys)
+    model = init_fusion_model(FusionStrategy("concat"), seed=0)
+    save_predictor(SurvivalPredictor(model), str(tmp_path / "model.json"))
+    good = json.loads((tmp_path / "model.json").read_text())
+    no_strategy = json.loads(json.dumps(good))
+    del no_strategy["fusion"]["strategy"]
+    wrong_width = json.loads(json.dumps(good))
+    wrong_width["fusion"]["strategy"]["embed_dim"] = 16  # fused width 64, the head takes 128
+    for payload in (no_strategy, wrong_width):
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(payload))
+        assert run("eval", "--model", path, "--data", test, "--seed", 1, "--bootstrap", 0) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
 
 
 def test_bad_scenario_name_is_a_usage_error(tmp_path, capsys):

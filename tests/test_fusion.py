@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 
 from mmsurv.cohort import MODALITIES, ModalityId
 from mmsurv.errors import ConfigError, DataError
-from mmsurv.fusion import (DropoutPolicy, FusionSample, FusionStrategy, batch_losses,
-                           batch_loss_and_grads, fuse, init_fusion_model, load_fusion,
-                           modality_dropout, model_footprint, predict_hazard, recon_loss,
-                           recon_loss_grad, reconstruct, save_fusion, total_loss)
+from mmsurv.fusion import (DropoutPolicy, FusionBatch, FusionStrategy, batch_loss_and_grads,
+                           forward_loss, fuse, fusion_from_dict, fusion_to_dict,
+                           init_fusion_model, load_fusion, modality_dropout, model_footprint,
+                           predict_hazard, recon_loss, recon_loss_grad, reconstruct,
+                           save_fusion, total_loss)
 
 SMALL = dict(embed_dim=4, extended_dim=8, reduced_dim=3,
              extender_hidden=6, reducer_hidden=5, head_hidden=5, recon_hidden=6)
@@ -20,8 +22,9 @@ def small_strategy(kind):
     return FusionStrategy(kind, **SMALL)
 
 
-def make_samples(rng, n, embed_dim, full_mask=False, with_dropout=False):
-    samples = []
+def make_batch(rng, n, embed_dim, full_mask=False, with_dropout=False):
+    embeddings = np.zeros((n, 4, embed_dim))
+    alphas, masks, times = [], [], []
     for i in range(n):
         while True:
             alpha = (rng.random(4) < 0.75).astype(np.int64)
@@ -32,9 +35,22 @@ def make_samples(rng, n, embed_dim, full_mask=False, with_dropout=False):
         mask = alpha.copy()
         if with_dropout:
             mask = modality_dropout(alpha, DropoutPolicy(0.4), rng)
-        emb = {m: rng.normal(size=embed_dim) for m in MODALITIES if alpha[m]}
-        samples.append(FusionSample(emb, mask, float(rng.uniform(1, 50)), float(i % 2 == 0)))
-    return samples
+        for m in MODALITIES:
+            if alpha[m]:
+                embeddings[i, m] = rng.normal(size=embed_dim)
+        alphas.append(alpha)
+        masks.append(mask)
+        times.append(float(rng.uniform(1, 50)))
+    events = np.array([float(i % 2 == 0) for i in range(n)])
+    return FusionBatch(embeddings, np.stack(alphas), np.stack(masks), np.array(times), events)
+
+
+def one_row(vecs, mask, embed_dim):
+    """A one-row (1, 4, embed) block holding ``vecs`` ({modality: vector})."""
+    x = np.zeros((1, 4, embed_dim))
+    for m, v in vecs.items():
+        x[0, m] = v
+    return x, np.asarray(mask)[None, :]
 
 
 def kron4_oracle(f0, f1, f2, f3):
@@ -124,8 +140,9 @@ def test_concat_layout_and_zero_fill():
     model = init_fusion_model(small_strategy("concat"), seed=0)
     rng = np.random.default_rng(4)
     e = {ModalityId.RADIOLOGY: rng.normal(size=4), ModalityId.GENOMICS: rng.normal(size=4)}
-    h, _ = fuse(model, e, np.array([1, 0, 1, 0]))
-    assert h.shape == (16,)
+    h, _ = fuse(model, *one_row(e, [1, 0, 1, 0], 4))
+    assert h.shape == (1, 16)
+    h = h[0]
     assert np.array_equal(h[0:4], e[ModalityId.RADIOLOGY])
     assert np.all(h[4:8] == 0.0)
     assert np.array_equal(h[8:12], e[ModalityId.GENOMICS])
@@ -135,8 +152,8 @@ def test_concat_layout_and_zero_fill():
 def test_mean_single_modality_equals_extender_output():
     model = init_fusion_model(small_strategy("mean"), seed=1)
     x = np.random.default_rng(5).normal(size=4)
-    h, _ = fuse(model, {ModalityId.PATHOLOGY: x}, np.array([0, 1, 0, 0]))
-    y, _ = model.extenders[ModalityId.PATHOLOGY].forward(x)
+    h, _ = fuse(model, *one_row({ModalityId.PATHOLOGY: x}, [0, 1, 0, 0], 4))
+    y, _ = model.extenders[ModalityId.PATHOLOGY].forward(x[None, :])
     assert np.array_equal(h, y)
 
 
@@ -144,10 +161,10 @@ def test_mean_two_modalities_is_elementwise_average():
     model = init_fusion_model(small_strategy("mean"), seed=2)
     rng = np.random.default_rng(6)
     xa, xb = rng.normal(size=4), rng.normal(size=4)
-    h, _ = fuse(model, {ModalityId.RADIOLOGY: xa, ModalityId.DEMOGRAPHICS: xb},
-                np.array([1, 0, 0, 1]))
-    ya, _ = model.extenders[ModalityId.RADIOLOGY].forward(xa)
-    yb, _ = model.extenders[ModalityId.DEMOGRAPHICS].forward(xb)
+    h, _ = fuse(model, *one_row({ModalityId.RADIOLOGY: xa, ModalityId.DEMOGRAPHICS: xb},
+                                [1, 0, 0, 1], 4))
+    ya, _ = model.extenders[ModalityId.RADIOLOGY].forward(xa[None, :])
+    yb, _ = model.extenders[ModalityId.DEMOGRAPHICS].forward(xb[None, :])
     assert np.allclose(h, (ya + yb) / 2.0, atol=0, rtol=0)
 
 
@@ -155,10 +172,12 @@ def test_mean_fuse_is_insertion_order_invariant_bitwise():
     model = init_fusion_model(small_strategy("mean"), seed=3)
     rng = np.random.default_rng(7)
     vecs = {m: rng.normal(size=4) for m in MODALITIES}
-    mask = np.ones(4, dtype=np.int64)
-    h_fwd, _ = fuse(model, dict(sorted(vecs.items())), mask)
-    h_rev, _ = fuse(model, dict(sorted(vecs.items(), reverse=True)), mask)
+    h_fwd, _ = fuse(model, *one_row(dict(sorted(vecs.items())), np.ones(4), 4))
+    h_rev, _ = fuse(model, *one_row(dict(sorted(vecs.items(), reverse=True)), np.ones(4), 4))
     assert np.array_equal(h_fwd, h_rev)
+    # the sum runs in modality-id order, whatever order the rows were filled in
+    ys = [model.extenders[m].forward(vecs[m][None, :])[0] for m in MODALITIES]
+    assert np.array_equal(h_fwd, (((ys[0] + ys[1]) + ys[2]) + ys[3]) / 4)
 
 
 def test_tensor_fuse_matches_bruteforce_product():
@@ -166,12 +185,13 @@ def test_tensor_fuse_matches_bruteforce_product():
     rng = np.random.default_rng(8)
     vecs = {m: rng.normal(size=4) for m in MODALITIES}
     mask = np.array([1, 1, 0, 1])
-    h, tape = fuse(model, {m: v for m, v in vecs.items() if mask[m]}, mask)
+    h, tape = fuse(model, *one_row({m: v for m, v in vecs.items() if mask[m]}, mask, 4))
+    h = h[0]
     factors = []
     for m in MODALITIES:
         if mask[m]:
-            y, _ = model.reducers[m].forward(vecs[m])
-            factors.append(np.append(y, 1.0))
+            y, _ = model.reducers[m].forward(vecs[m][None, :])
+            factors.append(np.append(y[0], 1.0))
         else:
             factors.append(np.append(np.zeros(3), 1.0))
     expected = kron4_oracle(*factors)
@@ -186,22 +206,64 @@ def test_tensor_all_zero_reducers_give_trailing_one_hot():
             layer.w[...] = 0.0
             layer.b[...] = 0.0
     x = {m: np.random.default_rng(9).normal(size=32) for m in MODALITIES}
-    h, _ = fuse(model, x, np.ones(4, dtype=np.int64))
-    assert h.shape == (6561,)
+    h, _ = fuse(model, *one_row(x, np.ones(4, dtype=np.int64), 32))
+    assert h.shape == (1, 6561)
     expected = np.zeros(6561)
     expected[6560] = 1.0
-    assert np.array_equal(h, expected)
+    assert np.array_equal(h[0], expected)
 
 
 def test_fuse_rejects_inconsistent_inputs():
     model = init_fusion_model(small_strategy("mean"), seed=6)
-    x = np.zeros(4)
+    x = np.zeros((2, 4, 4))
     with pytest.raises(DataError):
-        fuse(model, {}, np.zeros(4))  # nothing present
+        fuse(model, x, np.array([[1, 0, 0, 0], [0, 0, 0, 0]]))  # a row with nothing present
     with pytest.raises(DataError):
-        fuse(model, {ModalityId.RADIOLOGY: x}, np.array([1, 1, 0, 0]))  # mask wider than keys
+        fuse(model, x, np.array([1, 1, 0, 0]))  # mask is not one row per embedding row
     with pytest.raises(DataError):
-        fuse(model, {ModalityId.RADIOLOGY: np.zeros(9)}, np.array([1, 0, 0, 0]))  # bad width
+        fuse(model, np.zeros((2, 4, 9)), np.ones((2, 4)))  # bad width
+    batch = FusionBatch(x, np.array([[1, 0, 0, 0]] * 2), np.array([[1, 1, 0, 0]] * 2),
+                        np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+    with pytest.raises(DataError):
+        forward_loss(model, batch)  # training mask wider than the availability
+
+
+def rel_close(a, b, tol=1e-12):
+    return np.abs(a - b).max() <= tol * max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("kind", ["concat", "mean", "tensor"])
+def test_fuse_batch_equals_stacked_single_rows(kind):
+    model = init_fusion_model(small_strategy(kind), seed=22)
+    rng = np.random.default_rng(23)
+    # mixed masks: every row shows a different subset, one modality is
+    # hidden in every row, and hidden slots hold junk that must be ignored
+    mask = np.array([[1, 0, 1, 0], [0, 0, 1, 0], [1, 0, 1, 1], [0, 0, 0, 1], [1, 0, 0, 0]])
+    x = rng.normal(size=(5, 4, 4)) + 1e3 * (1 - mask)[:, :, None]
+    h, _ = fuse(model, x, mask)
+    rows = np.vstack([fuse(model, x[i:i + 1], mask[i:i + 1])[0] for i in range(5)])
+    assert h.shape == (5, model.strategy.fused_dim)
+    assert rel_close(h, rows)
+    if kind == "tensor":
+        # pathology is hidden everywhere: only its constant slot (index 3 of 4) carries weight
+        assert np.all(h.reshape(5, 4, 4, 4, 4)[:, :, :3] == 0.0)
+
+
+@pytest.mark.parametrize("kind,recon", [("concat", True), ("mean", True), ("tensor", True),
+                                        ("tensor", False)])
+def test_batch_loss_and_grads_is_invariant_to_row_order(kind, recon):
+    model = init_fusion_model(small_strategy(kind), seed=24, recon=recon, lam=0.7)
+    batch = make_batch(np.random.default_rng(25), 7, embed_dim=4, with_dropout=True)
+    perm = np.random.default_rng(26).permutation(7)
+    total, cox, rec, grads, dx = batch_loss_and_grads(model, batch)
+    p_total, p_cox, p_rec, p_grads, p_dx = batch_loss_and_grads(model, batch.take(perm))
+    assert abs(p_total - total) <= 1e-12 * abs(total)
+    assert abs(p_cox - cox) <= 1e-12 * abs(cox)
+    assert abs(p_rec - rec) <= 1e-12 * max(abs(rec), 1e-300)
+    assert list(p_grads) == [name for name, _ in model.parts()] == list(grads)
+    for name in grads:
+        assert rel_close(p_grads[name].flat(), grads[name].flat())
+    assert rel_close(p_dx, dx[perm])
 
 
 def test_predict_hazard_zero_head_outputs_zero():
@@ -209,16 +271,17 @@ def test_predict_hazard_zero_head_outputs_zero():
     for layer in model.hazard_head.layers:
         layer.w[...] = 0.0
         layer.b[...] = 0.0
-    assert predict_hazard(model, np.ones(8)) == 0.0
+    scores = predict_hazard(model, np.ones((3, 8)))
+    assert scores.shape == (3,) and np.all(scores == 0.0)
 
 
 def test_reconstruct_shape_and_missing_head_error():
     model = init_fusion_model(small_strategy("mean"), seed=8, recon=True)
-    out = reconstruct(model, np.ones(8))
-    assert out.shape == (4, 4)
+    out = reconstruct(model, np.ones((2, 8)))
+    assert out.shape == (2, 4, 4)
     bare = init_fusion_model(small_strategy("mean"), seed=8, recon=False)
     with pytest.raises(ConfigError):
-        reconstruct(bare, np.ones(8))
+        reconstruct(bare, np.ones((2, 8)))
 
 
 # ── reconstruction loss ──────────────────────────────────────────────────────
@@ -299,15 +362,15 @@ def test_fusion_parameter_gradients_match_finite_differences(kind, recon):
     from mmsurv.nets import finite_diff_grad
     rng = np.random.default_rng(13)
     model = init_fusion_model(small_strategy(kind), seed=14, recon=recon, lam=0.7)
-    samples = make_samples(rng, 6, embed_dim=4, with_dropout=True)
+    batch = make_batch(rng, 6, embed_dim=4, with_dropout=True)
 
-    _, _, _, grads, _ = batch_loss_and_grads(model, samples)
-    analytic = np.concatenate([grads.by_part[name].flat() for name, _ in model.parts()])
+    _, _, _, grads, _ = batch_loss_and_grads(model, batch)
+    analytic = np.concatenate([grads[name].flat() for name, _ in model.parts()])
 
     def loss_of(p):
         probe = model.copy()
         probe.set_flat_params(p)
-        total, _, _, _ = batch_losses(probe, samples)
+        total, _, _, _ = forward_loss(probe, batch)
         return total
 
     numeric = finite_diff_grad(loss_of, model.flat_params(), h=1e-5)
@@ -320,20 +383,19 @@ def test_fusion_embedding_gradients_match_finite_differences(kind):
     from mmsurv.nets import finite_diff_grad
     rng = np.random.default_rng(15)
     model = init_fusion_model(small_strategy(kind), seed=16, recon=False)
-    samples = make_samples(rng, 5, embed_dim=4, full_mask=True)
+    batch = make_batch(rng, 5, embed_dim=4, full_mask=True)
 
-    _, _, _, _, dxs = batch_loss_and_grads(model, samples)
+    _, _, _, _, dx = batch_loss_and_grads(model, batch)
     target_sample, target_mod = 2, ModalityId.GENOMICS
-    analytic = dxs[target_sample][target_mod]
+    analytic = dx[target_sample, target_mod]
 
     def loss_of(vec):
-        probe_samples = [FusionSample(dict(s.embeddings), s.mask, s.time, s.event)
-                         for s in samples]
-        probe_samples[target_sample].embeddings[target_mod] = vec
-        total, _, _, _ = batch_losses(model, probe_samples)
+        embeddings = batch.embeddings.copy()
+        embeddings[target_sample, target_mod] = vec
+        total, _, _, _ = forward_loss(model, dataclasses.replace(batch, embeddings=embeddings))
         return total
 
-    numeric = finite_diff_grad(loss_of, samples[target_sample].embeddings[target_mod], h=1e-5)
+    numeric = finite_diff_grad(loss_of, batch.embeddings[target_sample, target_mod], h=1e-5)
     scale = max(np.abs(numeric).max(), 1e-8)
     assert np.abs(analytic - numeric).max() / scale < 1e-4
 
@@ -342,11 +404,12 @@ def test_masked_modalities_receive_no_parameter_gradient():
     rng = np.random.default_rng(17)
     model = init_fusion_model(small_strategy("mean"), seed=18)
     mask = np.array([1, 0, 1, 1], dtype=np.int64)  # pathology hidden by dropout
-    samples = [FusionSample({m: rng.normal(size=4) for m in MODALITIES}, mask,
-                            float(i + 1), 1.0) for i in range(4)]
-    _, _, _, grads, _ = batch_loss_and_grads(model, samples)
-    assert np.all(grads.by_part["extender_pathology"].flat() == 0.0)
-    assert np.any(grads.by_part["extender_radiology"].flat() != 0.0)
+    batch = FusionBatch(rng.normal(size=(4, 4, 4)), np.ones((4, 4), dtype=np.int64),
+                        np.tile(mask, (4, 1)), np.arange(1.0, 5.0), np.ones(4))
+    _, _, _, grads, dx = batch_loss_and_grads(model, batch)
+    assert np.all(grads["extender_pathology"].flat() == 0.0)
+    assert np.any(grads["extender_radiology"].flat() != 0.0)
+    assert np.all(dx[:, ModalityId.PATHOLOGY] == 0.0)
 
 
 # ── footprint ────────────────────────────────────────────────────────────────
@@ -397,6 +460,29 @@ def test_fusion_checkpoint_round_trip_bit_exact(tmp_path, kind, recon):
             assert np.array_equal(la.w, lb.w)
             assert np.array_equal(la.b, lb.b)
             assert la.activation == lb.activation
+
+
+@pytest.mark.parametrize("damage", ["no strategy", "bad kind", "no hazard head", "extra part",
+                                    "narrow head", "widths disagree", "bad lam"])
+def test_fusion_checkpoint_rejects_missing_keys_and_wrong_widths(damage):
+    payload = fusion_to_dict(init_fusion_model(small_strategy("tensor"), seed=27, recon=True))
+    parts, spec = payload["parts"], payload["strategy"]
+    if damage == "no strategy":
+        del payload["strategy"]
+    elif damage == "bad kind":
+        spec["kind"] = "sum"
+    elif damage == "no hazard head":
+        del parts["hazard_head"]
+    elif damage == "extra part":
+        parts["extender_radiology"] = parts["reducer_radiology"]
+    elif damage == "narrow head":
+        parts["hazard_head"] = fusion_to_dict(init_fusion_model(small_strategy("mean"), seed=27))["parts"]["hazard_head"]
+    elif damage == "widths disagree":
+        spec["reduced_dim"] = 4  # fused width 625, the heads were saved for 256
+    else:
+        payload["lam"] = "one"
+    with pytest.raises(DataError):
+        fusion_from_dict(payload)
 
 
 def test_fusion_strategy_rejects_unknown_kind():

@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mmsurv.errors import ConfigError, NumericalError
-from mmsurv.nets import (SELU_ALPHA, SELU_LAMBDA, DenseNet, GradientSet, Layer,
-                         OptimizerState, activate, finite_diff_grad, init_net,
+from mmsurv.errors import ConfigError, DataError, NumericalError
+from mmsurv.gradcheck import _net_configs
+from mmsurv.nets import (ADAM_BLOCK, SELU_ALPHA, SELU_LAMBDA, DenseNet, GradientSet,
+                         Layer, OptimizerState, activate, finite_diff_grad, init_net,
                          load_net, net_from_dict, net_to_dict, optimizer_step,
                          save_net)
 
@@ -47,8 +48,8 @@ def test_forward_identity_net_reproduces_affine_map():
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([0.5, -0.5])
     net = DenseNet([Layer(w.copy(), b.copy(), "identity")])
-    y, _ = net.forward(np.array([1.0, 1.0]))
-    assert np.allclose(y, w @ np.ones(2) + b, atol=0, rtol=0)
+    y, _ = net.forward(np.array([[1.0, 1.0]]))
+    assert np.allclose(y[0], w @ np.ones(2) + b, atol=0, rtol=0)
 
 
 def test_selu_matches_published_constants():
@@ -64,15 +65,17 @@ def test_selu_matches_published_constants():
 def test_forward_rejects_wrong_width_and_nonfinite():
     net = init_net((3, 2), "relu", seed=0)
     with pytest.raises(ConfigError):
-        net.forward(np.ones(4))
+        net.forward(np.ones((1, 4)))
+    with pytest.raises(ConfigError):
+        net.forward(np.ones(3))  # a record is a one-row batch, not a bare vector
     with pytest.raises(NumericalError):
-        net.forward(np.array([1.0, np.nan, 0.0]))
+        net.forward(np.array([[1.0, np.nan, 0.0]]))
 
 
 def test_backward_zero_upstream_gives_zero_gradients():
     net = init_net((5, 4, 2), "selu", seed=1)
-    _, tape = net.forward(np.random.default_rng(0).normal(size=5))
-    grads, dx = net.backward(tape, np.zeros(2))
+    _, tape = net.forward(np.random.default_rng(0).normal(size=(1, 5)))
+    grads, dx = net.backward(tape, np.zeros((1, 2)))
     assert np.all(grads.flat() == 0.0)
     assert np.all(dx == 0.0)
 
@@ -81,10 +84,10 @@ def test_backward_single_linear_layer_input_grad_is_w_transpose():
     rng = np.random.default_rng(2)
     w = rng.normal(size=(3, 4))
     net = DenseNet([Layer(w.copy(), np.zeros(3), "identity")])
-    _, tape = net.forward(rng.normal(size=4))
-    upstream = rng.normal(size=3)
+    _, tape = net.forward(rng.normal(size=(1, 4)))
+    upstream = rng.normal(size=(1, 3))
     _, dx = net.backward(tape, upstream)
-    assert np.allclose(dx, w.T @ upstream, atol=1e-15)
+    assert np.allclose(dx[0], w.T @ upstream[0], atol=1e-15)
 
 
 @pytest.mark.parametrize("activation", ["relu", "selu", "tanh", "identity"])
@@ -93,14 +96,14 @@ def test_backward_matches_finite_differences(activation):
     for _ in range(5):
         net = init_net((8, 16, 8, 1), activation, seed=rng.integers(2**31),
                        output_activation="identity")
-        x = rng.normal(size=8)
-        upstream = rng.normal(size=1)
+        x = rng.normal(size=(1, 8))
+        upstream = rng.normal(size=(1, 1))
 
         def loss(p, net=net, x=x, upstream=upstream):
             probe = net.copy()
             probe.set_flat_params(p)
             y, _ = probe.forward(x)
-            return float(upstream @ y)
+            return float((upstream * y).sum())
 
         _, tape = net.forward(x)
         grads, _ = net.backward(tape, upstream)
@@ -111,17 +114,31 @@ def test_backward_matches_finite_differences(activation):
 def test_backward_input_grad_matches_finite_differences():
     rng = np.random.default_rng(77)
     net = init_net((6, 10, 3), "tanh", seed=3)
-    x = rng.normal(size=6)
-    upstream = rng.normal(size=3)
+    x = rng.normal(size=(1, 6))
+    upstream = rng.normal(size=(1, 3))
     _, tape = net.forward(x)
     _, dx = net.backward(tape, upstream)
 
     def loss(xv):
-        y, _ = net.forward(xv)
-        return float(upstream @ y)
+        y, _ = net.forward(xv.reshape(1, 6))
+        return float((upstream * y).sum())
 
-    numeric = finite_diff_grad(loss, x, h=1e-5)
-    assert rel_err(dx, numeric) < 1e-4
+    numeric = finite_diff_grad(loss, x.ravel(), h=1e-5)
+    assert rel_err(dx.ravel(), numeric) < 1e-4
+
+
+@pytest.mark.parametrize("name,dims,act,out_act", _net_configs(), ids=[c[0] for c in _net_configs()])
+def test_batched_backward_equals_sum_of_row_calls(name, dims, act, out_act):
+    rng = np.random.default_rng(31)
+    net = init_net(dims, act, seed=32, output_activation=out_act)
+    x = rng.normal(size=(5, dims[0]))
+    upstream = rng.normal(size=(5, dims[-1]))
+    y, tape = net.forward(x)
+    grads, dx = net.backward(tape, upstream)
+    rows = [net.backward(net.forward(x[i:i + 1])[1], upstream[i:i + 1]) for i in range(5)]
+    assert rel_err(y, np.vstack([net.forward(x[i:i + 1])[0] for i in range(5)])) < 1e-12
+    assert rel_err(grads.flat(), sum(g.flat() for g, _ in rows)) < 1e-12
+    assert rel_err(dx, np.vstack([d for _, d in rows])) < 1e-12
 
 
 def test_finite_diff_on_quadratic():
@@ -133,7 +150,7 @@ def test_selu_stack_keeps_activations_normalized():
     # four selu layers, standard-normal input: mean near 0, variance near 1
     net = init_net((32, 32, 32, 32, 32), "selu", seed=28)
     rng = np.random.default_rng(12)
-    outs = np.stack([net.forward(rng.normal(size=32))[0] for _ in range(10_000)])
+    outs, _ = net.forward(rng.normal(size=(10_000, 32)))
     mean = outs.mean(axis=0)
     var = outs.var(axis=0)
     assert np.all(np.abs(mean) < 0.3)
@@ -163,6 +180,28 @@ def test_adam_zero_gradient_leaves_parameters_unchanged():
     state = OptimizerState("adam", lr=0.05, net=net)
     optimizer_step(net, GradientSet.zeros_like(net), state)
     assert np.array_equal(net.flat_params(), before)
+
+
+def test_adam_in_place_blocks_match_textbook_update():
+    # a weight matrix larger than one block exercises the blocked passes
+    net = init_net((300, 100, 2), "relu", seed=6)
+    assert net.layers[0].w.size > ADAM_BLOCK
+    rng = np.random.default_rng(7)
+    state = OptimizerState("adam", lr=0.01, net=net)
+    params = [a.copy() for l in net.layers for a in (l.w, l.b)]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t in range(1, 4):
+        grads = GradientSet([rng.normal(size=l.w.shape) for l in net.layers],
+                            [rng.normal(size=l.b.shape) for l in net.layers])
+        optimizer_step(net, grads, state)
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for k, g in enumerate(a for pair in zip(grads.dw, grads.db) for a in pair):
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+            params[k] = params[k] - 0.01 * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
+        for k, p in enumerate(a for l in net.layers for a in (l.w, l.b)):
+            assert np.array_equal(p, params[k])
 
 
 def test_nonfinite_gradient_refuses_step():
@@ -200,6 +239,18 @@ def test_checkpoint_dict_rejects_foreign_payload():
     from mmsurv.errors import DataError
     with pytest.raises(DataError):
         net_from_dict({"format": "something-else"})
+
+
+def test_checkpoint_dict_rejects_broken_chains():
+    good = net_to_dict(init_net((4, 3, 2), "relu", seed=8))
+    broken = [{k: v for k, v in good.items() if k != "layers"},
+              dict(good, dims=[4, 3]),
+              dict(good, dims=[4, 5, 2]),
+              dict(good, activations=["relu", "swish"]),
+              dict(good, layers=[good["layers"][0], {"w": good["layers"][1]["w"]}])]
+    for payload in broken:
+        with pytest.raises(DataError):
+            net_from_dict(payload)
 
 
 def test_net_dict_round_trip_without_file():

@@ -27,7 +27,7 @@ def test_trained_encoder_beats_chance_on_heldout_data():
     test = generate_synthetic(150, 1_000_003, missing_rate=(0.0,) * 4, censor_rate=0.2)
     bundle = train_unimodal(train, GENOMICS, TrainConfig(seed=3, stage1_epochs=60))
     from mmsurv.survival import concordance_index
-    risks = np.array([bundle.score(r.features[GENOMICS]) for r in test.records])
+    risks = bundle.score(np.stack([r.features[GENOMICS] for r in test.records]))
     ci = concordance_index(risks, test.times, test.events)
     assert ci > 0.6
 
@@ -105,12 +105,14 @@ def test_export_preserves_outcomes_and_availability():
     assert np.array_equal(table.times, cohort.times)
     assert np.array_equal(table.events, cohort.events)
     assert np.array_equal(table.availability, cohort.availability)
-    for orig, emb in zip(cohort.records, table.records):
-        for m in MODALITIES:
-            if orig.has(m):
-                assert np.array_equal(emb.features[m], encoders[m].embed(orig.features[m]))
+    for m in MODALITIES:
+        carriers = [i for i, r in enumerate(cohort.records) if r.has(m)]
+        expected = encoders[m].embed(np.stack([cohort.records[i].features[m] for i in carriers]))
+        for i, r in enumerate(table.records):
+            if i in carriers:
+                assert np.array_equal(r.features[m], expected[carriers.index(i)])
             else:
-                assert emb.features[m] is None
+                assert r.features[m] is None
 
 
 def test_export_requires_an_encoder_per_present_modality():
@@ -140,4 +142,4 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert nets_equal(loaded.head, bundle.head)
     x = cohort.records[0].features[GENOMICS]
     if x is not None:
-        assert loaded.score(x) == bundle.score(x)
+        assert np.array_equal(loaded.score(x[None, :]), bundle.score(x[None, :]))
