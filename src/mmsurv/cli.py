@@ -150,6 +150,8 @@ def _load_encoder_dir(path: str) -> dict:
         if not os.path.exists(f):
             raise DataError(f"{path}: missing encoder checkpoint {m.label}.json")
         out[m] = load_unimodal(f)
+        if out[m].modality != m:
+            raise DataError(f"{f}: holds the {out[m].modality.label} encoder, not {m.label}")
     return out
 
 

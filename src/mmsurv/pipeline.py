@@ -41,7 +41,7 @@ from .fusion import (DropoutPolicy, FusionBatch, FusionModel, FusionStrategy,
                      predict_risk)
 from .nets import (GradientSet, OptimizerState, init_net, net_from_dict,
                    net_to_dict, optimizer_step)
-from .survival import concordance_index
+from .survival import concordance_index, has_comparable_pair
 from .unimodal import ENCODER_HIDDEN, export_embeddings, train_unimodal
 
 log = logging.getLogger(__name__)
@@ -187,12 +187,9 @@ def _table_batch(table: Cohort) -> FusionBatch:
 
 def _val_cindex(model: FusionModel, val: FusionBatch):
     """Validation c-index with every available modality shown; None when undefined."""
-    if len(val) < 2:
+    if not has_comparable_pair(val.times, val.events):
         return None
-    try:
-        return concordance_index(predict_risk(model, val.embeddings, val.alpha), val.times, val.events)
-    except DataError:
-        return None
+    return concordance_index(predict_risk(model, val.embeddings, val.alpha), val.times, val.events)
 
 
 def _fit_fusion(table: Cohort, config: TrainConfig, cell: ExperimentCell) -> tuple[FusionModel, TrainingTrace]:

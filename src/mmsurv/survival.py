@@ -10,6 +10,16 @@ scores.
 The concordance index is Harrell's: a pair (i, j) is comparable when
 t_i < t_j and sample i had the event; it scores 1 when risk_i > risk_j and
 0.5 on tied risks. Pairs with tied times are not comparable.
+
+It is counted from ranks, never from an n x n matrix. Times and risks become
+dense integer ranks (equal values share a rank). Every pair with t_i < t_j
+has one highest bit k at which the two time ranks differ: above k they agree
+(same block), at k sample i has 0 and sample j has 1. So for each bit k the
+upper halves of the blocks are sorted once by (block, risk rank) and each
+event row of a lower half counts, by binary search, the records of its
+block's upper half with a lower risk (concordant) or an equal one (tied).
+That is O(n log^2 n) time and O(n) memory. Numerator and denominator are
+exact integers, so the result equals pair enumeration bit for bit.
 """
 from __future__ import annotations
 
@@ -93,21 +103,42 @@ def cox_loss_grad(batch: SurvivalBatch) -> np.ndarray:
     return grad
 
 
+def has_comparable_pair(times: np.ndarray, events: np.ndarray) -> bool:
+    """Whether a c-index is defined for these outcomes: some event precedes some time."""
+    times = np.asarray(times, dtype=np.float64)
+    known = ~np.isnan(times)
+    event_times = times[known & (np.asarray(events) == 1.0)]
+    return event_times.size > 0 and bool(times[known].max() > event_times.min())
+
+
 def concordance_index(risks: np.ndarray, times: np.ndarray, events: np.ndarray) -> float:
     """Harrell's c-index of risk scores against observed outcomes."""
     risks = np.asarray(risks, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.float64)
-    n = risks.shape[0]
-    if times.shape != (n,) or events.shape != (n,):
+    if risks.ndim != 1 or times.shape != risks.shape or events.shape != risks.shape:
         raise DataError("risks, times, and events must be aligned 1-d arrays")
     if not np.isfinite(risks).all():
         raise NumericalError("non-finite risk scores")
-    comparable = (times[:, None] < times[None, :]) & (events[:, None] == 1.0)
-    count = comparable.sum()
-    if count == 0:
+    if not has_comparable_pair(times, events):
         raise DataError("no comparable pairs, c-index undefined")
-    higher = risks[:, None] > risks[None, :]
-    tied = risks[:, None] == risks[None, :]
-    credit = np.where(higher, 1.0, np.where(tied, 0.5, 0.0))
-    return float(credit[comparable].sum() / count)
+    known = ~np.isnan(times)  # a NaN time compares false with everything
+    t = np.unique(times[known], return_inverse=True)[1].astype(np.int64, copy=False)
+    risk_values, r = np.unique(risks[known], return_inverse=True)
+    r = r.astype(np.int64, copy=False)
+    event = events[known] == 1.0
+    t_event, r_event = t[event], r[event]
+    # comparable pairs: each event row against every record with a later time
+    count = (t.size - np.cumsum(np.bincount(t)))[t_event].sum()
+    concordant = tied = 0
+    n_risks = risk_values.size
+    for k in range(int(t.max()).bit_length()):
+        high = (t >> k) & 1 == 1
+        upper = np.sort((t[high] >> (k + 1)) * n_risks + r[high])
+        low = (t_event >> k) & 1 == 0
+        start = (t_event[low] >> (k + 1)) * n_risks  # first key of the row's block
+        key = start + r_event[low]
+        left = np.searchsorted(upper, key, side="left")
+        concordant += (left - np.searchsorted(upper, start, side="left")).sum()
+        tied += (np.searchsorted(upper, key, side="right") - left).sum()
+    return float((concordant + 0.5 * tied) / count)

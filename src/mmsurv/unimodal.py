@@ -22,7 +22,7 @@ from .cohort import Cohort, ModalityId, PatientRecord, embedding_schema
 from .config import TrainConfig, TrainingTrace
 from .errors import DataError
 from .nets import DenseNet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step
-from .survival import SurvivalBatch, concordance_index, cox_loss, cox_loss_grad
+from .survival import SurvivalBatch, concordance_index, cox_loss, cox_loss_grad, has_comparable_pair
 
 ENCODER_HIDDEN = 64
 CHECKPOINT_FORMAT = "unimodal-v1"
@@ -56,12 +56,6 @@ def _validation_split(n: int, val_fraction: float, rng) -> tuple[np.ndarray, np.
     return perm[n_val:], perm[:n_val]
 
 
-def has_comparable_pair(times: np.ndarray, events: np.ndarray) -> bool:
-    """Whether a c-index is defined for these outcomes at all."""
-    event_times = times[events == 1]
-    return event_times.size > 0 and times.max() > event_times.min()
-
-
 def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) -> UnimodalEncoder:
     """Train one modality's encoder on the records where it is present."""
     present = cohort.availability[:, modality] == 1
@@ -80,7 +74,7 @@ def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) ->
 
     train_idx, val_idx = _validation_split(len(times), config.val_fraction,
                                            np.random.default_rng(split_seed))
-    use_val = len(val_idx) >= 2 and has_comparable_pair(times[val_idx], events[val_idx])
+    use_val = has_comparable_pair(times[val_idx], events[val_idx])
 
     opt_enc = OptimizerState(config.optimizer, config.stage1_lr, encoder)
     opt_head = OptimizerState(config.optimizer, config.stage1_lr, head)
@@ -159,10 +153,18 @@ def save_unimodal(model: UnimodalEncoder, path: str) -> None:
 
 
 def load_unimodal(path: str) -> UnimodalEncoder:
+    """Read a stage-1 checkpoint; anything malformed or mismatched is a DataError."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"{path}: not a stage-1 checkpoint (format {payload.get('format')!r})")
-    return UnimodalEncoder(ModalityId.from_name(payload["modality"]),
-                           net_from_dict(payload["encoder"]),
-                           net_from_dict(payload["head"]))
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise DataError(f"{path}: not a stage-1 checkpoint (format {fmt!r})")
+    label = payload.get("modality")
+    if label not in [m.label for m in ModalityId]:
+        raise DataError(f"{path}: unknown modality {label!r}")
+    encoder = net_from_dict(payload.get("encoder"), origin=f"{path}: encoder")
+    head = net_from_dict(payload.get("head"), origin=f"{path}: head")
+    if head.dims != (encoder.output_dim, 1):
+        raise DataError(f"{path}: head has widths {head.dims}, the encoder needs "
+                        f"({encoder.output_dim}, 1)")
+    return UnimodalEncoder(ModalityId.from_name(label), encoder, head)

@@ -3,12 +3,15 @@ import hashlib
 import json
 import re
 
+import pytest
+
 from mmsurv.cli import main
-from mmsurv.cohort import generate_synthetic, save_cohort, save_schema
+from mmsurv.cohort import MODALITIES, generate_synthetic, save_cohort, save_schema
 from mmsurv.config import TrainConfig
 from mmsurv.fusion import FusionStrategy, init_fusion_model
+from mmsurv.nets import init_net
 from mmsurv.pipeline import SurvivalPredictor, save_predictor, train_stage1_encoders
-from mmsurv.unimodal import export_embeddings
+from mmsurv.unimodal import ENCODER_HIDDEN, UnimodalEncoder, export_embeddings, save_unimodal
 
 FAST_UNI = ["--stage1-epochs", "10"]
 FAST_FUSE = ["--fusion-epochs", "6"]
@@ -189,6 +192,37 @@ def test_eval_rejects_a_damaged_checkpoint_with_exit_two(tmp_path, capsys):
         assert run("eval", "--model", path, "--data", test, "--seed", 1, "--bootstrap", 0) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
+
+
+STAGE1_DAMAGE = {
+    "no-encoder": lambda good: {k: v for k, v in good.items() if k != "encoder"},
+    "list-payload": lambda good: [good],
+    "string-payload": lambda good: "genomics",
+    "unknown-modality": lambda good: dict(good, modality="olfaction"),
+    "other-modality": lambda good: dict(good, modality="radiology"),
+    "wrong-head-width": lambda good: dict(good, head=good["encoder"]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(STAGE1_DAMAGE))
+def test_train_fuse_rejects_a_damaged_stage1_checkpoint_with_exit_two(tmp_path, capsys, damage):
+    cohort = generate_synthetic(40, 5)
+    data = tmp_path / "train.csv"
+    save_cohort(cohort, str(data))
+    save_schema(cohort.schema, str(data) + ".schema")
+    enc = tmp_path / "enc"
+    enc.mkdir()
+    for m in MODALITIES:  # freshly initialised encoders are enough to load
+        dims = (cohort.schema.dim(m), ENCODER_HIDDEN, cohort.schema.embed_dim)
+        save_unimodal(UnimodalEncoder(m, init_net(dims, "selu", int(m)),
+                                      init_net((cohort.schema.embed_dim, 1), "identity", 9)),
+                      str(enc / f"{m.label}.json"))
+    good = json.loads((enc / "genomics.json").read_text())
+    (enc / "genomics.json").write_text(json.dumps(STAGE1_DAMAGE[damage](good)))
+    assert run("train-fuse", "--data", data, "--encoders", enc, "--strategy", "mean",
+               "--seed", 5, "--out-dir", tmp_path / "fuse", *FAST_FUSE, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "genomics.json" in err and "Traceback" not in err
 
 
 def test_bad_scenario_name_is_a_usage_error(tmp_path, capsys):

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mmsurv.errors import DataError
+from mmsurv.errors import DataError, NumericalError
 from mmsurv.nets import finite_diff_grad
-from mmsurv.survival import SurvivalBatch, concordance_index, cox_loss, cox_loss_grad, risk_set
+from mmsurv.survival import (SurvivalBatch, concordance_index, cox_loss, cox_loss_grad,
+                             has_comparable_pair, risk_set)
 
 
 def cox_loss_enumerated(hazards, times, events) -> float:
@@ -37,6 +41,21 @@ def cindex_enumerated(risks, times, events) -> float:
     if den == 0:
         raise ZeroDivisionError
     return num / den
+
+
+def cindex_pairwise(risks, times, events) -> float:
+    """Reference implementation: credit summed over the n x n comparable-pair matrix."""
+    risks = np.asarray(risks, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=np.float64)
+    comparable = (times[:, None] < times[None, :]) & (events[:, None] == 1.0)
+    count = comparable.sum()
+    if count == 0:
+        raise ZeroDivisionError
+    higher = risks[:, None] > risks[None, :]
+    tied = risks[:, None] == risks[None, :]
+    credit = np.where(higher, 1.0, np.where(tied, 0.5, 0.0))
+    return float(credit[comparable].sum() / count)
 
 
 def random_batch(rng, n, with_ties=False):
@@ -195,6 +214,84 @@ def test_cindex_no_comparable_pairs_raises():
         concordance_index(np.array([1.0, 2.0]), np.array([5.0, 5.0]), np.array([1.0, 1.0]))
     with pytest.raises(DataError):
         concordance_index(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.0, 0.0]))
+
+
+def test_cindex_rejects_misaligned_and_nonfinite_inputs():
+    with pytest.raises(DataError):
+        concordance_index(np.zeros((3, 1)), np.array([1.0, 2.0, 3.0]), np.ones(3))
+    with pytest.raises(DataError):
+        concordance_index(np.zeros(3), np.array([1.0, 2.0]), np.ones(3))
+    with pytest.raises(NumericalError):
+        concordance_index(np.array([0.0, np.nan]), np.array([1.0, 2.0]), np.ones(2))
+
+
+def test_cindex_equals_the_pairwise_matrix_at_scale():
+    rng = np.random.default_rng(108)
+    cases = ((200, 7, 5), (700, 40, 3), (1500, 300, 50), (3000, 12, 1000),
+             (2500, 10**9, 10**9))  # the last is practically free of ties
+    for n, n_times, n_risks in cases:
+        times = rng.integers(1, n_times + 1, size=n).astype(float)
+        risks = np.round(rng.normal(size=n) * n_risks / 4) / 8  # many tied risks
+        events = (rng.random(n) < 0.6).astype(float)
+        assert concordance_index(risks, times, events) == cindex_pairwise(risks, times, events)
+        for _ in range(3):  # bootstrap resamples repeat rows
+            idx = rng.integers(0, n, size=n)
+            assert (concordance_index(risks[idx], times[idx], events[idx])
+                    == cindex_pairwise(risks[idx], times[idx], events[idx]))
+
+
+small_grid = st.integers(min_value=0, max_value=4).map(float)
+
+
+@st.composite
+def outcomes(draw):
+    """Short outcome columns on a five-value grid, so ties of every kind are common."""
+    n = draw(st.integers(min_value=0, max_value=12))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=np.float64)
+
+    times = column(small_grid.map(lambda v: v + 1.0))
+    risks = column(small_grid.map(lambda v: v / 2 - 1.0))
+    events = column(st.sampled_from([0.0, 1.0]))
+    return risks, times, events
+
+
+@settings(max_examples=400, deadline=None)
+@given(outcomes())
+@example((np.array([0.5, -1.0, 2.0]), np.full(3, 2.0), np.ones(3)))  # all times tied
+@example((np.zeros(4), np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 0.0, 1.0, 0.0])))  # all risks tied
+@example((np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.zeros(2)))  # no event
+@example((np.array([1.0, 2.0]), np.array([2.0, 1.0]), np.array([1.0, 0.0])))  # event is last
+@example((np.array([]), np.array([]), np.array([])))
+def test_cindex_property_matches_pair_enumeration(case):
+    risks, times, events = case
+    try:
+        expected = cindex_enumerated(risks, times, events)
+    except ZeroDivisionError:
+        assert not has_comparable_pair(times, events)
+        with pytest.raises(DataError, match="no comparable pairs"):
+            concordance_index(risks, times, events)
+        return
+    assert has_comparable_pair(times, events)
+    assert concordance_index(risks, times, events) == expected
+
+
+def test_cindex_at_100k_records_stays_in_linear_memory():
+    # the pairwise matrices would need about 80 GB here
+    rng = np.random.default_rng(110)
+    n = 100_000
+    times = rng.integers(1, 5000, size=n).astype(float)
+    risks = np.round(rng.normal(size=n), 3)
+    events = (rng.random(n) < 0.5).astype(float)
+    tracemalloc.start()
+    try:
+        c = concordance_index(risks, times, events)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < c < 1.0
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_batch_validation_rejects_bad_inputs():
