@@ -40,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _non_negative_int(text: str) -> int:
+    """Argparse type of seeds and counts: a negative value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_quiet(p):
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -60,7 +71,7 @@ def _add_config_flags(p, stage1=True, fusion=True):
     p.add_argument("--patience", type=int, default=d["patience"])
     p.add_argument("--val-fraction", type=float, default=d["val_fraction"])
     p.add_argument("--optimizer", choices=("adam", "sgd"), default=d["optimizer"])
-    p.add_argument("--bootstrap", type=int, default=d["bootstrap"],
+    p.add_argument("--bootstrap", type=_non_negative_int, default=d["bootstrap"],
                    help="bootstrap resamples for the c-index std")
 
 
@@ -127,7 +138,7 @@ def _cmd_train_uni(args) -> int:
     notify = _progress(args)
     if args.data_regime == "complete":
         pool = complete_subset(cohort)
-        if not pool.records:
+        if not len(pool):
             raise DataError("no complete-modality records to train on")
     else:
         pool = cohort
@@ -265,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[], help="generate a synthetic cohort file",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--n", type=int, default=500, help="number of records")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out", required=True, help="cohort file path; schema goes to PATH.schema")
     p.add_argument("--missing-rate", type=float, default=0.3,
                    help="per-modality missingness probability")
     p.add_argument("--censor-rate", type=float, default=0.2)
     p.add_argument("--mnar", action="store_true",
                    help="make pathology missingness depend on risk")
-    p.add_argument("--family-seed", type=int, default=0,
+    p.add_argument("--family-seed", type=_non_negative_int, default=0,
                    help="seed of the generative family shared across cohorts")
     _add_quiet(p)
     p.set_defaults(func=_cmd_synth)
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--data", required=True, help="cohort file")
     p.add_argument("--schema", default=None, help="schema file (default: DATA.schema)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--modality", default="all",
                    choices=("all",) + tuple(m.label for m in MODALITIES))
@@ -296,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True,
                    help="cohort file (raw features, or an embedding table)")
     p.add_argument("--schema", default=None)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--strategy", choices=FUSION_KINDS, required=True)
     p.add_argument("--encoders", default=None,
@@ -317,15 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="test cohort file")
     p.add_argument("--schema", default=None)
     p.add_argument("--scenario", choices=sorted(SCENARIOS), default="complete")
-    p.add_argument("--bootstrap", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--bootstrap", type=_non_negative_int, default=1000)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out", default=None, help="also write metrics to this JSON file")
     _add_quiet(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run the ablation grid and write reports",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--train", default=None, help="training cohort (default: synthesize)")
     p.add_argument("--test", default=None, help="test cohort (default: synthesize)")
@@ -344,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients by finite differences",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--instances", type=int, default=50)
     p.add_argument("--h", type=float, default=DEFAULT_STEP, help="finite-difference step")
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
@@ -378,7 +389,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DataError, OSError, json.JSONDecodeError) as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

@@ -1,11 +1,19 @@
-"""Patient cohorts: data model, file format, synthetic generation, scenarios.
+"""Patient cohorts: columnar storage, file format, synthetic generation, scenarios.
 
-A cohort is a list of patient records. Each record carries a survival time,
-an event indicator (1 = event observed, 0 = censored), and up to four
-feature blocks, one per modality: radiology, pathology, genomics, and
-demographics. A block is either a fixed-width float vector or absent; every
-record keeps at least one block. Absence is real missingness, features are
-never imputed at this layer.
+A cohort holds one array per field: record ids, survival times, event
+indicators (1 = event observed, 0 = censored), an (n, 4) availability
+matrix, and one (n, width) float64 feature block per modality (radiology,
+pathology, genomics, demographics), zero-filled in the rows where that
+modality is absent. Every record keeps at least one modality. Absence is
+real missingness: the zeros are storage, never imputed features, and the
+availability matrix says which rows hold data. The columns are checked once,
+vectorized, when a cohort is built, and are read-only afterwards, so every
+cohort derived from them (a subset, a scenario view, an embedding table) is
+an array operation.
+
+``PatientRecord`` is the row view. ``Cohort(schema, records)`` packs Python
+rows into columns, and ``Cohort.records`` builds the rows back on demand for
+callers that want them one at a time.
 
 Files are plain CSV with one row per patient and a presence flag ahead of
 each modality block, plus a small key=value sidecar declaring the block
@@ -24,8 +32,10 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -121,76 +131,149 @@ class PatientRecord:
         return all(x is not None for x in self.features)
 
 
-@dataclass(eq=False)
+def _row_error(ids, times, events, availability, blocks) -> str | None:
+    """The PatientRecord message of the first record, in row order, that fails its checks."""
+    if not len(ids):
+        return None
+    checks = [(ids == "", lambda rid: "record id must be non-empty"),
+              (~np.isfinite(times) | (times <= 0),
+               lambda rid: f"record {rid!r}: survival time must be finite and positive"),
+              ((events != 0) & (events != 1), lambda rid: f"record {rid!r}: event must be 0 or 1")]
+    for m in MODALITIES:  # absent rows are zero-filled, so only present rows can fail
+        checks.append((~np.isfinite(blocks[m]).all(axis=1),
+                       lambda rid, m=m: f"record {rid!r}: {m.label} features must be a finite vector"))
+    checks.append((~availability.any(axis=1), lambda rid: f"record {rid!r}: no modality available"))
+    bad = np.column_stack([mask for mask, _ in checks])
+    failing = bad.any(axis=1)
+    if not failing.any():
+        return None
+    i = int(np.argmax(failing))
+    return checks[int(np.argmax(bad[i]))][1](ids[i])
+
+
 class Cohort:
-    """A schema, a list of records, and (for synthetic data) the true risks."""
+    """A schema, one read-only column per field, and (for synthetic data) the true risks.
 
-    schema: ModalitySchema
-    records: list
-    ground_truth_risk: np.ndarray | None = None
+    ``ids`` (object), ``times`` and ``events`` (float64) are (n,) arrays,
+    ``availability`` is the (n, 4) int64 matrix of 0/1 flags, and
+    ``ground_truth_risk`` is an (n,) array or None. ``Cohort(schema,
+    records, ground_truth_risk)`` packs PatientRecords; ``Cohort.from_columns``
+    takes the arrays directly. Both check every record, vectorized, and
+    reject duplicate ids.
+    """
 
-    def __post_init__(self):
+    def __init__(self, schema: ModalitySchema, records, ground_truth_risk=None):
+        records = list(records)
         seen = set()
-        for r in self.records:
+        for r in records:
             if r.id in seen:
                 raise DataError(f"duplicate record id {r.id!r}")
             seen.add(r.id)
             for m in MODALITIES:
                 x = r.features[m]
-                if x is not None and x.shape[0] != self.schema.dim(m):
+                if x is not None and x.shape[0] != schema.dim(m):
                     raise DataError(f"record {r.id!r}: {m.label} has {x.shape[0]} features, "
-                                    f"schema declares {self.schema.dim(m)}")
-        if self.ground_truth_risk is not None:
-            self.ground_truth_risk = np.asarray(self.ground_truth_risk, dtype=np.float64)
-            if self.ground_truth_risk.shape != (len(self.records),):
+                                    f"schema declares {schema.dim(m)}")
+        n = len(records)
+        availability = np.array([r.availability for r in records], dtype=np.int64).reshape(n, N_MODALITIES)
+        blocks = []
+        for m in MODALITIES:
+            block = np.zeros((n, schema.dim(m)))
+            rows = np.flatnonzero(availability[:, m])
+            if rows.size:
+                block[rows] = np.stack([records[i].features[m] for i in rows])
+            blocks.append(block)
+        gt = None if ground_truth_risk is None else np.array(ground_truth_risk, dtype=np.float64)
+        self._set_columns(schema, [r.id for r in records], [r.time for r in records],
+                          [r.event for r in records], availability, blocks, gt)
+
+    @classmethod
+    def from_columns(cls, schema: ModalitySchema, ids, times, events, availability, blocks,
+                     ground_truth_risk=None) -> "Cohort":
+        """A cohort over the given columns; arrays of the right dtype are kept, made read-only.
+
+        ``blocks`` lists one (n, width) block per modality, zero in the rows
+        where ``availability`` is 0.
+        """
+        cohort = cls.__new__(cls)
+        cohort._set_columns(schema, ids, times, events, availability, blocks, ground_truth_risk)
+        return cohort
+
+    def _set_columns(self, schema, ids, times, events, availability, blocks, ground_truth_risk):
+        ids = np.asarray(ids, dtype=object)
+        n = len(ids)
+        times = np.asarray(times, dtype=np.float64)
+        events = np.asarray(events, dtype=np.float64)
+        availability = np.asarray(availability, dtype=np.int64)
+        blocks = tuple(np.asarray(b, dtype=np.float64) for b in blocks)
+        if (ids.shape != (n,) or times.shape != (n,) or events.shape != (n,)
+                or availability.shape != (n, N_MODALITIES) or len(blocks) != N_MODALITIES
+                or any(b.shape != (n, schema.dim(m)) for m, b in zip(MODALITIES, blocks))):
+            raise DataError(f"cohort columns must align with {n} records and the schema widths")
+        columns = [ids, times, events, availability, *blocks]
+        if ground_truth_risk is not None:
+            ground_truth_risk = np.asarray(ground_truth_risk, dtype=np.float64)
+            if ground_truth_risk.shape != (n,):
                 raise DataError("ground_truth_risk must align with records")
+            columns.append(ground_truth_risk)
+        error = _row_error(ids, times, events, availability, blocks)
+        if error:
+            raise DataError(error)
+        if len(set(ids.tolist())) < n:
+            _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            repeat = np.flatnonzero(first[inverse] != np.arange(n))[0]
+            raise DataError(f"duplicate record id {ids[repeat]!r}")
+        for column in columns:
+            column.flags.writeable = False
+        self.schema, self.ids, self.times, self.events = schema, ids, times, events
+        self.availability, self.ground_truth_risk, self._blocks = availability, ground_truth_risk, blocks
+
+    def __reduce__(self):
+        return Cohort.from_columns, (self.schema, self.ids, self.times, self.events,
+                                     self.availability, self._blocks, self.ground_truth_risk)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.time for r in self.records], dtype=np.float64)
-
-    @property
-    def events(self) -> np.ndarray:
-        return np.array([r.event for r in self.records], dtype=np.float64)
-
-    @property
-    def availability(self) -> np.ndarray:
-        """(n, 4) matrix of 0/1 availability flags."""
-        if not self.records:
-            return np.zeros((0, N_MODALITIES), dtype=np.int64)
-        return np.stack([r.availability for r in self.records])
+        return len(self.ids)
 
     @property
     def n_events(self) -> int:
-        return int(sum(r.event for r in self.records))
+        return int(self.events.sum())
 
     def block(self, modality: ModalityId) -> np.ndarray:
         """(n, width) features of one modality, zero rows where it is absent."""
-        out = np.zeros((len(self.records), self.schema.dim(modality)))
-        for i, r in enumerate(self.records):
-            if r.has(modality):
-                out[i] = r.features[modality]
-        return out
+        return self._blocks[modality]
+
+    @cached_property
+    def records(self) -> tuple:
+        """The rows as PatientRecords, built on first use; features are read-only views."""
+        present = self.availability.astype(bool).tolist()
+        return tuple(PatientRecord(rid, time, int(event),
+                                   tuple(b[i] if p else None for b, p in zip(self._blocks, present[i])))
+                     for i, (rid, time, event) in enumerate(zip(self.ids.tolist(), self.times.tolist(),
+                                                                self.events.tolist())))
 
     def require_events(self, context: str) -> None:
         """Loss-bearing entry points call this; an eventless cohort is unusable."""
-        if not self.records:
+        if not len(self):
             raise DataError(f"{context}: cohort is empty")
         if self.n_events == 0:
             raise DataError(f"{context}: cohort has zero observed events")
 
     def subset(self, indices) -> "Cohort":
-        indices = list(indices)
-        gt = None if self.ground_truth_risk is None else self.ground_truth_risk[indices]
-        return Cohort(self.schema, [self.records[i] for i in indices], gt)
+        return self._take(np.asarray(indices, dtype=np.intp))
+
+    def _take(self, rows, availability=None, blocks=None) -> "Cohort":
+        """The records at ``rows``, optionally over replacement availability and blocks."""
+        availability = self.availability if availability is None else availability
+        blocks = self._blocks if blocks is None else blocks
+        gt = None if self.ground_truth_risk is None else self.ground_truth_risk[rows]
+        return Cohort.from_columns(self.schema, self.ids[rows], self.times[rows], self.events[rows],
+                                   availability[rows], [b[rows] for b in blocks], gt)
 
 
 def complete_subset(cohort: Cohort) -> Cohort:
     """Records with all four modalities present."""
-    return cohort.subset([i for i, r in enumerate(cohort.records) if r.is_complete()])
+    return cohort.subset(np.flatnonzero(cohort.availability.all(axis=1)))
 
 
 def cohorts_equal(a: Cohort, b: Cohort) -> bool:
@@ -201,16 +284,10 @@ def cohorts_equal(a: Cohort, b: Cohort) -> bool:
         return False
     if a.ground_truth_risk is not None and not np.array_equal(a.ground_truth_risk, b.ground_truth_risk):
         return False
-    for ra, rb in zip(a.records, b.records):
-        if ra.id != rb.id or ra.time != rb.time or ra.event != rb.event:
-            return False
-        for m in MODALITIES:
-            xa, xb = ra.features[m], rb.features[m]
-            if (xa is None) != (xb is None):
-                return False
-            if xa is not None and not np.array_equal(xa, xb):
-                return False
-    return True
+    return (np.array_equal(a.ids, b.ids) and np.array_equal(a.times, b.times)
+            and np.array_equal(a.events, b.events)
+            and np.array_equal(a.availability, b.availability)
+            and all(np.array_equal(a.block(m), b.block(m)) for m in MODALITIES))
 
 
 # ── missingness scenarios ────────────────────────────────────────────────────
@@ -248,18 +325,15 @@ def apply_scenario(cohort: Cohort, scenario: MissingnessScenario) -> Cohort:
     Already-absent modalities stay absent, so applying a scenario twice is
     the same as applying it once.
     """
-    records, kept = [], []
-    for i, r in enumerate(cohort.records):
-        feats = tuple(None if m in scenario.drop else r.features[m] for m in MODALITIES)
-        if all(x is None for x in feats):
-            continue
-        records.append(PatientRecord(r.id, r.time, r.event, feats))
-        kept.append(i)
-    dropped = len(cohort) - len(records)
+    availability = cohort.availability.copy()
+    availability[:, sorted(scenario.drop)] = 0
+    kept = np.flatnonzero(availability.any(axis=1))
+    dropped = len(cohort) - len(kept)
     if dropped:
         log.info("scenario %s removed %d record(s) with no remaining modality", scenario.name, dropped)
-    gt = None if cohort.ground_truth_risk is None else cohort.ground_truth_risk[kept]
-    out = Cohort(cohort.schema, records, gt)
+    blocks = [np.zeros_like(cohort.block(m)) if m in scenario.drop else cohort.block(m)
+              for m in MODALITIES]
+    out = cohort._take(kept if dropped else slice(None), availability, blocks)
     out.require_events(f"scenario {scenario.name!r}")
     return out
 
@@ -270,7 +344,7 @@ SCHEMA_KEYS = tuple(m.label + "_dim" for m in MODALITIES) + ("embedding_dim",)
 
 
 def save_schema(schema: ModalitySchema, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for m in MODALITIES:
             fh.write(f"{m.label}_dim={schema.dim(m)}\n")
         fh.write(f"embedding_dim={schema.embed_dim}\n")
@@ -278,21 +352,28 @@ def save_schema(schema: ModalitySchema, path: str) -> None:
 
 def load_schema(path: str) -> ModalitySchema:
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            try:
-                values[key.strip()] = int(raw.strip())
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: {key.strip()!r} must be an integer") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, raw = line.partition("=")
+        try:
+            values[key.strip()] = int(raw.strip())
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: {key.strip()!r} must be an integer") from None
     missing = [k for k in SCHEMA_KEYS if k not in values]
     if missing:
         raise DataError(f"{path}: missing schema keys: {', '.join(missing)}")
+    for key in SCHEMA_KEYS:
+        if values[key] < 1:
+            raise DataError(f"{path}: {key} must be positive, got {values[key]}")
     return ModalitySchema(raw_dims=tuple(values[m.label + "_dim"] for m in MODALITIES),
                           embed_dim=values["embedding_dim"])
 
@@ -309,21 +390,23 @@ def _header(schema: ModalitySchema, with_risk: bool) -> list[str]:
 
 def save_cohort(cohort: Cohort, path: str) -> None:
     with_risk = cohort.ground_truth_risk is not None
-    with open(path, "w", newline="") as fh:
+    risks = cohort.ground_truth_risk.tolist() if with_risk else None
+    present = cohort.availability.tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_header(cohort.schema, with_risk))
-        for i, r in enumerate(cohort.records):
-            row = [r.id, repr(float(r.time)), str(int(r.event))]
+        for i, (rid, time, event) in enumerate(zip(cohort.ids.tolist(), cohort.times.tolist(),
+                                                   cohort.events.tolist())):
+            row = [rid, repr(time), str(int(event))]
             if with_risk:
-                row.append(repr(float(cohort.ground_truth_risk[i])))
+                row.append(repr(risks[i]))
             for m in MODALITIES:
-                x = r.features[m]
-                if x is None:
+                if present[i][m]:
+                    row.append("1")
+                    row.extend(map(repr, cohort.block(m)[i].tolist()))
+                else:
                     row.append("0")
                     row.extend([""] * cohort.schema.dim(m))
-                else:
-                    row.append("1")
-                    row.extend(repr(float(v)) for v in x)
             writer.writerow(row)
 
 
@@ -333,53 +416,86 @@ def load_cohort(path: str, schema: ModalitySchema) -> Cohort:
     The header must match the schema exactly; rows with a presence flag of 0
     must leave that block empty. Parse errors name the offending row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty cohort file") from None
-        with_risk = len(header) > 3 and header[3] == "true_risk"
-        expected = _header(schema, with_risk)
-        if header != expected:
-            raise DataError(f"{path}: header does not match schema "
-                            f"(expected {len(expected)} columns, found {len(header)})")
-        records, risks = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rid = row[0] if row else f"line {lineno}"
-            if len(row) != len(expected):
-                raise DataError(f"{path}: record {rid!r}: expected {len(expected)} cells, found {len(row)}")
-            try:
-                time = float(row[1])
-                event = int(row[2])
-                col = 3
-                if with_risk:
-                    risks.append(float(row[col]))
-                    col += 1
-                feats = []
-                for m in MODALITIES:
-                    present = row[col]
-                    block = row[col + 1:col + 1 + schema.dim(m)]
-                    col += 1 + schema.dim(m)
-                    if present == "1":
-                        feats.append(np.array([float(v) for v in block], dtype=np.float64))
-                    elif present == "0":
-                        if any(cell != "" for cell in block):
-                            raise DataError(f"{path}: record {rid!r}: {m.label} marked absent "
-                                            "but has feature values")
-                        feats.append(None)
-                    else:
-                        raise DataError(f"{path}: record {rid!r}: {m.label}_present must be 0 or 1")
-            except ValueError:
-                raise DataError(f"{path}: record {rid!r}: malformed numeric cell") from None
-            records.append(PatientRecord(rid, time, event, tuple(feats)))
-    if not records:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            columns = _read_columns(path, csv.reader(fh), schema)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    except csv.Error as e:
+        raise DataError(f"{path}: unreadable CSV ({e})") from None
+    if not len(columns[0]):
         raise DataError(f"{path}: cohort has no records")
-    cohort = Cohort(schema, records, np.array(risks) if with_risk else None)
+    cohort = Cohort.from_columns(schema, *columns)
     cohort.require_events(path)
     return cohort
+
+
+def _read_columns(path: str, reader, schema: ModalitySchema) -> tuple:
+    """Stream the rows into column buffers; returns the arguments of ``Cohort.from_columns``.
+
+    A row that does not parse is reported after any invalid record above
+    it, which is the order the records would fail in one at a time.
+    """
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty cohort file") from None
+    with_risk = len(header) > 3 and header[3] == "true_risk"
+    expected = _header(schema, with_risk)
+    if header != expected:
+        raise DataError(f"{path}: header does not match schema "
+                        f"(expected {len(expected)} columns, found {len(header)})")
+    layout, col = [], 4 if with_risk else 3   # (modality, flag column, block end, buffer, zeros)
+    for m in MODALITIES:
+        d = schema.dim(m)
+        layout.append((m, col, col + 1 + d, array("d"), array("d", bytes(8 * d))))
+        col += 1 + d
+    ids, times, events, risks, present = [], array("d"), array("d"), array("d"), bytearray()
+
+    def columns(n: int) -> tuple:
+        return (np.array(ids[:n], dtype=object), np.frombuffer(times, count=n),
+                np.frombuffer(events, count=n),
+                np.frombuffer(present, dtype=np.uint8, count=n * N_MODALITIES)
+                .reshape(n, N_MODALITIES).astype(np.int64),
+                [np.frombuffer(buf, count=n * schema.dim(m)).reshape(n, schema.dim(m))
+                 for m, _, _, buf, _ in layout],
+                np.frombuffer(risks, count=n) if with_risk else None)
+
+    n = 0
+    for row in reader:
+        if not row:
+            continue
+        rid, problem = row[0], None
+        if len(row) != len(expected):
+            problem = f"expected {len(expected)} cells, found {len(row)}"
+        else:
+            try:
+                time, event = float(row[1]), int(row[2])
+                risk = float(row[3]) if with_risk else 0.0
+                for m, c, end, buf, zeros in layout:
+                    flag = row[c]
+                    if flag == "1":
+                        buf.extend(map(float, row[c + 1:end]))
+                    elif flag == "0":
+                        if any(row[c + 1:end]):
+                            problem = f"{m.label} marked absent but has feature values"
+                            break
+                        buf.extend(zeros)
+                    else:
+                        problem = f"{m.label}_present must be 0 or 1"
+                        break
+                    present.append(flag == "1")
+            except ValueError:
+                problem = "malformed numeric cell"
+        if problem is not None:
+            raise DataError(_row_error(*columns(n)[:5]) or f"{path}: record {rid!r}: {problem}")
+        ids.append(rid)
+        times.append(time)
+        # any other integer fails the event check; it need not fit a float
+        events.append(event if event in (0, 1) else -1)
+        risks.append(risk)
+        n += 1
+    return columns(n)
 
 
 # ── synthetic cohorts ────────────────────────────────────────────────────────
@@ -442,10 +558,12 @@ def generate_synthetic(n: int, seed: int, *, schema: ModalitySchema = DEFAULT_SC
     """
     if n < 2:
         raise ConfigError("need at least two records")
+    if seed < 0 or family_seed < 0:
+        raise ConfigError("seeds must be non-negative")
     rates = np.asarray(missing_rate, dtype=np.float64)
     if rates.shape != (N_MODALITIES,):
         raise ConfigError(f"missing_rate must give {N_MODALITIES} probabilities")
-    if (rates < 0).any() or (rates >= 1).any():
+    if not ((rates >= 0) & (rates < 1)).all():  # NaN too: it would redraw forever
         raise ConfigError("missing rates must lie in [0, 1)")
     if not 0 <= censor_rate < 1:
         raise ConfigError("censor_rate must lie in [0, 1)")
@@ -462,25 +580,26 @@ def generate_synthetic(n: int, seed: int, *, schema: ModalitySchema = DEFAULT_SC
     censored = rng.random(n) < censor_rate
     frac = rng.random(n)
     time = np.where(censored, event_time * np.maximum(frac, 1e-12), event_time)
-    event = (~censored).astype(np.int64)
+    event = (~censored).astype(np.float64)
 
     if mnar:
         quantile = np.argsort(np.argsort(risk)) / max(n - 1, 1)
 
     width = max(4, len(str(n - 1)))
-    records = []
+    ids, keep = [], np.empty((n, N_MODALITIES), dtype=bool)
     for i in range(n):
         p_drop = rates.copy()
         if mnar:
             p_drop[ModalityId.PATHOLOGY] = min(2.0 * rates[ModalityId.PATHOLOGY] * quantile[i], 0.95)
         while True:
-            keep = rng.random(N_MODALITIES) >= p_drop
-            if keep.any():
+            keep[i] = rng.random(N_MODALITIES) >= p_drop
+            if keep[i].any():
                 break
-        feats = tuple(blocks[m][i] if keep[m] else None for m in MODALITIES)
-        records.append(PatientRecord(f"p{i:0{width}d}", float(time[i]), int(event[i]), feats))
+        ids.append(f"p{i:0{width}d}")
 
-    cohort = Cohort(schema, records, ground_truth_risk=risk)
+    cohort = Cohort.from_columns(schema, ids, time, event, keep,
+                                 [np.where(keep[:, m, None], blocks[m], 0.0) for m in MODALITIES],
+                                 ground_truth_risk=risk)
     cohort.require_events("synthetic generation (every record was censored, lower censor_rate)")
     return cohort
 

@@ -32,6 +32,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ConfigError("a seed is required")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if min(self.stage1_batch, self.fusion_batch) < 1:
             raise ConfigError("batch sizes must be positive")
         if min(self.stage1_lr, self.fusion_lr) <= 0:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .cohort import MODALITIES, N_MODALITIES
 from .errors import ConfigError, DataError, NumericalError
-from .nets import DenseNet, GradientSet, init_net, net_from_dict, net_to_dict
+from .nets import DenseNet, GradientSet, init_net, net_from_dict, net_to_dict, read_json
 from .survival import SurvivalBatch, cox_loss, cox_loss_grad
 
 FUSION_KINDS = ("concat", "mean", "tensor")
@@ -495,11 +495,9 @@ def fusion_from_dict(payload: dict, origin: str = "payload") -> FusionModel:
 
 
 def save_fusion(model: FusionModel, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(fusion_to_dict(model), fh)
 
 
 def load_fusion(path: str) -> FusionModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return fusion_from_dict(payload, origin=path)
+    return fusion_from_dict(read_json(path), origin=path)

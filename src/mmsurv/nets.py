@@ -321,10 +321,20 @@ def net_from_dict(d: dict, origin: str = "network") -> DenseNet:
 
 
 def save_net(net: DenseNet, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(net_to_dict(net), fh)
 
 
 def load_net(path: str) -> DenseNet:
-    with open(path) as fh:
-        return net_from_dict(json.load(fh))
+    return net_from_dict(read_json(path), origin=path)
+
+
+def read_json(path: str):
+    """The JSON payload of a checkpoint file; undecodable bytes or syntax are a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: not JSON ({e})") from None

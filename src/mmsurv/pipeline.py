@@ -40,7 +40,7 @@ from .fusion import (DropoutPolicy, FusionBatch, FusionModel, FusionStrategy,
                      fusion_to_dict, init_fusion_model, model_footprint,
                      predict_risk)
 from .nets import (GradientSet, OptimizerState, init_net, net_from_dict,
-                   net_to_dict, optimizer_step)
+                   net_to_dict, optimizer_step, read_json)
 from .survival import concordance_index, has_comparable_pair
 from .unimodal import ENCODER_HIDDEN, export_embeddings, train_unimodal
 
@@ -137,14 +137,13 @@ def save_predictor(predictor: SurvivalPredictor, path: str) -> None:
     payload = {"format": PREDICTOR_FORMAT,
                "fusion": fusion_to_dict(predictor.fusion),
                "encoders": encoders}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
 
 def load_predictor(path: str) -> SurvivalPredictor:
     """Read a predictor checkpoint; anything malformed or mismatched is a DataError."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt != PREDICTOR_FORMAT:
         raise DataError(f"{path}: not a predictor checkpoint (format {fmt!r})")
@@ -166,7 +165,7 @@ def _regime_pool(cohort: Cohort, regime: str, context: str) -> Cohort:
     if regime == "all":
         return cohort
     pool = complete_subset(cohort)
-    if not pool.records:
+    if not len(pool):
         raise DataError(f"{context}: no complete-modality records available")
     pool.require_events(context)
     return pool

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import Cohort, ModalityId, PatientRecord, embedding_schema
+from .cohort import Cohort, ModalityId, embedding_schema
 from .config import TrainConfig, TrainingTrace
 from .errors import DataError
-from .nets import DenseNet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step
+from .nets import (DenseNet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step,
+                   read_json)
 from .survival import SurvivalBatch, concordance_index, cox_loss, cox_loss_grad, has_comparable_pair
 
 ENCODER_HIDDEN = 64
@@ -128,17 +129,24 @@ def export_embeddings(encoders, cohort: Cohort) -> Cohort:
     missing = sorted(m.label for m in needed if m not in encoders)
     if missing:
         raise DataError("no encoder for modalities present in cohort: " + ", ".join(missing))
+    schema = embedding_schema(cohort.schema)
     for m in needed:
-        if encoders[m].encoder.input_dim != cohort.schema.dim(m):
-            raise DataError(f"{m.label} encoder expects {encoders[m].encoder.input_dim} features, "
+        net = encoders[m].encoder
+        if net.input_dim != cohort.schema.dim(m):
+            raise DataError(f"{m.label} encoder expects {net.input_dim} features, "
                             f"cohort provides {cohort.schema.dim(m)}")
-    feats = [[None] * len(ModalityId) for _ in cohort.records]
-    for m in needed:
+        if net.output_dim != schema.dim(m):
+            raise DataError(f"{m.label} encoder yields {net.output_dim}-wide embeddings, "
+                            f"the schema declares {schema.dim(m)}")
+    blocks = []
+    for m in ModalityId:
+        block = np.zeros((len(cohort), schema.dim(m)))
         rows = np.flatnonzero(avail[:, m])
-        for i, y in zip(rows, encoders[m].embed(cohort.block(m)[rows])):
-            feats[i][m] = y
-    records = [PatientRecord(r.id, r.time, r.event, tuple(f)) for r, f in zip(cohort.records, feats)]
-    return Cohort(embedding_schema(cohort.schema), records, cohort.ground_truth_risk)
+        if rows.size:
+            block[rows] = encoders[m].embed(cohort.block(m)[rows])
+        blocks.append(block)
+    return Cohort.from_columns(schema, cohort.ids, cohort.times, cohort.events, avail, blocks,
+                               cohort.ground_truth_risk)
 
 
 def save_unimodal(model: UnimodalEncoder, path: str) -> None:
@@ -148,14 +156,13 @@ def save_unimodal(model: UnimodalEncoder, path: str) -> None:
         "encoder": net_to_dict(model.encoder),
         "head": net_to_dict(model.head),
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
 
 def load_unimodal(path: str) -> UnimodalEncoder:
     """Read a stage-1 checkpoint; anything malformed or mismatched is a DataError."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: not a stage-1 checkpoint (format {fmt!r})")

@@ -8,6 +8,7 @@ import pytest
 from mmsurv.cli import main
 from mmsurv.cohort import MODALITIES, generate_synthetic, save_cohort, save_schema
 from mmsurv.config import TrainConfig
+from mmsurv.errors import ConfigError
 from mmsurv.fusion import FusionStrategy, init_fusion_model
 from mmsurv.nets import init_net
 from mmsurv.pipeline import SurvivalPredictor, save_predictor, train_stage1_encoders
@@ -194,6 +195,16 @@ def test_eval_rejects_a_damaged_checkpoint_with_exit_two(tmp_path, capsys):
         assert "data error" in err and "Traceback" not in err
 
 
+def _stage1_dir(path, schema):
+    path.mkdir()
+    for m in MODALITIES:  # freshly initialised encoders are enough to load
+        dims = (schema.dim(m), ENCODER_HIDDEN, schema.embed_dim)
+        save_unimodal(UnimodalEncoder(m, init_net(dims, "selu", int(m)),
+                                      init_net((schema.embed_dim, 1), "identity", 9)),
+                      str(path / f"{m.label}.json"))
+    return path
+
+
 STAGE1_DAMAGE = {
     "no-encoder": lambda good: {k: v for k, v in good.items() if k != "encoder"},
     "list-payload": lambda good: [good],
@@ -210,13 +221,7 @@ def test_train_fuse_rejects_a_damaged_stage1_checkpoint_with_exit_two(tmp_path, 
     data = tmp_path / "train.csv"
     save_cohort(cohort, str(data))
     save_schema(cohort.schema, str(data) + ".schema")
-    enc = tmp_path / "enc"
-    enc.mkdir()
-    for m in MODALITIES:  # freshly initialised encoders are enough to load
-        dims = (cohort.schema.dim(m), ENCODER_HIDDEN, cohort.schema.embed_dim)
-        save_unimodal(UnimodalEncoder(m, init_net(dims, "selu", int(m)),
-                                      init_net((cohort.schema.embed_dim, 1), "identity", 9)),
-                      str(enc / f"{m.label}.json"))
+    enc = _stage1_dir(tmp_path / "enc", cohort.schema)
     good = json.loads((enc / "genomics.json").read_text())
     (enc / "genomics.json").write_text(json.dumps(STAGE1_DAMAGE[damage](good)))
     assert run("train-fuse", "--data", data, "--encoders", enc, "--strategy", "mean",
@@ -230,3 +235,78 @@ def test_bad_scenario_name_is_a_usage_error(tmp_path, capsys):
     assert run("eval", "--model", tmp_path / "x.json", "--data", test,
                "--scenario", "sunny-day", "--seed", 1) == 1
     capsys.readouterr()
+
+
+NEGATIVE_SEED = {
+    "synth": ["synth", "--seed", -1, "--out", "c.csv"],
+    "synth-family": ["synth", "--seed", 1, "--family-seed", -1, "--out", "c.csv"],
+    "train-uni": ["train-uni", "--data", "c.csv", "--seed", -1, "--out-dir", "enc"],
+    "train-fuse": ["train-fuse", "--data", "c.csv", "--seed", -1, "--strategy", "mean",
+                   "--out-dir", "fuse"],
+    "eval": ["eval", "--model", "m.json", "--data", "c.csv", "--seed", -1, "--bootstrap", 3],
+    "eval-bootstrap": ["eval", "--model", "m.json", "--data", "c.csv", "--seed", 1,
+                       "--bootstrap", -3],
+    "ablate": ["ablate", "--seed", -1, "--out-dir", "grid"],
+    "ablate-bootstrap": ["ablate", "--seed", 1, "--bootstrap", -3, "--out-dir", "grid"],
+    "gradcheck": ["gradcheck", "--seed", -1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SEED))
+def test_negative_seeds_and_bootstraps_are_usage_errors(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    assert run(*NEGATIVE_SEED[case]) == 1
+    err = capsys.readouterr().err
+    assert "must be a non-negative integer" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        TrainConfig(seed=-1)
+
+
+def _spoil(path):
+    """Put a byte that is not UTF-8 into the middle of a file."""
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+    return path
+
+
+NOT_UTF8 = {
+    "cohort": lambda d: (["train-uni", "--data", _spoil(d / "train.csv"), "--seed", 1,
+                          "--out-dir", d / "enc2"], d / "train.csv"),
+    "schema": lambda d: (["train-uni", "--data", d / "train.csv", "--seed", 1,
+                          "--out-dir", d / "enc2"], _spoil(d / "train.csv.schema")),
+    "predictor": lambda d: (["eval", "--model", _spoil(d / "model.json"), "--data", d / "train.csv",
+                             "--seed", 1, "--bootstrap", 0], d / "model.json"),
+    "stage-1": lambda d: (["train-fuse", "--data", d / "train.csv", "--encoders", d / "enc",
+                           "--strategy", "mean", "--seed", 1, "--out-dir", d / "fuse", *FAST_FUSE],
+                          _spoil(d / "enc" / "pathology.json")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_UTF8))
+def test_input_files_that_are_not_utf8_exit_two(tmp_path, capsys, kind):
+    cohort = generate_synthetic(40, 5)
+    save_cohort(cohort, str(tmp_path / "train.csv"))
+    save_schema(cohort.schema, str(tmp_path / "train.csv.schema"))
+    _stage1_dir(tmp_path / "enc", cohort.schema)
+    save_predictor(SurvivalPredictor(init_fusion_model(FusionStrategy("concat"), seed=0)),
+                   str(tmp_path / "model.json"))
+    argv, spoiled = NOT_UTF8[kind](tmp_path)
+    assert run(*argv, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert f"data error: {spoiled}: not UTF-8 text" in err and "Traceback" not in err
+
+
+def test_schema_width_below_one_exits_two_naming_file_and_key(tmp_path, capsys):
+    cohort = generate_synthetic(40, 5)
+    save_cohort(cohort, str(tmp_path / "train.csv"))
+    schema = tmp_path / "train.csv.schema"
+    save_schema(cohort.schema, str(schema))
+    schema.write_text(schema.read_text().replace("radiology_dim=16", "radiology_dim=0"))
+    assert run("train-uni", "--data", tmp_path / "train.csv", "--seed", 1,
+               "--out-dir", tmp_path / "enc", "--quiet") == 2
+    err = capsys.readouterr().err
+    assert f"data error: {schema}: radiology_dim must be positive" in err and "Traceback" not in err

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import itertools
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, Cohort, MissingnessScenario,
-                           ModalityId, ModalitySchema, PatientRecord, apply_scenario,
-                           cohorts_equal, complete_subset, embedding_schema,
+from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, N_MODALITIES, SCENARIOS, Cohort,
+                           MissingnessScenario, ModalityId, ModalitySchema, PatientRecord,
+                           apply_scenario, cohorts_equal, complete_subset, embedding_schema,
                            generate_synthetic, load_cohort, load_schema, save_cohort,
                            save_schema, scenario_by_name, split)
 from mmsurv.errors import ConfigError, DataError
@@ -67,6 +72,10 @@ def test_schema_file_errors(tmp_path):
         load_schema(str(path))
     path.write_text("radiology_dim=two\n")
     with pytest.raises(DataError, match="must be an integer"):
+        load_schema(str(path))
+    save_schema(DEFAULT_SCHEMA, str(path))
+    path.write_text(path.read_text().replace("radiology_dim=16", "radiology_dim=0"))
+    with pytest.raises(DataError, match="bad.schema: radiology_dim must be positive"):
         load_schema(str(path))
 
 
@@ -223,9 +232,15 @@ def test_synthetic_rejects_bad_rates():
     with pytest.raises(ConfigError):
         generate_synthetic(10, seed=0, missing_rate=(1.0, 0, 0, 0))
     with pytest.raises(ConfigError):
+        generate_synthetic(10, seed=0, missing_rate=(np.nan,) * 4)
+    with pytest.raises(ConfigError):
         generate_synthetic(10, seed=0, censor_rate=1.0)
     with pytest.raises(ConfigError):
         generate_synthetic(1, seed=0)
+    with pytest.raises(ConfigError, match="non-negative"):
+        generate_synthetic(10, seed=-1)
+    with pytest.raises(ConfigError, match="non-negative"):
+        generate_synthetic(10, seed=0, family_seed=-1)
 
 
 def test_scenario_cannot_drop_everything():
@@ -305,3 +320,238 @@ def test_complete_subset_filters_partial_records():
     c = make_cohort(3, presents=presents)
     sub = complete_subset(c)
     assert [r.id for r in sub.records] == ["r0", "r2"]
+
+
+# ── columnar storage against record-by-record reference implementations ──────
+#
+# These are the list-of-records implementations the columns replaced. They
+# work on the PatientRecords a cohort was built from, never on its columns.
+
+def oracle_availability(records):
+    if not records:
+        return np.zeros((0, N_MODALITIES), dtype=np.int64)
+    return np.stack([r.availability for r in records])
+
+
+def oracle_block(records, schema, modality):
+    out = np.zeros((len(records), schema.dim(modality)))
+    for i, r in enumerate(records):
+        if r.has(modality):
+            out[i] = r.features[modality]
+    return out
+
+
+def oracle_subset(records, gt, indices):
+    indices = list(indices)
+    return [records[i] for i in indices], None if gt is None else gt[indices]
+
+
+def oracle_complete_subset(records, gt):
+    return oracle_subset(records, gt, [i for i, r in enumerate(records) if r.is_complete()])
+
+
+def oracle_apply_scenario(records, gt, scenario):
+    """Scenario view by rebuilding every record; raises DataError when no event is left."""
+    out, kept = [], []
+    for i, r in enumerate(records):
+        feats = tuple(None if m in scenario.drop else r.features[m] for m in MODALITIES)
+        if all(x is None for x in feats):
+            continue
+        out.append(PatientRecord(r.id, r.time, r.event, feats))
+        kept.append(i)
+    if not out or not any(r.event for r in out):
+        raise DataError("no event left")
+    return out, None if gt is None else gt[kept]
+
+
+def assert_columns_match(cohort, records, gt):
+    assert cohort.ids.tolist() == [r.id for r in records]
+    assert np.array_equal(cohort.times, np.array([r.time for r in records], dtype=np.float64))
+    assert np.array_equal(cohort.events, np.array([r.event for r in records], dtype=np.float64))
+    assert cohort.events.dtype == np.float64 and cohort.availability.dtype == np.int64
+    assert np.array_equal(cohort.availability, oracle_availability(records))
+    for m in MODALITIES:
+        assert np.array_equal(cohort.block(m), oracle_block(records, cohort.schema, m))
+    if gt is None:
+        assert cohort.ground_truth_risk is None
+    else:
+        assert np.array_equal(cohort.ground_truth_risk, gt)
+
+
+PATTERNS = [p for p in itertools.product((0, 1), repeat=N_MODALITIES) if any(p)]
+DROP_SETS = [frozenset(d) for k in range(N_MODALITIES) for d in itertools.combinations(MODALITIES, k)]
+
+
+@st.composite
+def record_lists(draw):
+    schema = ModalitySchema(raw_dims=tuple(draw(st.integers(1, 3)) for _ in MODALITIES), embed_dim=2)
+    n = draw(st.integers(1, 10))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    records = []
+    for i in range(n):
+        present = draw(st.sampled_from(PATTERNS))
+        feats = tuple(np.array(draw(st.lists(values, min_size=schema.dim(m), max_size=schema.dim(m))))
+                      if present[m] else None for m in MODALITIES)
+        records.append(PatientRecord(f"r{i}", draw(st.floats(1e-3, 1e6)), draw(st.integers(0, 1)), feats))
+    gt = draw(st.none() | st.lists(values, min_size=n, max_size=n).map(np.array))
+    return schema, records, gt
+
+
+def check_against_oracles(schema, records, gt, scenario, indices):
+    cohort = Cohort(schema, records, gt)
+    assert_columns_match(cohort, records, gt)
+    assert_columns_match(Cohort(schema, cohort.records, gt), records, gt)  # the row view round trips
+    assert_columns_match(cohort.subset(indices), *oracle_subset(records, gt, indices))
+    assert_columns_match(complete_subset(cohort), *oracle_complete_subset(records, gt))
+    try:
+        expected = oracle_apply_scenario(records, gt, scenario)
+    except DataError:
+        with pytest.raises(DataError):
+            apply_scenario(cohort, scenario)
+        return
+    applied = apply_scenario(cohort, scenario)
+    assert_columns_match(applied, *expected)
+    assert cohorts_equal(apply_scenario(applied, scenario), applied)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=record_lists(), drop=st.sampled_from(DROP_SETS), picks=st.data())
+def test_columnar_operations_match_the_record_oracles(data, drop, picks):
+    schema, records, gt = data
+    indices = picks.draw(st.lists(st.integers(0, len(records) - 1), unique=True))
+    check_against_oracles(schema, records, gt, MissingnessScenario("drawn", drop), indices)
+
+
+@pytest.mark.parametrize("with_gt", [False, True])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS) + ["keep-radiology-only"])
+def test_every_missingness_pattern_under_each_scenario_matches_the_oracles(scenario, with_gt):
+    # every non-empty pattern twice, events alternating, so every scenario
+    # empties some records and keeps others
+    presents = PATTERNS * 2
+    records = [make_record(f"r{i}", time=float(i + 1), event=i % 2, present=p, fill=float(i) - 7.5)
+               for i, p in enumerate(presents)]
+    gt = np.linspace(-1.0, 1.0, len(records)) if with_gt else None
+    chosen = (MissingnessScenario(scenario, frozenset(MODALITIES[1:])) if scenario == "keep-radiology-only"
+              else scenario_by_name(scenario))
+    check_against_oracles(SMALL_SCHEMA, records, gt, chosen, [5, 0, 17, 3])
+    kept = oracle_apply_scenario(records, gt, chosen)[0]
+    assert len(apply_scenario(Cohort(SMALL_SCHEMA, records, gt), chosen)) == len(kept)
+
+
+def test_column_arrays_reject_in_place_writes():
+    cohort = generate_synthetic(30, seed=3, missing_rate=(0.0, 0.3, 0.3, 0.3))
+    derived = [cohort, cohort.subset([3, 1]), complete_subset(cohort),
+               apply_scenario(cohort, scenario_by_name("gene-pathology-missing")),
+               pickle.loads(pickle.dumps(cohort))]
+    for c in derived:
+        columns = [c.ids, c.times, c.events, c.availability, c.ground_truth_risk]
+        columns += [c.block(m) for m in MODALITIES]
+        for column in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+        with pytest.raises(ValueError, match="read-only"):
+            c.records[0].features[ModalityId.RADIOLOGY][0] = 1.0
+    assert cohorts_equal(pickle.loads(pickle.dumps(cohort)), cohort)
+
+
+def test_from_columns_reports_the_first_bad_record():
+    cohort = make_cohort(5)
+    ids, times, events, availability = cohort.ids, cohort.times.copy(), cohort.events, cohort.availability
+    blocks = [cohort.block(m) for m in MODALITIES]
+    times[[1, 3]] = [np.inf, -1.0]
+    with pytest.raises(DataError, match="record 'r1': survival time"):
+        Cohort.from_columns(SMALL_SCHEMA, ids, times, events, availability, blocks)
+    with pytest.raises(DataError, match="duplicate record id 'r1'"):
+        Cohort.from_columns(SMALL_SCHEMA, ["r0", "r1", "r2", "r1", "r0"], cohort.times, events,
+                            availability, blocks)
+    with pytest.raises(DataError, match="duplicate record id 'r1'"):
+        cohort.subset([1, 2, 1])
+    blocks[ModalityId.GENOMICS] = blocks[ModalityId.GENOMICS].copy()
+    blocks[ModalityId.GENOMICS][2, 1] = np.nan
+    with pytest.raises(DataError, match="record 'r2': genomics features must be a finite vector"):
+        Cohort.from_columns(SMALL_SCHEMA, ids, cohort.times, events, availability, blocks)
+
+
+def test_load_reports_the_first_bad_record_in_file_order(tmp_path):
+    cohort = make_cohort(4)
+    path = tmp_path / "c.csv"
+    save_cohort(cohort, str(path))
+    # an invalid time in r1 comes before a malformed cell in r3 and a repeated id in r2
+    text = path.read_text().replace("r1,2.0", "r1,0.0").replace("r3,4.0", "r3,soon")
+    path.write_text(text.replace("r2,3.0", "r0,3.0"))
+    with pytest.raises(DataError, match="record 'r1': survival time"):
+        load_cohort(str(path), SMALL_SCHEMA)
+    path.write_text(text.replace("r1,0.0", "r1,2.0"))
+    with pytest.raises(DataError, match="record 'r3': malformed numeric"):
+        load_cohort(str(path), SMALL_SCHEMA)
+    path.write_text(text.replace("r1,0.0", "r1,2.0").replace("r3,soon", "r3,4.0").replace("r2,3.0", "r0,3.0"))
+    with pytest.raises(DataError, match="duplicate record id 'r0'"):
+        load_cohort(str(path), SMALL_SCHEMA)
+
+
+def test_load_maps_out_of_range_events_and_undecodable_bytes_to_data_errors(tmp_path):
+    cohort = make_cohort(3)
+    path = tmp_path / "c.csv"
+    save_cohort(cohort, str(path))
+    text = path.read_text()
+    path.write_text(text.replace("r1,2.0,1", "r1,2.0," + "9" * 400))
+    with pytest.raises(DataError, match="record 'r1': event must be 0 or 1"):
+        load_cohort(str(path), SMALL_SCHEMA)
+    path.write_text(text.replace("r2,3.0,0,1,2.0", "r2,3.0,0,1,inf"))
+    with pytest.raises(DataError, match="record 'r2': radiology features must be a finite vector"):
+        load_cohort(str(path), SMALL_SCHEMA)
+    path.write_bytes(text.encode().replace(b"r1", b"r\xff"))
+    with pytest.raises(DataError, match="c.csv: not UTF-8"):
+        load_cohort(str(path), SMALL_SCHEMA)
+
+
+ID_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=record_lists(), ids=st.lists(ID_TEXT, min_size=10, max_size=10, unique=True))
+def test_csv_round_trip_is_exact_for_any_ids(tmp_path, data, ids):
+    schema, records, gt = data
+    records = [PatientRecord(ids[i], r.time, r.event, r.features) for i, r in enumerate(records)]
+    cohort = Cohort(schema, records, gt)
+    path = tmp_path / "c.csv"
+    save_cohort(cohort, str(path))
+    if cohort.n_events == 0:
+        with pytest.raises(DataError, match="zero observed events"):
+            load_cohort(str(path), schema)
+        return
+    assert cohorts_equal(load_cohort(str(path), schema), cohort)
+
+
+@pytest.fixture(scope="module")
+def saved_cohort_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "c.csv"
+    save_cohort(generate_synthetic(6, seed=8, schema=SMALL_SCHEMA), str(path))
+    return path.read_bytes()
+
+
+EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                           st.integers(0, 10**6), st.binary(min_size=1, max_size=3)),
+                 min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=EDITS)
+def test_byte_edits_of_a_saved_cohort_load_or_raise_data_error(tmp_path, saved_cohort_bytes, edits):
+    data = bytearray(saved_cohort_bytes)
+    for kind, pos, chunk in edits:
+        pos %= len(data) + 1
+        if kind == "replace":
+            data[pos:pos + len(chunk)] = chunk
+        elif kind == "insert":
+            data[pos:pos] = chunk
+        else:
+            del data[pos:pos + len(chunk)]
+    path = tmp_path / "fuzzed.csv"
+    path.write_bytes(bytes(data))
+    try:
+        cohort = load_cohort(str(path), SMALL_SCHEMA)
+    except DataError:
+        return
+    assert len(cohort) >= 1 and cohort.n_events >= 1
+    assert np.isfinite(cohort.times).all() and (cohort.times > 0).all()
