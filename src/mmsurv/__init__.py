@@ -10,13 +10,13 @@ from .cohort import (Cohort, MissingnessScenario, ModalityId, ModalitySchema,
                      PatientRecord, apply_scenario, complete_subset,
                      generate_synthetic, load_cohort, load_schema, save_cohort,
                      save_schema, scenario_by_name, split)
-from .config import TrainConfig
+from .config import TrainConfig, fit
 from .errors import ConfigError, DataError, MmsurvError, NumericalError
 from .fusion import (DropoutPolicy, FusionModel, FusionStrategy, fuse,
-                     init_fusion_model, load_fusion, modality_dropout,
-                     model_footprint, recon_loss, save_fusion, total_loss)
+                     init_fusion_model, modality_dropout, model_footprint,
+                     recon_loss, total_loss)
 from .gradcheck import run_gradient_checks
-from .nets import DenseNet, OptimizerState, finite_diff_grad, init_net, load_net, save_net
+from .nets import DenseNet, OptimizerState, finite_diff_grad, init_net
 from .pipeline import (AblationReport, ExperimentCell, SurvivalPredictor,
                        default_synthetic_pair, evaluate, load_predictor,
                        run_ablation_grid, save_predictor, table_cells,

@@ -40,15 +40,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _non_negative_int(text: str) -> int:
-    """Argparse type of seeds and counts: a negative value is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def _int_at_least(low: int, wording: str):
+    """An argparse type for ints of at least ``low``; a smaller value is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {wording} integer, got {value}")
+        return value
+    return parse
+
+
+_non_negative_int = _int_at_least(0, "non-negative")  # seeds and counts
+_positive_int = _int_at_least(1, "positive")  # worker counts
 
 
 def _add_quiet(p):
@@ -348,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the grid to these fusion strategies")
     p.add_argument("--scenarios", nargs="+", choices=sorted(SCENARIOS),
                    default=("complete", "pathology-missing", "gene-pathology-missing"))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     _add_config_flags(p)
     _add_quiet(p)
     p.set_defaults(func=_cmd_ablate)

@@ -1,9 +1,17 @@
-"""Training configuration shared by the stage-1 and fusion trainers."""
+"""Training configuration and ``fit``, the one training loop.
+
+Stage 1, fusion on an embedding table and joint training all run ``fit``:
+each trainer brings its networks, a ``step`` over a batch of record indices
+and a ``val_risks`` for the hold-out, and ``fit`` does the rest.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, NumericalError
+from .survival import concordance_index, has_comparable_pair
 
 
 @dataclass
@@ -62,3 +70,52 @@ class TrainingTrace:
 
     def log(self, epoch: int, train_loss: float, val_cindex) -> None:
         self.epochs.append({"epoch": epoch, "train_loss": train_loss, "val_cindex": val_cindex})
+
+
+def fit(nets, step, val_risks, times, events, *, epochs: int, batch_size: int, patience: int,
+        val_fraction: float, split_seed, shuffle_seed, context: str) -> TrainingTrace:
+    """Train ``nets`` through ``step`` with early stopping; returns the trace.
+
+    A permutation drawn from ``split_seed`` holds out its first
+    round(n * val_fraction) records for validation. Each epoch visits the
+    rest in a fresh order drawn from ``shuffle_seed``, ``batch_size`` at a
+    time, and skips a batch without events, which has no Cox loss.
+    ``step(idx)`` and ``val_risks(idx)`` take indices into ``times`` and
+    ``events``. While the validation c-index improves, the networks are
+    copied; once it has not improved for more than ``patience`` epochs,
+    training stops, and the best copy is put back into ``nets`` in place.
+    A hold-out without a comparable pair has no c-index: every epoch then
+    logs None, all epochs run and the last state is kept.
+    """
+    n_val = int(round(len(times) * val_fraction))
+    perm = np.random.default_rng(split_seed).permutation(len(times))
+    val_idx, fit_idx = perm[:n_val], perm[n_val:]
+    use_val = has_comparable_pair(times[val_idx], events[val_idx])
+    shuffle_rng = np.random.default_rng(shuffle_seed)
+
+    trace = TrainingTrace()
+    best_ci, best, stale = -np.inf, None, 0
+    for epoch in range(epochs):
+        order = shuffle_rng.permutation(len(fit_idx))
+        epoch_loss, n_batches = 0.0, 0
+        for start in range(0, len(fit_idx), batch_size):
+            idx = fit_idx[order[start:start + batch_size]]
+            if not events[idx].any():
+                continue
+            try:
+                epoch_loss += step(idx)
+            except NumericalError as e:
+                raise NumericalError(f"{context} diverged at epoch {epoch}: {e}") from e
+            n_batches += 1
+        val_ci = concordance_index(val_risks(val_idx), times[val_idx], events[val_idx]) if use_val else None
+        trace.log(epoch, epoch_loss / max(n_batches, 1), val_ci)
+        if use_val:
+            if val_ci > best_ci:
+                best_ci, best, stale = val_ci, [net.copy() for net in nets], 0
+            else:
+                stale += 1
+                if stale > patience:
+                    break
+    for net, kept in zip(nets, best or ()):
+        net.layers = kept.layers
+    return trace

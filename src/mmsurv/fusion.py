@@ -30,14 +30,13 @@ other three factors of each row.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
 from .cohort import MODALITIES, N_MODALITIES
 from .errors import ConfigError, DataError, NumericalError
-from .nets import DenseNet, GradientSet, init_net, net_from_dict, net_to_dict, read_json
+from .nets import DenseNet, GradientSet, init_net, net_from_dict, net_to_dict
 from .survival import SurvivalBatch, cox_loss, cox_loss_grad
 
 FUSION_KINDS = ("concat", "mean", "tensor")
@@ -111,12 +110,6 @@ class FusionModel:
         if self.recon_head is not None:
             out.append(("recon_head", self.recon_head))
         return out
-
-    def copy(self) -> "FusionModel":
-        ext = {m: n.copy() for m, n in self.extenders.items()} if self.extenders else None
-        red = {m: n.copy() for m, n in self.reducers.items()} if self.reducers else None
-        recon = self.recon_head.copy() if self.recon_head is not None else None
-        return FusionModel(self.strategy, ext, red, self.hazard_head.copy(), recon, self.lam)
 
     def flat_params(self) -> np.ndarray:
         return np.concatenate([net.flat_params() for _, net in self.parts()])
@@ -373,13 +366,6 @@ class FusionBatch:
     times: np.ndarray
     events: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def take(self, rows) -> "FusionBatch":
-        return FusionBatch(self.embeddings[rows], self.alpha[rows], self.mask[rows],
-                           self.times[rows], self.events[rows])
-
 
 def dropout_masks(alpha: np.ndarray, policy: DropoutPolicy, rng) -> np.ndarray:
     """Training masks for a batch: one ``modality_dropout`` draw per row, in row order."""
@@ -493,11 +479,3 @@ def fusion_from_dict(payload: dict, origin: str = "payload") -> FusionModel:
             raise DataError(f"{origin}: {name} has widths {parts[name].dims}, the strategy needs {dims}")
     return _assemble(strategy, parts, lam)
 
-
-def save_fusion(model: FusionModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fusion_to_dict(model), fh)
-
-
-def load_fusion(path: str) -> FusionModel:
-    return fusion_from_dict(read_json(path), origin=path)

@@ -14,11 +14,13 @@ pre-activation exactly on the kink.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cohort import DEFAULT_SCHEMA, MODALITIES
+from .errors import ConfigError
 from .fusion import (FusionBatch, FusionStrategy, batch_loss_and_grads, forward_loss,
                      init_fusion_model, recon_loss, recon_loss_grad)
 from .nets import init_net
@@ -216,6 +218,9 @@ def run_gradient_checks(seed: int = 0, instances: int = 50,
                         h: float = DEFAULT_STEP, tolerance: float = DEFAULT_TOLERANCE,
                         progress=None) -> list[CheckResult]:
     """Run every gradient check; returns one result per check."""
+    if not (math.isfinite(h) and h > 0 and instances >= 1):
+        raise ConfigError(f"gradcheck needs a finite step h > 0 and at least one instance "
+                          f"(got h={h}, instances={instances})")
     notify = progress or (lambda msg: None)
     ss = np.random.SeedSequence([0x6AD, seed])
     results = []

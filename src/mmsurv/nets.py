@@ -320,15 +320,6 @@ def net_from_dict(d: dict, origin: str = "network") -> DenseNet:
         raise DataError(f"{origin}: not a consistent layer chain ({type(e).__name__}: {e})") from e
 
 
-def save_net(net: DenseNet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(net_to_dict(net), fh)
-
-
-def load_net(path: str) -> DenseNet:
-    return net_from_dict(read_json(path), origin=path)
-
-
 def read_json(path: str):
     """The JSON payload of a checkpoint file; undecodable bytes or syntax are a DataError."""
     try:

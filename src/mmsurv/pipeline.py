@@ -4,7 +4,10 @@ Two training paths produce the same kind of predictor. The two-stage path
 trains one encoder per modality on the Cox objective, freezes them, embeds
 the training cohort, and then trains only the fusion networks on top. The
 joint path updates encoders and fusion together, either from scratch or
-starting from stage-1 encoders.
+starting from stage-1 encoders. Stage 1 and both fusion trainers run the
+one loop ``config.fit``; each brings its own seeds, networks, optimizer
+states and a step over a batch of record indices. The two-stage step reads
+the precomputed embedding table, the joint step re-encodes its batch.
 
 Each path can draw its training records from the complete-modality subset
 ("complete") or from every record ("all"), separately per stage. Together
@@ -33,7 +36,7 @@ import numpy as np
 from .cohort import (MODALITIES, N_MODALITIES, Cohort, MissingnessScenario,
                      ModalityId, apply_scenario, complete_subset,
                      generate_synthetic, scenario_by_name)
-from .config import TrainConfig, TrainingTrace
+from .config import TrainConfig, TrainingTrace, fit
 from .errors import ConfigError, DataError, NumericalError
 from .fusion import (DropoutPolicy, FusionBatch, FusionModel, FusionStrategy,
                      batch_loss_and_grads, dropout_masks, fusion_from_dict,
@@ -41,7 +44,7 @@ from .fusion import (DropoutPolicy, FusionBatch, FusionModel, FusionStrategy,
                      predict_risk)
 from .nets import (GradientSet, OptimizerState, init_net, net_from_dict,
                    net_to_dict, optimizer_step, read_json)
-from .survival import concordance_index, has_comparable_pair
+from .survival import concordance_index
 from .unimodal import ENCODER_HIDDEN, export_embeddings, train_unimodal
 
 log = logging.getLogger(__name__)
@@ -177,20 +180,6 @@ def train_stage1_encoders(train: Cohort, config: TrainConfig, regime: str) -> di
     return {m: train_unimodal(pool, m, config) for m in MODALITIES}
 
 
-def _table_batch(table: Cohort) -> FusionBatch:
-    """An embedding table as one FusionBatch, masks set to the availability."""
-    alpha = table.availability
-    embeddings = np.stack([table.block(m) for m in MODALITIES], axis=1)
-    return FusionBatch(embeddings, alpha, alpha.copy(), table.times, table.events)
-
-
-def _val_cindex(model: FusionModel, val: FusionBatch):
-    """Validation c-index with every available modality shown; None when undefined."""
-    if not has_comparable_pair(val.times, val.events):
-        return None
-    return concordance_index(predict_risk(model, val.embeddings, val.alpha), val.times, val.events)
-
-
 def _fit_fusion(table: Cohort, config: TrainConfig, cell: ExperimentCell) -> tuple[FusionModel, TrainingTrace]:
     """Train fusion networks on a frozen embedding table."""
     table.require_events(f"fusion training ({cell.label()})")
@@ -200,45 +189,26 @@ def _fit_fusion(table: Cohort, config: TrainConfig, cell: ExperimentCell) -> tup
     model = init_fusion_model(strategy, init_seed, recon=cell.recon, lam=config.lam)
     opts = {name: OptimizerState(config.optimizer, config.fusion_lr, net)
             for name, net in model.parts()}
-
-    data = _table_batch(table)
-    n_val = int(round(len(data) * config.val_fraction))
-    perm = np.random.default_rng(split_seed).permutation(len(data))
-    val, fit = data.take(perm[:n_val]), data.take(perm[n_val:])
-    use_val = _val_cindex(model, val) is not None
-
     policy = DropoutPolicy(rate=config.dropout_rate, enabled=cell.dropout)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
     dropout_rng = np.random.default_rng(dropout_seed)
+    alpha, times, events = table.availability, table.times, table.events
+    embeddings = np.stack([table.block(m) for m in MODALITIES], axis=1)
 
-    trace = TrainingTrace()
-    best_ci, best_model, stale = -np.inf, None, 0
-    for epoch in range(config.fusion_epochs):
-        order = shuffle_rng.permutation(len(fit))
-        epoch_loss, n_batches = 0.0, 0
-        for start in range(0, len(fit), config.fusion_batch):
-            batch = fit.take(order[start:start + config.fusion_batch])
-            if not batch.events.any():
-                continue
-            batch.mask = dropout_masks(batch.alpha, policy, dropout_rng)
-            try:
-                total, _, _, grads, _ = batch_loss_and_grads(model, batch)
-                for name, net in model.parts():
-                    optimizer_step(net, grads[name], opts[name])
-            except NumericalError as e:
-                raise NumericalError(f"fusion training diverged ({cell.label()}, epoch {epoch}): {e}") from e
-            epoch_loss += total
-            n_batches += 1
-        val_ci = _val_cindex(model, val) if use_val else None
-        trace.log(epoch, epoch_loss / max(n_batches, 1), val_ci)
-        if val_ci is not None:
-            if val_ci > best_ci:
-                best_ci, best_model, stale = val_ci, model.copy(), 0
-            else:
-                stale += 1
-                if stale > config.patience:
-                    break
-    return (best_model if best_model is not None else model), trace
+    def step(idx):
+        mask = dropout_masks(alpha[idx], policy, dropout_rng)
+        batch = FusionBatch(embeddings[idx], alpha[idx], mask, times[idx], events[idx])
+        total, _, _, grads, _ = batch_loss_and_grads(model, batch)
+        for name, net in model.parts():
+            optimizer_step(net, grads[name], opts[name])
+        return total
+
+    trace = fit([net for _, net in model.parts()], step,
+                lambda idx: predict_risk(model, embeddings[idx], alpha[idx]), times, events,
+                epochs=config.fusion_epochs, batch_size=config.fusion_batch,
+                patience=config.patience, val_fraction=config.val_fraction,
+                split_seed=split_seed, shuffle_seed=shuffle_seed,
+                context=f"fusion training ({cell.label()})")
+    return model, trace
 
 
 def train_fusion_on_table(table: Cohort, config: TrainConfig, cell: ExperimentCell) -> SurvivalPredictor:
@@ -296,18 +266,13 @@ def train_end_to_end(train: Cohort, config: TrainConfig, cell: ExperimentCell,
     enc_opts = {m: OptimizerState(config.optimizer, config.fusion_lr, encoders[m])
                 for m in MODALITIES}
 
+    policy = DropoutPolicy(rate=config.dropout_rate, enabled=cell.dropout)
+    dropout_rng = np.random.default_rng(dropout_seed)
     alpha, times, events = pool.availability, pool.times, pool.events
     blocks = {m: pool.block(m) for m in MODALITIES}
-    n_val = int(round(len(pool) * config.val_fraction))
-    perm = np.random.default_rng(split_seed).permutation(len(pool))
-    val_idx, fit_idx = perm[:n_val], perm[n_val:]
-
-    policy = DropoutPolicy(rate=config.dropout_rate, enabled=cell.dropout)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
-    dropout_rng = np.random.default_rng(dropout_seed)
 
     def embed(idx):
-        """Encode the records idx; returns their FusionBatch and {modality: (rows, tape)}."""
+        """Encode the records idx; returns their (n, 4, embed) block and {modality: (rows, tape)}."""
         emb = np.zeros((len(idx), N_MODALITIES, pool.schema.embed_dim))
         tapes = {}
         for m in MODALITIES:
@@ -315,48 +280,28 @@ def train_end_to_end(train: Cohort, config: TrainConfig, cell: ExperimentCell,
             if rows.size:
                 emb[rows, m], tape = encoders[m].forward(blocks[m][idx[rows]])
                 tapes[m] = (rows, tape)
-        return FusionBatch(emb, alpha[idx], alpha[idx], times[idx], events[idx]), tapes
+        return emb, tapes
 
-    def val_ci_now():
-        return _val_cindex(model, embed(val_idx)[0])
+    def step(idx):
+        emb, tapes = embed(idx)
+        mask = dropout_masks(alpha[idx], policy, dropout_rng)
+        batch = FusionBatch(emb, alpha[idx], mask, times[idx], events[idx])
+        total, _, _, grads, dx = batch_loss_and_grads(model, batch)
+        enc_grads = {m: GradientSet.zeros_like(encoders[m]) for m in MODALITIES if m not in tapes}
+        for m, (rows, tape) in tapes.items():
+            enc_grads[m], _ = encoders[m].backward(tape, dx[rows, m])
+        for name, net in model.parts():
+            optimizer_step(net, grads[name], opts[name])
+        for m in MODALITIES:
+            optimizer_step(encoders[m], enc_grads[m], enc_opts[m])
+        return total
 
-    use_val = val_ci_now() is not None
-    trace = TrainingTrace()
-    best_ci, best_state, stale = -np.inf, None, 0
-    for epoch in range(config.fusion_epochs):
-        order = shuffle_rng.permutation(len(fit_idx))
-        epoch_loss, n_batches = 0.0, 0
-        for start in range(0, len(fit_idx), config.fusion_batch):
-            idx = fit_idx[order[start:start + config.fusion_batch]]
-            if not events[idx].any():
-                continue
-            batch, tapes = embed(idx)
-            batch.mask = dropout_masks(batch.alpha, policy, dropout_rng)
-            try:
-                total, _, _, grads, dx = batch_loss_and_grads(model, batch)
-                enc_grads = {m: GradientSet.zeros_like(encoders[m]) for m in MODALITIES if m not in tapes}
-                for m, (rows, tape) in tapes.items():
-                    enc_grads[m], _ = encoders[m].backward(tape, dx[rows, m])
-                for name, net in model.parts():
-                    optimizer_step(net, grads[name], opts[name])
-                for m in MODALITIES:
-                    optimizer_step(encoders[m], enc_grads[m], enc_opts[m])
-            except NumericalError as e:
-                raise NumericalError(f"joint training diverged ({cell.label()}, epoch {epoch}): {e}") from e
-            epoch_loss += total
-            n_batches += 1
-        val_ci = val_ci_now() if use_val else None
-        trace.log(epoch, epoch_loss / max(n_batches, 1), val_ci)
-        if val_ci is not None:
-            if val_ci > best_ci:
-                best_ci, stale = val_ci, 0
-                best_state = (model.copy(), {m: encoders[m].copy() for m in MODALITIES})
-            else:
-                stale += 1
-                if stale > config.patience:
-                    break
-    if best_state is not None:
-        model, encoders = best_state
+    nets = [net for _, net in model.parts()] + [encoders[m] for m in MODALITIES]
+    trace = fit(nets, step, lambda idx: predict_risk(model, embed(idx)[0], alpha[idx]), times, events,
+                epochs=config.fusion_epochs, batch_size=config.fusion_batch,
+                patience=config.patience, val_fraction=config.val_fraction,
+                split_seed=split_seed, shuffle_seed=shuffle_seed,
+                context=f"joint training ({cell.label()})")
     return SurvivalPredictor(model, encoders, trace=trace)
 
 
@@ -505,6 +450,8 @@ def run_ablation_grid(train: Cohort, test: Cohort, cells, config: TrainConfig,
     encoders. A failing cell is recorded in the report and does not stop
     the rest of the grid.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     deduped = []
     for cell in cells:
         if cell in deduped:

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import Cohort, ModalityId, embedding_schema
-from .config import TrainConfig, TrainingTrace
+from .config import TrainConfig, TrainingTrace, fit
 from .errors import DataError
 from .nets import (DenseNet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step,
                    read_json)
-from .survival import SurvivalBatch, concordance_index, cox_loss, cox_loss_grad, has_comparable_pair
+from .survival import SurvivalBatch, cox_loss, cox_loss_grad
 
 ENCODER_HIDDEN = 64
 CHECKPOINT_FORMAT = "unimodal-v1"
@@ -45,17 +45,6 @@ class UnimodalEncoder:
         y, _ = self.encoder.forward(x)
         return y
 
-    def score(self, x: np.ndarray) -> np.ndarray:
-        """Stage-1 risk score of each row of an (n, raw) block."""
-        y, _ = self.head.forward(self.embed(x))
-        return y[:, 0]
-
-
-def _validation_split(n: int, val_fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    n_val = int(round(n * val_fraction))
-    perm = rng.permutation(n)
-    return perm[n_val:], perm[:n_val]
-
 
 def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) -> UnimodalEncoder:
     """Train one modality's encoder on the records where it is present."""
@@ -72,47 +61,26 @@ def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) ->
     init_seed, head_seed, split_seed, shuffle_seed = ss.spawn(4)
     encoder = init_net((raw_dim, ENCODER_HIDDEN, embed_dim), "selu", init_seed)
     head = init_net((embed_dim, 1), "identity", head_seed)
-
-    train_idx, val_idx = _validation_split(len(times), config.val_fraction,
-                                           np.random.default_rng(split_seed))
-    use_val = has_comparable_pair(times[val_idx], events[val_idx])
-
     opt_enc = OptimizerState(config.optimizer, config.stage1_lr, encoder)
     opt_head = OptimizerState(config.optimizer, config.stage1_lr, head)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
 
-    trace = TrainingTrace()
-    best_ci, best_params, stale = -np.inf, None, 0
-    for epoch in range(config.stage1_epochs):
-        order = shuffle_rng.permutation(len(train_idx))
-        epoch_loss, n_batches = 0.0, 0
-        for start in range(0, len(train_idx), config.stage1_batch):
-            idx = train_idx[order[start:start + config.stage1_batch]]
-            if not events[idx].any():
-                continue  # Cox loss needs at least one event
-            emb, tape_e = encoder.forward(x[idx])
-            f, tape_h = head.forward(emb)
-            sb = SurvivalBatch(f[:, 0], times[idx], events[idx])
-            g_head, d_emb = head.backward(tape_h, cox_loss_grad(sb)[:, None])
-            g_enc, _ = encoder.backward(tape_e, d_emb)
-            optimizer_step(encoder, g_enc, opt_enc)
-            optimizer_step(head, g_head, opt_head)
-            epoch_loss += cox_loss(sb)
-            n_batches += 1
-        val_ci = None
-        if use_val:
-            risks = head.forward(encoder.forward(x[val_idx])[0])[0][:, 0]
-            val_ci = concordance_index(risks, times[val_idx], events[val_idx])
-        trace.log(epoch, epoch_loss / max(n_batches, 1), val_ci)
-        if use_val:
-            if val_ci > best_ci:
-                best_ci, best_params, stale = val_ci, (encoder.copy(), head.copy()), 0
-            else:
-                stale += 1
-                if stale > config.patience:
-                    break
-    if best_params is not None:
-        encoder, head = best_params
+    def step(idx):
+        emb, tape_e = encoder.forward(x[idx])
+        f, tape_h = head.forward(emb)
+        sb = SurvivalBatch(f[:, 0], times[idx], events[idx])
+        g_head, d_emb = head.backward(tape_h, cox_loss_grad(sb)[:, None])
+        g_enc, _ = encoder.backward(tape_e, d_emb)
+        optimizer_step(encoder, g_enc, opt_enc)
+        optimizer_step(head, g_head, opt_head)
+        return cox_loss(sb)
+
+    def val_risks(idx):
+        return head.forward(encoder.forward(x[idx])[0])[0][:, 0]
+
+    trace = fit([encoder, head], step, val_risks, times, events, epochs=config.stage1_epochs,
+                batch_size=config.stage1_batch, patience=config.patience,
+                val_fraction=config.val_fraction, split_seed=split_seed,
+                shuffle_seed=shuffle_seed, context=f"stage 1 ({modality.label})")
     return UnimodalEncoder(modality, encoder, head, trace)
 
 

@@ -166,6 +166,24 @@ def test_gradcheck_passes_quickly(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("flag,value", [("--h", 0), ("--h", -1e-5), ("--h", "nan"), ("--h", "inf"),
+                                        ("--instances", 0), ("--instances", -1)])
+def test_bad_gradcheck_arguments_are_usage_errors(capsys, flag, value):
+    assert run("gradcheck", f"{flag}={value}", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "gradcheck needs a finite step h > 0 and at least one instance" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_worker_counts_below_one_are_usage_errors(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.chdir(tmp_path)
+    assert run("ablate", "--seed", 1, "--out-dir", "grid", "--workers", workers, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert f"--workers: must be a positive integer, got {workers}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_footprint_prints_ordering(capsys):
     assert run("footprint") == 0
     out = capsys.readouterr().out

@@ -211,6 +211,14 @@ def test_grid_worker_pool_matches_serial():
     assert serial.to_csv_text() == parallel.to_csv_text()
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_grid_rejects_worker_counts_below_one(workers):
+    train, test = fast_pair(n_train=60, n_test=40)
+    cells = [ExperimentCell("concat", "all", "all", scenario="complete")]
+    with pytest.raises(ConfigError, match=f"workers must be at least 1, got {workers}"):
+        run_ablation_grid(train, test, cells, FAST, workers=workers)
+
+
 def test_default_pair_shares_the_generative_family():
     train, test = default_synthetic_pair(seed=12, n_train=300, n_test=200)
     assert len(train) == 300 and len(test) == 200
