@@ -16,7 +16,7 @@ from .fusion import (DropoutPolicy, FusionModel, FusionStrategy, fuse,
                      init_fusion_model, modality_dropout, model_footprint,
                      recon_loss, total_loss)
 from .gradcheck import run_gradient_checks
-from .nets import DenseNet, OptimizerState, finite_diff_grad, init_net
+from .nets import DenseNet, OptimizerState, init_net
 from .pipeline import (AblationReport, ExperimentCell, SurvivalPredictor,
                        default_synthetic_pair, evaluate, load_predictor,
                        run_ablation_grid, save_predictor, table_cells,

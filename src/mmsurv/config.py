@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .survival import concordance_index, has_comparable_pair
 
 
@@ -79,17 +79,21 @@ def fit(nets, step, val_risks, times, events, *, epochs: int, batch_size: int, p
     A permutation drawn from ``split_seed`` holds out its first
     round(n * val_fraction) records for validation. Each epoch visits the
     rest in a fresh order drawn from ``shuffle_seed``, ``batch_size`` at a
-    time, and skips a batch without events, which has no Cox loss.
+    time, and skips a batch without events, which has no Cox loss; a rest
+    without any event is a DataError, so every epoch takes a step.
     ``step(idx)`` and ``val_risks(idx)`` take indices into ``times`` and
-    ``events``. While the validation c-index improves, the networks are
-    copied; once it has not improved for more than ``patience`` epochs,
-    training stops, and the best copy is put back into ``nets`` in place.
+    ``events``. While the validation c-index improves, the networks'
+    ``params`` are copied; once it has not improved for more than
+    ``patience`` epochs, training stops, and the best copy is written back
+    into each network's ``params``.
     A hold-out without a comparable pair has no c-index: every epoch then
     logs None, all epochs run and the last state is kept.
     """
     n_val = int(round(len(times) * val_fraction))
     perm = np.random.default_rng(split_seed).permutation(len(times))
     val_idx, fit_idx = perm[:n_val], perm[n_val:]
+    if not events[fit_idx].any():
+        raise DataError(f"{context}: the fit part has no observed events")
     use_val = has_comparable_pair(times[val_idx], events[val_idx])
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
@@ -108,14 +112,14 @@ def fit(nets, step, val_risks, times, events, *, epochs: int, batch_size: int, p
                 raise NumericalError(f"{context} diverged at epoch {epoch}: {e}") from e
             n_batches += 1
         val_ci = concordance_index(val_risks(val_idx), times[val_idx], events[val_idx]) if use_val else None
-        trace.log(epoch, epoch_loss / max(n_batches, 1), val_ci)
+        trace.log(epoch, epoch_loss / n_batches, val_ci)
         if use_val:
             if val_ci > best_ci:
-                best_ci, best, stale = val_ci, [net.copy() for net in nets], 0
+                best_ci, best, stale = val_ci, [net.params.copy() for net in nets], 0
             else:
                 stale += 1
                 if stale > patience:
                     break
     for net, kept in zip(nets, best or ()):
-        net.layers = kept.layers
+        net.params[...] = kept
     return trace

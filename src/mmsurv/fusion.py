@@ -36,7 +36,7 @@ import numpy as np
 
 from .cohort import MODALITIES, N_MODALITIES
 from .errors import ConfigError, DataError, NumericalError
-from .nets import DenseNet, GradientSet, init_net, net_from_dict, net_to_dict
+from .nets import DenseNet, init_net, net_from_dict, net_to_dict
 from .survival import SurvivalBatch, cox_loss, cox_loss_grad
 
 FUSION_KINDS = ("concat", "mean", "tensor")
@@ -112,16 +112,15 @@ class FusionModel:
         return out
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate([net.flat_params() for _, net in self.parts()])
+        return np.concatenate([net.params for _, net in self.parts()])
 
     def set_flat_params(self, p: np.ndarray) -> None:
+        if p.shape != (sum(net.params.size for _, net in self.parts()),):
+            raise ConfigError("flat parameter vector has wrong length")
         ofs = 0
         for _, net in self.parts():
-            n = net.param_count()
-            net.set_flat_params(p[ofs:ofs + n])
-            ofs += n
-        if ofs != p.shape[0]:
-            raise ConfigError("flat parameter vector has wrong length")
+            net.params[...] = p[ofs:ofs + net.params.size]
+            ofs += net.params.size
 
 
 def _part_dims(s: FusionStrategy, recon: bool) -> dict[str, tuple[int, ...]]:
@@ -259,12 +258,12 @@ def _tensor_factor_grads(dh: np.ndarray, factors: np.ndarray) -> np.ndarray:
 def fuse_backward(model: FusionModel, tape: FuseTape, dh: np.ndarray):
     """Push an (n, fused_dim) gradient back to body nets and input embeddings.
 
-    Returns ({part name: GradientSet} for the body nets that ran, and the
+    Returns ({part name: parameter gradient} for the body nets that ran, and the
     (n, 4, embed) input gradient, zero on hidden slots).
     """
     s = model.strategy
     n = dh.shape[0]
-    grads: dict[str, GradientSet] = {}
+    grads: dict[str, np.ndarray] = {}
     if s.kind == "concat":
         return grads, np.where(tape.mask[:, :, None], dh.reshape(n, N_MODALITIES, s.embed_dim), 0.0)
     dx = np.zeros((n, N_MODALITIES, s.embed_dim))
@@ -410,7 +409,7 @@ def forward_loss(model: FusionModel, batch: FusionBatch) -> tuple[float, float, 
 def batch_loss_and_grads(model: FusionModel, batch: FusionBatch):
     """One full training step's worth of math, no parameter updates.
 
-    Returns (total, cox, recon, {part name: GradientSet} in ``parts()``
+    Returns (total, cox, recon, {part name: parameter gradient} in ``parts()``
     order, (n, 4, embed) input gradient). A part that saw no rows gets a
     zero gradient. Reconstruction targets are treated as constants,
     gradients flow into the decoder and the fused representation but not
@@ -418,7 +417,7 @@ def batch_loss_and_grads(model: FusionModel, batch: FusionBatch):
     """
     total, cox, recon, fwd = forward_loss(model, batch)
     d_scores = cox_loss_grad(fwd.survival)
-    grads: dict[str, GradientSet] = {}
+    grads: dict[str, np.ndarray] = {}
     grads["hazard_head"], dh = model.hazard_head.backward(fwd.head_tape, d_scores[:, None])
     if fwd.recon_tape is not None:
         d_decoded = model.lam * recon_loss_grad(fwd.decoded, batch.embeddings, batch.alpha)
@@ -427,7 +426,7 @@ def batch_loss_and_grads(model: FusionModel, batch: FusionBatch):
         dh = dh + dh_recon
     body, dx = fuse_backward(model, fwd.fuse_tape, dh)
     grads.update(body)
-    ordered = {name: grads[name] if name in grads else GradientSet.zeros_like(net)
+    ordered = {name: grads[name] if name in grads else np.zeros_like(net.params)
                for name, net in model.parts()}
     return total, cox, recon, ordered, dx
 

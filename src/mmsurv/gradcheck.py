@@ -146,7 +146,7 @@ def _check_total(rng, instances: int, h: float) -> float:
             if _tape_kink_gap(forward_loss(model, batch)[3].net_tapes()) >= _KINK_GUARD:
                 break
         _, _, _, grads, _ = batch_loss_and_grads(model, batch)
-        analytic = np.concatenate([g.flat() for g in grads.values()])
+        analytic = np.concatenate(list(grads.values()))
         p = model.flat_params()
         coords = rng.choice(p.size, size=min(_COORDS_PER_INSTANCE, p.size), replace=False)
 
@@ -199,17 +199,10 @@ def _check_net(rng, dims, activation, output_activation, instances: int, h: floa
             if _tape_kink_gap([tape]) >= _KINK_GUARD:
                 break
         w = rng.normal(0, 1, (1, dims[-1]))
-        grads, _ = net.backward(tape, w)
-        analytic = grads.flat()
-        p = net.flat_params()
-        coords = rng.choice(p.size, size=min(_COORDS_PER_INSTANCE, p.size), replace=False)
-
-        def loss_at():
-            net.set_flat_params(p)
-            return float((w * net.forward(x)[0]).sum())
-
-        numeric = _fd_coords(loss_at, p, coords, h)
-        net.set_flat_params(p)
+        analytic, _ = net.backward(tape, w)
+        coords = rng.choice(net.params.size, size=min(_COORDS_PER_INSTANCE, net.params.size),
+                            replace=False)
+        numeric = _fd_coords(lambda: float((w * net.forward(x)[0]).sum()), net.params, coords, h)
         worst = max(worst, _rel_err(analytic[coords], numeric))
     return worst
 

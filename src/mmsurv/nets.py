@@ -5,8 +5,15 @@ affine layers, each followed by an elementwise activation. ``forward`` runs
 an (n, input) batch of rows through the stack and returns a tape;
 ``backward`` consumes it with one product per layer for each of
 ``dW = dZᵀ·A``, ``db = dZ.sum(0)`` and ``dX = dZ·W``. A single record is a
-one-row batch. The derivatives are written out by hand, and a central
-finite-difference helper serves as the independent oracle in the tests.
+one-row batch. The derivatives are written out by hand and checked against
+central finite differences in the tests.
+
+A network keeps all of its parameters in one contiguous vector,
+``params``: layer by layer, each layer's (out, in) weights row-major and
+then its out biases. Every ``layer.w`` and ``layer.b`` is a reshaped view
+into that vector, so writing ``params`` moves the layers and vice versa.
+``backward`` returns the parameter gradient as one vector in the same
+layout, and the optimizer updates ``params`` with one call per step.
 
 Checkpoints are JSON: dims, per-layer activation ids, and row-major
 parameter lists. Python's float repr round-trips doubles exactly, so a
@@ -31,7 +38,8 @@ CHECKPOINT_FORMAT = "densenet-v1"
 
 # Elements per block of the in-place Adam update: a block's six 128 KiB
 # operands stay in a core's L2 cache across the update's thirteen passes, and
-# the scratch stays small however large the layer (a tensor head's is 3.4 MB).
+# the scratch stays small however large the network (a tensor head's weights
+# alone are 3.4 MB).
 ADAM_BLOCK = 16384
 
 
@@ -69,7 +77,7 @@ class Layer:
 
 
 class DenseNet:
-    """A stack of affine layers with elementwise activations."""
+    """A stack of affine layers with elementwise activations over one parameter vector."""
 
     def __init__(self, layers: list[Layer]):
         if not layers:
@@ -83,10 +91,22 @@ class DenseNet:
                 raise ConfigError(f"layer {k}: input dim {layer.w.shape[1]} does not match previous output")
             if not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
                 raise NumericalError(f"layer {k}: non-finite parameters")
-            # in-place updates work on flat views, which need contiguous storage
-            layer.w = np.ascontiguousarray(layer.w, dtype=np.float64)
-            layer.b = np.ascontiguousarray(layer.b, dtype=np.float64)
-        self.layers = layers
+        self._shapes = [layer.w.shape for layer in layers]
+        self.params = np.concatenate([a for l in layers for a in (np.ravel(l.w), l.b)], dtype=np.float64)
+        self.layers = [Layer(w, b, l.activation) for (w, b), l in zip(self._views(self.params), layers)]
+
+    def __reduce__(self):
+        # pickle copies each array on its own; rebuilding re-creates the views
+        return DenseNet, (self.layers,)
+
+    def _views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views of each layer into a vector in the ``params`` layout."""
+        out, ofs = [], 0
+        for rows, cols in self._shapes:
+            w_end = ofs + rows * cols
+            out.append((flat[ofs:w_end].reshape(rows, cols), flat[w_end:w_end + rows]))
+            ofs = w_end + rows
+        return out
 
     @property
     def input_dim(self) -> int:
@@ -101,7 +121,7 @@ class DenseNet:
         return (self.input_dim,) + tuple(layer.w.shape[0] for layer in self.layers)
 
     def param_count(self) -> int:
-        return sum(layer.w.size + layer.b.size for layer in self.layers)
+        return self.params.size
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """Run an (n, input_dim) batch of rows through the stack.
@@ -123,11 +143,11 @@ class DenseNet:
             a = activate(layer.activation, z)
         return a, tape
 
-    def backward(self, tape: list, upstream: np.ndarray) -> tuple["GradientSet", np.ndarray]:
+    def backward(self, tape: list, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagate an (n, output_dim) upstream block through a forward tape.
 
-        Returns a fresh GradientSet holding the parameter gradients summed
-        over the rows, plus the (n, input_dim) gradient with respect to the
+        Returns a fresh gradient vector in the ``params`` layout, summed over
+        the rows, plus the (n, input_dim) gradient with respect to the
         network input (needed when networks are chained).
         """
         if len(tape) != len(self.layers):
@@ -136,52 +156,20 @@ class DenseNet:
         if upstream.shape != (tape[0][0].shape[0], self.output_dim):
             raise ConfigError(f"upstream shape {upstream.shape} does not match the taped batch "
                               f"of {tape[0][0].shape[0]} rows x {self.output_dim} outputs")
-        dw, db = [None] * len(self.layers), [None] * len(self.layers)
+        grad = np.empty_like(self.params)
+        views = self._views(grad)
         delta = upstream
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
             a_in, z = tape[k]
             dz = delta if layer.activation == "identity" else delta * activate_grad(layer.activation, z)
-            dw[k] = dz.T @ a_in
-            db[k] = dz.sum(axis=0)
+            np.matmul(dz.T, a_in, out=views[k][0])
+            dz.sum(axis=0, out=views[k][1])
             delta = dz @ layer.w
-        return GradientSet(dw, db), delta
+        return grad, delta
 
     def copy(self) -> "DenseNet":
-        return DenseNet([Layer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers])
-
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([l.w.ravel(), l.b]) for l in self.layers])
-
-    def set_flat_params(self, p: np.ndarray) -> None:
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape != (self.param_count(),):
-            raise ConfigError("flat parameter vector has wrong length")
-        ofs = 0
-        for layer in self.layers:
-            n = layer.w.size
-            layer.w[...] = p[ofs:ofs + n].reshape(layer.w.shape)
-            ofs += n
-            layer.b[...] = p[ofs:ofs + layer.b.size]
-            ofs += layer.b.size
-
-
-class GradientSet:
-    """Per-layer parameter gradients for one DenseNet."""
-
-    def __init__(self, dw: list[np.ndarray], db: list[np.ndarray]):
-        self.dw = dw
-        self.db = db
-
-    @classmethod
-    def zeros_like(cls, net: DenseNet) -> "GradientSet":
-        return cls([np.zeros_like(l.w) for l in net.layers], [np.zeros_like(l.b) for l in net.layers])
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in zip(self.dw, self.db)])
-
-    def is_finite(self) -> bool:
-        return all(np.isfinite(dw).all() for dw in self.dw) and all(np.isfinite(db).all() for db in self.db)
+        return DenseNet(self.layers)
 
 
 def init_net(dims: tuple[int, ...], activation: str, seed, output_activation: str | None = None) -> DenseNet:
@@ -228,17 +216,16 @@ class OptimizerState:
         self.eps = eps
         self.t = 0
         if algorithm == "adam":
-            self.m = GradientSet.zeros_like(net)
-            self.v = GradientSet.zeros_like(net)
-            width = min(ADAM_BLOCK, max(l.w.size for l in net.layers))
+            self.m = np.zeros_like(net.params)
+            self.v = np.zeros_like(net.params)
+            width = min(ADAM_BLOCK, net.params.size)
             self.scratch = (np.empty(width), np.empty(width))
 
 
 def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                  state: OptimizerState, c1: float, c2: float) -> None:
-    """Adam on one parameter array in place, in the textbook order of operations."""
+    """Adam on a parameter vector in place, in the textbook order of operations."""
     b1, b2 = state.beta1, state.beta2
-    p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
     for start in range(0, p.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         pb, gb, mb, vb = p[block], g[block], m[block], v[block]
@@ -259,39 +246,20 @@ def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
         pb -= u
 
 
-def optimizer_step(net: DenseNet, grads: GradientSet, state: OptimizerState) -> None:
-    """Apply one update in place. Refuses to step on non-finite gradients."""
-    if len(grads.dw) != len(net.layers):
-        raise ConfigError("gradient set does not match network depth")
-    for k, layer in enumerate(net.layers):
-        if grads.dw[k].shape != layer.w.shape or grads.db[k].shape != layer.b.shape:
-            raise ConfigError(f"gradient shapes do not match layer {k}")
-    if not grads.is_finite():
+def optimizer_step(net: DenseNet, grad: np.ndarray, state: OptimizerState) -> None:
+    """Apply one update to ``net.params`` in place. Refuses to step on non-finite gradients."""
+    if grad.shape != net.params.shape:
+        raise ConfigError(f"gradient of shape {grad.shape} does not match the "
+                          f"{net.params.size} network parameters")
+    if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient entries, step refused")
     state.t += 1
     if state.algorithm == "sgd":
-        for k, layer in enumerate(net.layers):
-            layer.w -= state.lr * grads.dw[k]
-            layer.b -= state.lr * grads.db[k]
+        net.params -= state.lr * grad
         return
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    for k, layer in enumerate(net.layers):
-        _adam_update(layer.w, grads.dw[k], state.m.dw[k], state.v.dw[k], state, c1, c2)
-        _adam_update(layer.b, grads.db[k], state.m.db[k], state.v.db[k], state, c1, c2)
-
-
-def finite_diff_grad(f, p: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function of a vector."""
-    p = np.asarray(p, dtype=np.float64)
-    g = np.zeros_like(p)
-    for k in range(p.size):
-        step = np.zeros_like(p)
-        step[k] = h
-        g[k] = (f(p + step) - f(p - step)) / (2.0 * h)
-    if not np.isfinite(g).all():
-        raise NumericalError("non-finite finite-difference gradient")
-    return g
+    _adam_update(net.params, grad, state.m, state.v, state, c1, c2)
 
 
 def net_to_dict(net: DenseNet) -> dict:

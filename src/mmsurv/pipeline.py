@@ -42,8 +42,8 @@ from .fusion import (DropoutPolicy, FusionBatch, FusionModel, FusionStrategy,
                      batch_loss_and_grads, dropout_masks, fusion_from_dict,
                      fusion_to_dict, init_fusion_model, model_footprint,
                      predict_risk)
-from .nets import (GradientSet, OptimizerState, init_net, net_from_dict,
-                   net_to_dict, optimizer_step, read_json)
+from .nets import (OptimizerState, init_net, net_from_dict, net_to_dict,
+                   optimizer_step, read_json)
 from .survival import concordance_index
 from .unimodal import ENCODER_HIDDEN, export_embeddings, train_unimodal
 
@@ -287,7 +287,7 @@ def train_end_to_end(train: Cohort, config: TrainConfig, cell: ExperimentCell,
         mask = dropout_masks(alpha[idx], policy, dropout_rng)
         batch = FusionBatch(emb, alpha[idx], mask, times[idx], events[idx])
         total, _, _, grads, dx = batch_loss_and_grads(model, batch)
-        enc_grads = {m: GradientSet.zeros_like(encoders[m]) for m in MODALITIES if m not in tapes}
+        enc_grads = {m: np.zeros_like(encoders[m].params) for m in MODALITIES if m not in tapes}
         for m, (rows, tape) in tapes.items():
             enc_grads[m], _ = encoders[m].backward(tape, dx[rows, m])
         for name, net in model.parts():

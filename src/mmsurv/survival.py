@@ -63,13 +63,6 @@ class SurvivalBatch:
         return int(self.events.sum())
 
 
-def risk_set(times: np.ndarray, i: int) -> np.ndarray:
-    """Indices of samples still at risk at times[i], sample i included."""
-    times = np.asarray(times, dtype=np.float64)
-    if not 0 <= i < times.shape[0]:
-        raise DataError(f"index {i} out of range for {times.shape[0]} samples")
-    return np.flatnonzero(times >= times[i])
-
 def cox_loss(batch: SurvivalBatch) -> float:
     """Negative Cox partial log-likelihood of one batch."""
     if batch.n_events == 0:

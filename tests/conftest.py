@@ -1,4 +1,5 @@
-"""Shared pytest wiring: one summary line per acceptance criterion.
+"""Shared pytest wiring: one summary line per acceptance criterion, and
+the tests' finite-difference oracle.
 
 Acceptance tests are named test_criterion_<number><subtag>_<slug>; every
 phase outcome is collected here and folded into a single PASS/FAIL line
@@ -6,6 +7,34 @@ per criterion at the end of the run.
 """
 
 import re
+
+import numpy as np
+
+from mmsurv.errors import NumericalError
+from mmsurv.nets import OptimizerState, optimizer_step
+
+
+def finite_diff_grad(f, p: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central finite-difference gradient of a scalar function of a vector."""
+    p = np.asarray(p, dtype=np.float64)
+    g = np.zeros_like(p)
+    for k in range(p.size):
+        step = np.zeros_like(p)
+        step[k] = h
+        g[k] = (f(p + step) - f(p - step)) / (2.0 * h)
+    if not np.isfinite(g).all():
+        raise NumericalError("non-finite finite-difference gradient")
+    return g
+
+
+def assert_layers_view_params(net) -> None:
+    """Every layer array is a view into ``net.params``, and a step moves them all."""
+    for layer in net.layers:
+        assert np.shares_memory(layer.w, net.params) and np.shares_memory(layer.b, net.params)
+    before = [(layer.w.copy(), layer.b.copy()) for layer in net.layers]
+    optimizer_step(net, np.ones_like(net.params), OptimizerState("sgd", lr=0.25, net=net))
+    for layer, (w, b) in zip(net.layers, before):
+        assert np.array_equal(layer.w, w - 0.25) and np.array_equal(layer.b, b - 0.25)
 
 _CRITERION = re.compile(r"test_acceptance.*::test_criterion_(\d+)([a-z]?)_")
 

@@ -175,6 +175,18 @@ def test_bad_gradcheck_arguments_are_usage_errors(capsys, flag, value):
     assert "Traceback" not in err
 
 
+def test_train_uni_without_events_to_fit_exits_two(tmp_path, capsys):
+    # 99% held out leaves two records per modality to fit; under these seeds
+    # neither demographics record has an event, so no step could be taken
+    data = tmp_path / "c.csv"
+    assert run("synth", "--n", 300, "--seed", 8, "--out", data, "--quiet") == 0
+    assert run("train-uni", "--data", data, "--seed", 1, "--val-fraction", 0.99,
+               "--stage1-epochs", 3, "--out-dir", tmp_path / "enc", "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "data error: stage 1 (demographics): the fit part has no observed events" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 def test_worker_counts_below_one_are_usage_errors(tmp_path, capsys, monkeypatch, workers):
     monkeypatch.chdir(tmp_path)

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from conftest import assert_layers_view_params
 from mmsurv.config import fit
-from mmsurv.errors import NumericalError
+from mmsurv.errors import DataError, NumericalError
 from mmsurv.nets import init_net
 
 N = 40
@@ -65,6 +66,7 @@ def test_best_copy_is_restored_in_place():
     for net, b0 in zip(nets, originals):
         # the best epoch is the second, so two epochs' worth of steps are kept
         assert np.array_equal(net.layers[0].b, b0 + 2 * steps_per_epoch)
+        assert_layers_view_params(net)
 
 
 def test_split_holds_out_the_rounded_fraction_and_never_trains_on_it():
@@ -123,3 +125,19 @@ def test_a_numerical_error_in_step_names_the_context_and_the_epoch():
     with pytest.raises(NumericalError, match=r"^toy training diverged at epoch 2: non-finite") as info:
         run_fit(nets, step, lambda idx: np.zeros(len(idx)), val_fraction=0.0, epochs=10)
     assert isinstance(info.value.__cause__, NumericalError)
+
+
+def test_a_fit_part_without_events_is_a_data_error():
+    nets, calls = toy_nets(1), []
+    times = np.arange(1.0, N + 1)
+    # the split permutation puts these ten records in the hold-out
+    perm = np.random.default_rng(1).permutation(N)
+    events = np.zeros(N)
+    events[perm[:10]] = 1.0
+    with pytest.raises(DataError, match=r"^toy training: the fit part has no observed events$"):
+        run_fit(nets, counting_step(nets, calls), lambda idx: -times[idx], events=events)
+    assert calls == []
+    events[perm[10]] = 1.0  # one event among the fitted records: every epoch takes a step
+    trace = run_fit(nets, counting_step(nets, calls), lambda idx: -times[idx], events=events,
+                    epochs=3, val_fraction=0.25)
+    assert len(calls) == 3 and [e["train_loss"] for e in trace.epochs] == [1.0, 2.0, 3.0]

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 
+from conftest import assert_layers_view_params, finite_diff_grad
 from mmsurv.errors import ConfigError, DataError, NumericalError
 from mmsurv.gradcheck import _net_configs
-from mmsurv.nets import (ADAM_BLOCK, SELU_ALPHA, SELU_LAMBDA, DenseNet, GradientSet,
-                         Layer, OptimizerState, activate, finite_diff_grad, init_net,
-                         net_from_dict, net_to_dict, optimizer_step)
+from mmsurv.nets import (ADAM_BLOCK, SELU_ALPHA, SELU_LAMBDA, DenseNet, Layer,
+                         OptimizerState, activate, init_net, net_from_dict, net_to_dict,
+                         optimizer_step)
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -77,7 +79,7 @@ def test_backward_zero_upstream_gives_zero_gradients():
     net = init_net((5, 4, 2), "selu", seed=1)
     _, tape = net.forward(np.random.default_rng(0).normal(size=(1, 5)))
     grads, dx = net.backward(tape, np.zeros((1, 2)))
-    assert np.all(grads.flat() == 0.0)
+    assert grads.shape == net.params.shape and np.all(grads == 0.0)
     assert np.all(dx == 0.0)
 
 
@@ -102,14 +104,14 @@ def test_backward_matches_finite_differences(activation):
 
         def loss(p, net=net, x=x, upstream=upstream):
             probe = net.copy()
-            probe.set_flat_params(p)
+            probe.params[...] = p
             y, _ = probe.forward(x)
             return float((upstream * y).sum())
 
         _, tape = net.forward(x)
         grads, _ = net.backward(tape, upstream)
-        numeric = finite_diff_grad(loss, net.flat_params(), h=1e-5)
-        assert rel_err(grads.flat(), numeric) < 1e-4
+        numeric = finite_diff_grad(loss, net.params, h=1e-5)
+        assert rel_err(grads, numeric) < 1e-4
 
 
 def test_backward_input_grad_matches_finite_differences():
@@ -138,7 +140,7 @@ def test_batched_backward_equals_sum_of_row_calls(name, dims, act, out_act):
     grads, dx = net.backward(tape, upstream)
     rows = [net.backward(net.forward(x[i:i + 1])[1], upstream[i:i + 1]) for i in range(5)]
     assert rel_err(y, np.vstack([net.forward(x[i:i + 1])[0] for i in range(5)])) < 1e-12
-    assert rel_err(grads.flat(), sum(g.flat() for g, _ in rows)) < 1e-12
+    assert rel_err(grads, sum(g for g, _ in rows)) < 1e-12
     assert rel_err(dx, np.vstack([d for _, d in rows])) < 1e-12
 
 
@@ -160,44 +162,38 @@ def test_selu_stack_keeps_activations_normalized():
 
 def test_sgd_step_is_plain_descent():
     net = DenseNet([Layer(np.array([[1.0]]), np.array([0.0]), "identity")])
-    grads = GradientSet([np.array([[2.0]])], [np.array([0.0])])
     state = OptimizerState("sgd", lr=0.1, net=net)
-    optimizer_step(net, grads, state)
+    optimizer_step(net, np.array([2.0, 0.0]), state)
     assert net.layers[0].w[0, 0] == pytest.approx(0.8, abs=0)
 
 
 @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
 def test_adam_first_step_size_is_learning_rate(magnitude):
     net = DenseNet([Layer(np.array([[0.0]]), np.array([0.0]), "identity")])
-    grads = GradientSet([np.array([[magnitude]])], [np.array([0.0])])
     state = OptimizerState("adam", lr=0.01, net=net)
-    optimizer_step(net, grads, state)
+    optimizer_step(net, np.array([magnitude, 0.0]), state)
     assert abs(net.layers[0].w[0, 0] + 0.01) < 1e-5 * 0.01 + 1e-12
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
     net = init_net((3, 2), "relu", seed=4)
-    before = net.flat_params()
+    before = net.params.copy()
     state = OptimizerState("adam", lr=0.05, net=net)
-    optimizer_step(net, GradientSet.zeros_like(net), state)
-    assert np.array_equal(net.flat_params(), before)
+    optimizer_step(net, np.zeros_like(net.params), state)
+    assert np.array_equal(net.params, before)
 
 
-def test_adam_in_place_blocks_match_textbook_update():
-    # a weight matrix larger than one block exercises the blocked passes
-    net = init_net((300, 100, 2), "relu", seed=6)
-    assert net.layers[0].w.size > ADAM_BLOCK
+def assert_adam_matches_textbook(net):
     rng = np.random.default_rng(7)
     state = OptimizerState("adam", lr=0.01, net=net)
     params = [a.copy() for l in net.layers for a in (l.w, l.b)]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     for t in range(1, 4):
-        grads = GradientSet([rng.normal(size=l.w.shape) for l in net.layers],
-                            [rng.normal(size=l.b.shape) for l in net.layers])
-        optimizer_step(net, grads, state)
+        grads = [rng.normal(size=p.shape) for p in params]
+        optimizer_step(net, np.concatenate([g.ravel() for g in grads]), state)
         c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-        for k, g in enumerate(a for pair in zip(grads.dw, grads.db) for a in pair):
+        for k, g in enumerate(grads):
             m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
             v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
             params[k] = params[k] - 0.01 * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
@@ -205,15 +201,29 @@ def test_adam_in_place_blocks_match_textbook_update():
             assert np.array_equal(p, params[k])
 
 
+def test_adam_in_place_blocks_match_textbook_update():
+    # a weight matrix larger than one block exercises the blocked passes
+    net = init_net((300, 100, 2), "relu", seed=6)
+    assert net.layers[0].w.size > ADAM_BLOCK
+    assert_adam_matches_textbook(net)
+
+
+def test_adam_blocks_that_span_layers_match_textbook_update():
+    # the first block ends inside the second layer's weights
+    net = init_net((100, 100, 100), "relu", seed=6)
+    assert net.layers[0].w.size + net.layers[0].b.size < ADAM_BLOCK < net.params.size
+    assert_adam_matches_textbook(net)
+
+
 def test_nonfinite_gradient_refuses_step():
     net = init_net((3, 2), "relu", seed=4)
-    before = net.flat_params()
-    grads = GradientSet.zeros_like(net)
-    grads.dw[0][0, 0] = np.nan
+    before = net.params.copy()
+    grads = np.zeros_like(net.params)
+    grads[0] = np.nan
     state = OptimizerState("adam", lr=0.05, net=net)
     with pytest.raises(NumericalError):
         optimizer_step(net, grads, state)
-    assert np.array_equal(net.flat_params(), before)
+    assert np.array_equal(net.params, before)
 
 
 def test_gradient_shape_mismatch_rejected():
@@ -221,7 +231,7 @@ def test_gradient_shape_mismatch_rejected():
     other = init_net((4, 2), "relu", seed=4)
     state = OptimizerState("sgd", lr=0.1, net=net)
     with pytest.raises(ConfigError):
-        optimizer_step(net, GradientSet.zeros_like(other), state)
+        optimizer_step(net, np.zeros_like(other.params), state)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -258,3 +268,18 @@ def test_net_dict_round_trip_without_file():
     net = init_net((4, 4), "tanh", seed=8)
     clone = net_from_dict(net_to_dict(net))
     assert np.array_equal(net.layers[0].w, clone.layers[0].w)
+
+
+@pytest.mark.parametrize("make", [
+    lambda net: net,
+    lambda net: net.copy(),
+    lambda net: net_from_dict(net_to_dict(net)),
+    lambda net: pickle.loads(pickle.dumps(net)),
+], ids=["init_net", "copy", "net_from_dict", "pickle"])
+def test_layer_arrays_are_views_into_params(make):
+    source = init_net((5, 4, 3), "selu", seed=40, output_activation="identity")
+    net = make(source)
+    assert net.dims == source.dims and np.array_equal(net.params, source.params)
+    if net is not source:
+        assert not np.shares_memory(net.params, source.params)
+    assert_layers_view_params(net)

@@ -21,9 +21,9 @@ def fast_pair(seed=5, n_train=160, n_test=90):
 
 
 def predictor_params(p):
-    parts = [net.flat_params() for _, net in p.fusion.parts()]
+    parts = [net.params for _, net in p.fusion.parts()]
     if p.encoders is not None:
-        parts += [p.encoders[m].flat_params() for m in MODALITIES]
+        parts += [p.encoders[m].params for m in MODALITIES]
     return np.concatenate(parts)
 
 
@@ -68,8 +68,8 @@ def test_shared_encoders_give_identical_fusion_input():
     direct = train_two_stage(train, FAST, cell, stage1_encoders=encoders)
     table = export_embeddings(encoders, train)
     on_table = train_fusion_on_table(table, FAST, cell)
-    a = np.concatenate([n.flat_params() for _, n in direct.fusion.parts()])
-    b = np.concatenate([n.flat_params() for _, n in on_table.fusion.parts()])
+    a = np.concatenate([n.params for _, n in direct.fusion.parts()])
+    b = np.concatenate([n.params for _, n in on_table.fusion.parts()])
     assert np.array_equal(a, b)
 
 

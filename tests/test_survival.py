@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import finite_diff_grad
 from mmsurv.errors import DataError, NumericalError
-from mmsurv.nets import finite_diff_grad
 from mmsurv.survival import (SurvivalBatch, concordance_index, cox_loss, cox_loss_grad,
-                             has_comparable_pair, risk_set)
+                             has_comparable_pair)
 
 
 def cox_loss_enumerated(hazards, times, events) -> float:
@@ -68,14 +68,6 @@ def random_batch(rng, n, with_ties=False):
         events[rng.integers(n)] = 1.0
     hazards = rng.normal(size=n)
     return hazards, times, events
-
-
-def test_risk_set_includes_ties_and_self():
-    times = np.array([3.1, 1.0, 3.1, 7.4])
-    assert risk_set(times, 0).tolist() == [0, 2, 3]
-    assert risk_set(times, 3).tolist() == [3]
-    all_equal = np.full(5, 2.0)
-    assert risk_set(all_equal, 2).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_cox_loss_single_event_is_exactly_zero():
