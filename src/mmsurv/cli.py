@@ -114,7 +114,7 @@ def _print_config(args) -> None:
 
 
 def _write_trace(trace, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "train_loss", "val_cindex"])
         for row in trace.epochs:
@@ -215,7 +215,7 @@ def _cmd_eval(args) -> int:
         payload = {"cindex": result.cindex, "std": result.std, "n_test": result.n_test,
                    "n_dropped": result.n_dropped, "scenario": args.scenario,
                    "bootstrap": args.bootstrap, "seed": args.seed}
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
     return 0
 

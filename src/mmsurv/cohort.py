@@ -11,9 +11,11 @@ vectorized, when a cohort is built, and are read-only afterwards, so every
 cohort derived from them (a subset, a scenario view, an embedding table) is
 an array operation.
 
-``PatientRecord`` is the row view. ``Cohort(schema, records)`` packs Python
-rows into columns, and ``Cohort.records`` builds the rows back on demand for
-callers that want them one at a time.
+Columns are the only way in: ``Cohort(schema, ids, times, events,
+availability, blocks)`` is the one constructor, so its vectorized checks are
+the one definition of a valid record. ``Cohort.records`` builds read-only
+``PatientRecord`` rows from the checked columns, on demand, for callers that
+want them one at a time.
 
 Files are plain CSV with one row per patient and a presence flag ahead of
 each modality block, plus a small key=value sidecar declaring the block
@@ -92,47 +94,22 @@ def embedding_schema(schema: ModalitySchema) -> ModalitySchema:
 
 @dataclass(frozen=True, eq=False)
 class PatientRecord:
-    """One patient: outcome plus per-modality feature blocks (None = absent)."""
+    """One row of a cohort: outcome plus per-modality feature views (None = absent).
+
+    Unchecked; only ``Cohort.records`` builds these, from checked columns.
+    """
 
     id: str
     time: float
     event: int
     features: tuple
 
-    def __post_init__(self):
-        if not self.id:
-            raise DataError("record id must be non-empty")
-        if not np.isfinite(self.time) or self.time <= 0:
-            raise DataError(f"record {self.id!r}: survival time must be finite and positive")
-        if self.event not in (0, 1):
-            raise DataError(f"record {self.id!r}: event must be 0 or 1")
-        if len(self.features) != N_MODALITIES:
-            raise DataError(f"record {self.id!r}: expected {N_MODALITIES} feature blocks")
-        cleaned = []
-        for m in MODALITIES:
-            x = self.features[m]
-            if x is None:
-                cleaned.append(None)
-                continue
-            x = np.asarray(x, dtype=np.float64)
-            if x.ndim != 1 or not np.isfinite(x).all():
-                raise DataError(f"record {self.id!r}: {m.label} features must be a finite vector")
-            cleaned.append(x)
-        if all(x is None for x in cleaned):
-            raise DataError(f"record {self.id!r}: no modality available")
-        object.__setattr__(self, "features", tuple(cleaned))
-        object.__setattr__(self, "availability",
-                           np.array([0 if x is None else 1 for x in cleaned], dtype=np.int64))
-
     def has(self, modality: ModalityId) -> bool:
         return self.features[modality] is not None
 
-    def is_complete(self) -> bool:
-        return all(x is not None for x in self.features)
-
 
 def _row_error(ids, times, events, availability, blocks) -> str | None:
-    """The PatientRecord message of the first record, in row order, that fails its checks."""
+    """The message of the first record, in row order, that fails the record checks."""
     if not len(ids):
         return None
     checks = [(ids == "", lambda rid: "record id must be non-empty"),
@@ -155,51 +132,16 @@ class Cohort:
     """A schema, one read-only column per field, and (for synthetic data) the true risks.
 
     ``ids`` (object), ``times`` and ``events`` (float64) are (n,) arrays,
-    ``availability`` is the (n, 4) int64 matrix of 0/1 flags, and
-    ``ground_truth_risk`` is an (n,) array or None. ``Cohort(schema,
-    records, ground_truth_risk)`` packs PatientRecords; ``Cohort.from_columns``
-    takes the arrays directly. Both check every record, vectorized, and
-    reject duplicate ids.
+    ``availability`` is the (n, 4) int64 matrix of 0/1 flags, ``blocks``
+    lists one (n, width) float64 block per modality, zero in the rows where
+    ``availability`` is 0, and ``ground_truth_risk`` is an (n,) array or
+    None. Arrays of the right dtype are kept, not copied, and made
+    read-only. Every record is checked, vectorized, by ``_row_error``, and
+    duplicate ids are rejected.
     """
 
-    def __init__(self, schema: ModalitySchema, records, ground_truth_risk=None):
-        records = list(records)
-        seen = set()
-        for r in records:
-            if r.id in seen:
-                raise DataError(f"duplicate record id {r.id!r}")
-            seen.add(r.id)
-            for m in MODALITIES:
-                x = r.features[m]
-                if x is not None and x.shape[0] != schema.dim(m):
-                    raise DataError(f"record {r.id!r}: {m.label} has {x.shape[0]} features, "
-                                    f"schema declares {schema.dim(m)}")
-        n = len(records)
-        availability = np.array([r.availability for r in records], dtype=np.int64).reshape(n, N_MODALITIES)
-        blocks = []
-        for m in MODALITIES:
-            block = np.zeros((n, schema.dim(m)))
-            rows = np.flatnonzero(availability[:, m])
-            if rows.size:
-                block[rows] = np.stack([records[i].features[m] for i in rows])
-            blocks.append(block)
-        gt = None if ground_truth_risk is None else np.array(ground_truth_risk, dtype=np.float64)
-        self._set_columns(schema, [r.id for r in records], [r.time for r in records],
-                          [r.event for r in records], availability, blocks, gt)
-
-    @classmethod
-    def from_columns(cls, schema: ModalitySchema, ids, times, events, availability, blocks,
-                     ground_truth_risk=None) -> "Cohort":
-        """A cohort over the given columns; arrays of the right dtype are kept, made read-only.
-
-        ``blocks`` lists one (n, width) block per modality, zero in the rows
-        where ``availability`` is 0.
-        """
-        cohort = cls.__new__(cls)
-        cohort._set_columns(schema, ids, times, events, availability, blocks, ground_truth_risk)
-        return cohort
-
-    def _set_columns(self, schema, ids, times, events, availability, blocks, ground_truth_risk):
+    def __init__(self, schema: ModalitySchema, ids, times, events, availability, blocks,
+                 ground_truth_risk=None):
         ids = np.asarray(ids, dtype=object)
         n = len(ids)
         times = np.asarray(times, dtype=np.float64)
@@ -229,8 +171,8 @@ class Cohort:
         self.availability, self.ground_truth_risk, self._blocks = availability, ground_truth_risk, blocks
 
     def __reduce__(self):
-        return Cohort.from_columns, (self.schema, self.ids, self.times, self.events,
-                                     self.availability, self._blocks, self.ground_truth_risk)
+        return Cohort, (self.schema, self.ids, self.times, self.events, self.availability,
+                        self._blocks, self.ground_truth_risk)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -267,8 +209,8 @@ class Cohort:
         availability = self.availability if availability is None else availability
         blocks = self._blocks if blocks is None else blocks
         gt = None if self.ground_truth_risk is None else self.ground_truth_risk[rows]
-        return Cohort.from_columns(self.schema, self.ids[rows], self.times[rows], self.events[rows],
-                                   availability[rows], [b[rows] for b in blocks], gt)
+        return Cohort(self.schema, self.ids[rows], self.times[rows], self.events[rows],
+                      availability[rows], [b[rows] for b in blocks], gt)
 
 
 def complete_subset(cohort: Cohort) -> Cohort:
@@ -425,13 +367,13 @@ def load_cohort(path: str, schema: ModalitySchema) -> Cohort:
         raise DataError(f"{path}: unreadable CSV ({e})") from None
     if not len(columns[0]):
         raise DataError(f"{path}: cohort has no records")
-    cohort = Cohort.from_columns(schema, *columns)
+    cohort = Cohort(schema, *columns)
     cohort.require_events(path)
     return cohort
 
 
 def _read_columns(path: str, reader, schema: ModalitySchema) -> tuple:
-    """Stream the rows into column buffers; returns the arguments of ``Cohort.from_columns``.
+    """Stream the rows into column buffers; returns the ``Cohort`` arguments after the schema.
 
     A row that does not parse is reported after any invalid record above
     it, which is the order the records would fail in one at a time.
@@ -597,9 +539,9 @@ def generate_synthetic(n: int, seed: int, *, schema: ModalitySchema = DEFAULT_SC
                 break
         ids.append(f"p{i:0{width}d}")
 
-    cohort = Cohort.from_columns(schema, ids, time, event, keep,
-                                 [np.where(keep[:, m, None], blocks[m], 0.0) for m in MODALITIES],
-                                 ground_truth_risk=risk)
+    cohort = Cohort(schema, ids, time, event, keep,
+                    [np.where(keep[:, m, None], blocks[m], 0.0) for m in MODALITIES],
+                    ground_truth_risk=risk)
     cohort.require_events("synthetic generation (every record was censored, lower censor_rate)")
     return cohort
 

@@ -80,7 +80,9 @@ def fit(nets, step, val_risks, times, events, *, epochs: int, batch_size: int, p
     round(n * val_fraction) records for validation. Each epoch visits the
     rest in a fresh order drawn from ``shuffle_seed``, ``batch_size`` at a
     time, and skips a batch without events, which has no Cox loss; a rest
-    without any event is a DataError, so every epoch takes a step.
+    without any event is a DataError, so every epoch takes a step, and so is
+    a rest whose Cox loss is exactly zero because no event in it has another
+    record at or after its time.
     ``step(idx)`` and ``val_risks(idx)`` take indices into ``times`` and
     ``events``. While the validation c-index improves, the networks'
     ``params`` are copied; once it has not improved for more than
@@ -94,6 +96,10 @@ def fit(nets, step, val_risks, times, events, *, epochs: int, batch_size: int, p
     val_idx, fit_idx = perm[:n_val], perm[n_val:]
     if not events[fit_idx].any():
         raise DataError(f"{context}: the fit part has no observed events")
+    fit_times = times[fit_idx]
+    if np.count_nonzero(fit_times >= fit_times[events[fit_idx] != 0].min()) < 2:
+        raise DataError(f"{context}: no event in the fit part has another record at or after "
+                        "its time, so the Cox loss is zero")
     use_val = has_comparable_pair(times[val_idx], events[val_idx])
     shuffle_rng = np.random.default_rng(shuffle_seed)
 

@@ -75,15 +75,7 @@ def _check_cox(rng, instances: int, h: float) -> float:
         if events.sum() == 0:
             events[int(rng.integers(0, n))] = 1
         analytic = cox_loss_grad(SurvivalBatch(hz, times, events))
-        numeric = np.zeros(n)
-        for j in range(n):
-            saved = hz[j]
-            hz[j] = saved + h
-            hi = cox_loss(SurvivalBatch(hz, times, events))
-            hz[j] = saved - h
-            lo = cox_loss(SurvivalBatch(hz, times, events))
-            hz[j] = saved
-            numeric[j] = (hi - lo) / (2 * h)
+        numeric = _fd_coords(lambda: cox_loss(SurvivalBatch(hz, times, events)), hz, np.arange(n), h)
         worst = max(worst, _rel_err(analytic, numeric))
     return worst
 

@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -426,13 +427,12 @@ class AblationReport:
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir) -> None:
-        import os
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.csv"), "w") as fh:
+        with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
             fh.write(self.to_csv_text())
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(self.to_json_text())
-        with open(os.path.join(out_dir, "report.md"), "w") as fh:
+        with open(os.path.join(out_dir, "report.md"), "w", encoding="utf-8") as fh:
             fh.write(self.to_markdown_text())
 
 

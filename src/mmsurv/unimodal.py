@@ -113,8 +113,8 @@ def export_embeddings(encoders, cohort: Cohort) -> Cohort:
         if rows.size:
             block[rows] = encoders[m].embed(cohort.block(m)[rows])
         blocks.append(block)
-    return Cohort.from_columns(schema, cohort.ids, cohort.times, cohort.events, avail, blocks,
-                               cohort.ground_truth_risk)
+    return Cohort(schema, cohort.ids, cohort.times, cohort.events, avail, blocks,
+                  cohort.ground_truth_risk)
 
 
 def save_unimodal(model: UnimodalEncoder, path: str) -> None:

@@ -1,5 +1,5 @@
-"""Shared pytest wiring: one summary line per acceptance criterion, and
-the tests' finite-difference oracle.
+"""Shared pytest wiring: one summary line per acceptance criterion, the
+tests' finite-difference oracle, and the row builder for test cohorts.
 
 Acceptance tests are named test_criterion_<number><subtag>_<slug>; every
 phase outcome is collected here and folded into a single PASS/FAIL line
@@ -7,11 +7,39 @@ per criterion at the end of the run.
 """
 
 import re
+from typing import NamedTuple
 
 import numpy as np
 
+from mmsurv.cohort import MODALITIES, Cohort
 from mmsurv.errors import NumericalError
 from mmsurv.nets import OptimizerState, optimizer_step
+
+
+class Row(NamedTuple):
+    """One test record: outcome plus per-modality features, None where absent."""
+
+    id: str
+    time: float
+    event: int
+    features: tuple
+
+    def has(self, modality) -> bool:
+        return self.features[modality] is not None
+
+
+def cohort_from_rows(schema, rows, gt=None) -> Cohort:
+    """Pack (id, time, event, features) rows, or ``Cohort.records`` views, into a Cohort.
+
+    Absent modalities become zero rows of their block. The rows are not
+    checked here: an invalid one fails the Cohort's own record checks.
+    """
+    ids, times, events, feats = zip(*(r if isinstance(r, tuple) else (r.id, r.time, r.event, r.features)
+                                      for r in rows))
+    blocks = [np.stack([np.zeros(schema.dim(m)) if f[m] is None else np.asarray(f[m], dtype=np.float64)
+                        for f in feats]) for m in MODALITIES]
+    availability = [[int(f[m] is not None) for m in MODALITIES] for f in feats]
+    return Cohort(schema, ids, times, events, availability, blocks, gt)
 
 
 def finite_diff_grad(f, p: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -1,10 +1,14 @@
 """CLI workflows, exit codes, and byte determinism, driven in-process."""
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import mmsurv
 from mmsurv.cli import main
 from mmsurv.cohort import MODALITIES, generate_synthetic, save_cohort, save_schema
 from mmsurv.config import TrainConfig
@@ -185,6 +189,42 @@ def test_train_uni_without_events_to_fit_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error: stage 1 (demographics): the fit part has no observed events" in err
     assert "Traceback" not in err
+
+
+def test_train_uni_with_a_zero_cox_loss_exits_two(tmp_path, capsys):
+    # pathology's two fitted records are a censored one and a later event,
+    # whose risk set is itself, so every step would have a zero loss and gradient
+    data = tmp_path / "c.csv"
+    assert run("synth", "--n", 300, "--seed", 1, "--out", data, "--quiet") == 0
+    assert run("train-uni", "--data", data, "--seed", 1, "--val-fraction", 0.99,
+               "--stage1-epochs", 3, "--out-dir", tmp_path / "enc", "--quiet") == 2
+    err = capsys.readouterr().err
+    assert ("data error: stage 1 (pathology): no event in the fit part has another record "
+            "at or after its time, so the Cox loss is zero") in err
+    assert "Traceback" not in err
+
+
+def test_output_files_never_use_the_locale_encoding(tmp_path):
+    # -X warn_default_encoding makes every open() that falls back on the
+    # locale encoding warn, and -W error turns that warning into a failure
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mmsurv.__file__)))
+    commands = [
+        ["synth", "--n", 200, "--seed", 1, "--out", "c.csv"],
+        ["train-uni", "--data", "c.csv", "--seed", 1, "--stage1-epochs", 2, "--out-dir", "enc"],
+        ["train-fuse", "--data", "c.csv", "--encoders", "enc", "--strategy", "mean", "--seed", 1,
+         "--fusion-epochs", 2, "--out-dir", "fuse"],
+        ["eval", "--model", "fuse/model.json", "--data", "c.csv", "--seed", 1, "--bootstrap", 10,
+         "--out", "eval.json"],
+        ["ablate", "--seed", 1, "--n-train", 150, "--n-test", 80, "--strategies", "mean",
+         "--stage1-epochs", 2, "--fusion-epochs", 2, "--bootstrap", 10, "--out-dir", "grid"],
+    ]
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                               "-m", "mmsurv", *map(str, argv), "--quiet"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, f"{argv[0]}: {proc.stderr}"
+    assert (tmp_path / "enc" / "genomics_trace.csv").exists() and (tmp_path / "eval.json").exists()
+    assert (tmp_path / "grid" / "report.md").stat().st_size > 0
 
 
 @pytest.mark.parametrize("workers", [0, -2])

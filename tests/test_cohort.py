@@ -2,17 +2,19 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import Row, cohort_from_rows
 from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, N_MODALITIES, SCENARIOS, Cohort,
-                           MissingnessScenario, ModalityId, ModalitySchema, PatientRecord,
-                           apply_scenario, cohorts_equal, complete_subset, embedding_schema,
-                           generate_synthetic, load_cohort, load_schema, save_cohort,
-                           save_schema, scenario_by_name, split)
+                           MissingnessScenario, ModalityId, ModalitySchema, apply_scenario,
+                           cohorts_equal, complete_subset, embedding_schema, generate_synthetic,
+                           load_cohort, load_schema, save_cohort, save_schema, scenario_by_name,
+                           split)
 from mmsurv.errors import ConfigError, DataError
 from mmsurv.survival import concordance_index
 
@@ -21,14 +23,19 @@ SMALL_SCHEMA = ModalitySchema(raw_dims=(3, 2, 4, 2), embed_dim=5)
 
 def make_record(rid, time=10.0, event=1, present=(1, 1, 1, 1), schema=SMALL_SCHEMA, fill=1.0):
     feats = tuple(np.full(schema.dim(m), fill) if present[m] else None for m in MODALITIES)
-    return PatientRecord(rid, time, event, feats)
+    return Row(rid, time, event, feats)
+
+
+def pattern(record):
+    """The 0/1 presence flags of one record, in modality order."""
+    return [int(record.has(m)) for m in MODALITIES]
 
 
 def make_cohort(n=6, schema=SMALL_SCHEMA, presents=None):
     presents = presents or [(1, 1, 1, 1)] * n
     records = [make_record(f"r{i}", time=float(i + 1), event=i % 2, present=presents[i],
                            schema=schema, fill=float(i)) for i in range(n)]
-    return Cohort(schema, records)
+    return cohort_from_rows(schema, records)
 
 
 def test_modality_order_is_fixed():
@@ -39,24 +46,26 @@ def test_modality_order_is_fixed():
 
 
 def test_record_validation():
-    with pytest.raises(DataError):
-        make_record("x", time=0.0)
-    with pytest.raises(DataError):
-        make_record("x", event=2)
-    with pytest.raises(DataError):
-        make_record("x", present=(0, 0, 0, 0))
-    r = make_record("x", present=(0, 1, 0, 0))
-    assert r.availability.tolist() == [0, 1, 0, 0]
-    assert not r.is_complete()
+    for row, message in [(make_record("x", time=0.0), "record 'x': survival time must be finite and positive"),
+                         (make_record("x", event=2), "record 'x': event must be 0 or 1"),
+                         (make_record("x", present=(0, 0, 0, 0)), "record 'x': no modality available"),
+                         (make_record(""), "record id must be non-empty"),
+                         (make_record("x", fill=np.nan),
+                          "record 'x': radiology features must be a finite vector")]:
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            cohort_from_rows(SMALL_SCHEMA, [row])
+    c = cohort_from_rows(SMALL_SCHEMA, [make_record("x", present=(0, 1, 0, 0))])
+    assert pattern(c.records[0]) == [0, 1, 0, 0]
+    assert len(complete_subset(c)) == 0
 
 
 def test_cohort_rejects_duplicate_ids_and_bad_dims():
     records = [make_record("a"), make_record("a")]
     with pytest.raises(DataError):
-        Cohort(SMALL_SCHEMA, records)
-    wrong = PatientRecord("b", 1.0, 1, (np.ones(99), None, None, np.ones(2)))
+        cohort_from_rows(SMALL_SCHEMA, records)
+    wrong = Row("b", 1.0, 1, (np.ones(99), None, None, np.ones(2)))
     with pytest.raises(DataError):
-        Cohort(SMALL_SCHEMA, [wrong])
+        cohort_from_rows(SMALL_SCHEMA, [wrong])
 
 
 def test_schema_round_trip(tmp_path):
@@ -153,7 +162,7 @@ def test_load_rejects_negative_time_naming_record(tmp_path):
 
 def test_load_rejects_zero_event_file(tmp_path):
     records = [make_record(f"r{i}", event=0) for i in range(3)]
-    cohort = Cohort(SMALL_SCHEMA, records)
+    cohort = cohort_from_rows(SMALL_SCHEMA, records)
     path = tmp_path / "c.csv"
     save_cohort(cohort, str(path))
     with pytest.raises(DataError, match="zero observed events"):
@@ -166,8 +175,8 @@ def test_absent_block_round_trips_as_absent(tmp_path):
     path = tmp_path / "c.csv"
     save_cohort(cohort, str(path))
     again = load_cohort(str(path), SMALL_SCHEMA)
-    assert again.records[0].availability.tolist() == [1, 0, 1, 1]
-    assert again.records[2].availability.tolist() == [0, 1, 0, 1]
+    assert pattern(again.records[0]) == [1, 0, 1, 1]
+    assert pattern(again.records[2]) == [0, 1, 0, 1]
     assert again.records[0].features[ModalityId.PATHOLOGY] is None
 
 
@@ -257,7 +266,7 @@ def test_apply_scenario_masks_named_modalities():
     assert np.all(out.availability[:, ModalityId.PATHOLOGY] == 0)
     assert np.all(out.availability[:, ModalityId.RADIOLOGY] == 1)
     both = apply_scenario(c, scenario_by_name("gene-pathology-missing"))
-    assert both.records[0].availability.tolist() == [1, 0, 0, 1]
+    assert pattern(both.records[0]) == [1, 0, 0, 1]
 
 
 def test_apply_scenario_idempotent_and_complete_is_identity():
@@ -272,7 +281,7 @@ def test_apply_scenario_drops_emptied_records():
     presents = [(1, 1, 1, 1), (0, 1, 0, 0), (1, 1, 1, 1), (0, 1, 0, 0)]
     records = [make_record(f"r{i}", time=float(i + 1), event=1, present=presents[i])
                for i in range(4)]
-    c = Cohort(SMALL_SCHEMA, records)
+    c = cohort_from_rows(SMALL_SCHEMA, records)
     out = apply_scenario(c, scenario_by_name("pathology-missing"))
     assert len(out) == 2
     assert [r.id for r in out.records] == ["r0", "r2"]
@@ -282,7 +291,7 @@ def test_apply_scenario_refuses_eventless_result():
     presents = [(1, 1, 1, 1), (0, 1, 0, 0)]
     records = [make_record("a", event=0, present=presents[0]),
                make_record("b", event=1, present=presents[1])]
-    c = Cohort(SMALL_SCHEMA, records)
+    c = cohort_from_rows(SMALL_SCHEMA, records)
     with pytest.raises(DataError, match="zero observed events"):
         apply_scenario(c, scenario_by_name("pathology-missing"))
 
@@ -309,7 +318,7 @@ def test_split_rejects_degenerate_fractions():
 
 def test_split_requires_events_on_both_sides():
     records = [make_record(f"r{i}", event=1 if i == 0 else 0) for i in range(10)]
-    c = Cohort(SMALL_SCHEMA, records)
+    c = cohort_from_rows(SMALL_SCHEMA, records)
     # seed 0 sends the only event to the train side
     with pytest.raises(DataError, match="test split"):
         split(c, 0.8, seed=0)
@@ -325,12 +334,10 @@ def test_complete_subset_filters_partial_records():
 # ── columnar storage against record-by-record reference implementations ──────
 #
 # These are the list-of-records implementations the columns replaced. They
-# work on the PatientRecords a cohort was built from, never on its columns.
+# work on the rows a cohort was built from, never on its columns.
 
 def oracle_availability(records):
-    if not records:
-        return np.zeros((0, N_MODALITIES), dtype=np.int64)
-    return np.stack([r.availability for r in records])
+    return np.array([pattern(r) for r in records], dtype=np.int64).reshape(len(records), N_MODALITIES)
 
 
 def oracle_block(records, schema, modality):
@@ -347,7 +354,7 @@ def oracle_subset(records, gt, indices):
 
 
 def oracle_complete_subset(records, gt):
-    return oracle_subset(records, gt, [i for i, r in enumerate(records) if r.is_complete()])
+    return oracle_subset(records, gt, [i for i, r in enumerate(records) if all(pattern(r))])
 
 
 def oracle_apply_scenario(records, gt, scenario):
@@ -357,7 +364,7 @@ def oracle_apply_scenario(records, gt, scenario):
         feats = tuple(None if m in scenario.drop else r.features[m] for m in MODALITIES)
         if all(x is None for x in feats):
             continue
-        out.append(PatientRecord(r.id, r.time, r.event, feats))
+        out.append(Row(r.id, r.time, r.event, feats))
         kept.append(i)
     if not out or not any(r.event for r in out):
         raise DataError("no event left")
@@ -392,15 +399,15 @@ def record_lists(draw):
         present = draw(st.sampled_from(PATTERNS))
         feats = tuple(np.array(draw(st.lists(values, min_size=schema.dim(m), max_size=schema.dim(m))))
                       if present[m] else None for m in MODALITIES)
-        records.append(PatientRecord(f"r{i}", draw(st.floats(1e-3, 1e6)), draw(st.integers(0, 1)), feats))
+        records.append(Row(f"r{i}", draw(st.floats(1e-3, 1e6)), draw(st.integers(0, 1)), feats))
     gt = draw(st.none() | st.lists(values, min_size=n, max_size=n).map(np.array))
     return schema, records, gt
 
 
 def check_against_oracles(schema, records, gt, scenario, indices):
-    cohort = Cohort(schema, records, gt)
+    cohort = cohort_from_rows(schema, records, gt)
     assert_columns_match(cohort, records, gt)
-    assert_columns_match(Cohort(schema, cohort.records, gt), records, gt)  # the row view round trips
+    assert_columns_match(cohort_from_rows(schema, cohort.records, gt), records, gt)  # the row view round trips
     assert_columns_match(cohort.subset(indices), *oracle_subset(records, gt, indices))
     assert_columns_match(complete_subset(cohort), *oracle_complete_subset(records, gt))
     try:
@@ -435,7 +442,7 @@ def test_every_missingness_pattern_under_each_scenario_matches_the_oracles(scena
               else scenario_by_name(scenario))
     check_against_oracles(SMALL_SCHEMA, records, gt, chosen, [5, 0, 17, 3])
     kept = oracle_apply_scenario(records, gt, chosen)[0]
-    assert len(apply_scenario(Cohort(SMALL_SCHEMA, records, gt), chosen)) == len(kept)
+    assert len(apply_scenario(cohort_from_rows(SMALL_SCHEMA, records, gt), chosen)) == len(kept)
 
 
 def test_column_arrays_reject_in_place_writes():
@@ -454,22 +461,21 @@ def test_column_arrays_reject_in_place_writes():
     assert cohorts_equal(pickle.loads(pickle.dumps(cohort)), cohort)
 
 
-def test_from_columns_reports_the_first_bad_record():
+def test_constructor_reports_the_first_bad_record():
     cohort = make_cohort(5)
     ids, times, events, availability = cohort.ids, cohort.times.copy(), cohort.events, cohort.availability
     blocks = [cohort.block(m) for m in MODALITIES]
     times[[1, 3]] = [np.inf, -1.0]
     with pytest.raises(DataError, match="record 'r1': survival time"):
-        Cohort.from_columns(SMALL_SCHEMA, ids, times, events, availability, blocks)
+        Cohort(SMALL_SCHEMA, ids, times, events, availability, blocks)
     with pytest.raises(DataError, match="duplicate record id 'r1'"):
-        Cohort.from_columns(SMALL_SCHEMA, ["r0", "r1", "r2", "r1", "r0"], cohort.times, events,
-                            availability, blocks)
+        Cohort(SMALL_SCHEMA, ["r0", "r1", "r2", "r1", "r0"], cohort.times, events, availability, blocks)
     with pytest.raises(DataError, match="duplicate record id 'r1'"):
         cohort.subset([1, 2, 1])
     blocks[ModalityId.GENOMICS] = blocks[ModalityId.GENOMICS].copy()
     blocks[ModalityId.GENOMICS][2, 1] = np.nan
     with pytest.raises(DataError, match="record 'r2': genomics features must be a finite vector"):
-        Cohort.from_columns(SMALL_SCHEMA, ids, cohort.times, events, availability, blocks)
+        Cohort(SMALL_SCHEMA, ids, cohort.times, events, availability, blocks)
 
 
 def test_load_reports_the_first_bad_record_in_file_order(tmp_path):
@@ -512,8 +518,8 @@ ID_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_s
 @given(data=record_lists(), ids=st.lists(ID_TEXT, min_size=10, max_size=10, unique=True))
 def test_csv_round_trip_is_exact_for_any_ids(tmp_path, data, ids):
     schema, records, gt = data
-    records = [PatientRecord(ids[i], r.time, r.event, r.features) for i, r in enumerate(records)]
-    cohort = Cohort(schema, records, gt)
+    records = [Row(ids[i], r.time, r.event, r.features) for i, r in enumerate(records)]
+    cohort = cohort_from_rows(schema, records, gt)
     path = tmp_path / "c.csv"
     save_cohort(cohort, str(path))
     if cohort.n_events == 0:

@@ -141,3 +141,20 @@ def test_a_fit_part_without_events_is_a_data_error():
     trace = run_fit(nets, counting_step(nets, calls), lambda idx: -times[idx], events=events,
                     epochs=3, val_fraction=0.25)
     assert len(calls) == 3 and [e["train_loss"] for e in trace.epochs] == [1.0, 2.0, 3.0]
+
+
+def test_a_fit_part_whose_cox_loss_is_zero_is_a_data_error():
+    nets, calls = toy_nets(1), []
+    times = np.arange(1.0, N + 1)
+    fit_idx = np.random.default_rng(1).permutation(N)[10:]  # the hold-out takes the first ten
+    by_time = fit_idx[np.argsort(times[fit_idx])]
+    events = np.zeros(N)
+    events[by_time[-1]] = 1.0  # the only fitted event is the latest fitted time: its risk set is itself
+    with pytest.raises(DataError, match=r"^toy training: no event in the fit part has another record "
+                                        r"at or after its time, so the Cox loss is zero$"):
+        run_fit(nets, counting_step(nets, calls), lambda idx: -times[idx], events=events)
+    assert calls == []
+    times[by_time[-2]] = times[by_time[-1]]  # a tied record shares the risk set, so the loss is not zero
+    trace = run_fit(nets, counting_step(nets, calls), lambda idx: -times[idx], times=times,
+                    events=events, epochs=3)
+    assert len(calls) == 3 and len(trace.epochs) == 3

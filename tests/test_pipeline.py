@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from mmsurv.cohort import (MODALITIES, Cohort, ModalityId, PatientRecord,
-                           generate_synthetic, scenario_by_name)
+from conftest import cohort_from_rows
+from mmsurv.cohort import MODALITIES, ModalityId, generate_synthetic, scenario_by_name
 from mmsurv.config import TrainConfig
 from mmsurv.errors import ConfigError, DataError
 from mmsurv.pipeline import (AblationReport, ExperimentCell,
@@ -79,8 +79,8 @@ def no_complete_records_cohort(seed=6, n=60):
     for i, r in enumerate(base.records):
         feats = list(r.features)
         feats[i % 4] = None  # every record misses one modality
-        records.append(PatientRecord(r.id, r.time, r.event, tuple(feats)))
-    return Cohort(base.schema, records, base.ground_truth_risk)
+        records.append((r.id, r.time, r.event, tuple(feats)))
+    return cohort_from_rows(base.schema, records, base.ground_truth_risk)
 
 
 def test_complete_regime_requires_complete_records():
@@ -127,8 +127,8 @@ def test_evaluate_counts_records_emptied_by_the_scenario():
         if i < 5:  # these records only carry what the scenario removes
             feats[ModalityId.RADIOLOGY] = None
             feats[ModalityId.DEMOGRAPHICS] = None
-        records.append(PatientRecord(r.id, r.time, r.event, tuple(feats)))
-    test = Cohort(base.schema, records, None)
+        records.append((r.id, r.time, r.event, tuple(feats)))
+    test = cohort_from_rows(base.schema, records)
     predictor = train_two_stage(train, FAST, ExperimentCell("concat"))
     result = evaluate(predictor, test, scenario_by_name("gene-pathology-missing"),
                       bootstrap=0, seed=5)
@@ -222,8 +222,8 @@ def test_grid_rejects_worker_counts_below_one(workers):
 def test_default_pair_shares_the_generative_family():
     train, test = default_synthetic_pair(seed=12, n_train=300, n_test=200)
     assert len(train) == 300 and len(test) == 200
-    assert all(r.is_complete() for r in test.records)
-    assert any(not r.is_complete() for r in train.records)
+    assert test.availability.all()
+    assert not train.availability.all()
     from mmsurv.survival import concordance_index
     ci_tr = concordance_index(train.ground_truth_risk, train.times, train.events)
     ci_te = concordance_index(test.ground_truth_risk, test.times, test.events)

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from mmsurv.cohort import (MODALITIES, Cohort, ModalityId, ModalitySchema,
-                           PatientRecord, embedding_schema, generate_synthetic)
+from conftest import cohort_from_rows
+from mmsurv.cohort import (MODALITIES, ModalityId, ModalitySchema, embedding_schema,
+                           generate_synthetic)
 from mmsurv.config import TrainConfig
 from mmsurv.errors import DataError
 from mmsurv.unimodal import (export_embeddings, load_unimodal,
@@ -56,9 +57,9 @@ def test_other_modalities_cannot_influence_training():
         for m in MODALITIES:
             if m != GENOMICS and feats[m] is not None:
                 feats[m] = rng.normal(0, 5, feats[m].shape[0])
-        scrambled.append(PatientRecord(r.id, r.time, r.event, tuple(feats)))
+        scrambled.append((r.id, r.time, r.event, tuple(feats)))
     a = train_unimodal(base, GENOMICS, SMALL_CONFIG)
-    b = train_unimodal(Cohort(base.schema, scrambled, base.ground_truth_risk),
+    b = train_unimodal(cohort_from_rows(base.schema, scrambled, base.ground_truth_risk),
                        GENOMICS, SMALL_CONFIG)
     assert nets_equal(a.encoder, b.encoder)
 
@@ -71,27 +72,26 @@ def test_training_pool_is_presence_filtered():
         feats = list(r.features)
         if i % 4 != 0:
             feats[GENOMICS] = None
-        records.append(PatientRecord(r.id, r.time, r.event, tuple(feats)))
-    cohort = Cohort(base.schema, records, base.ground_truth_risk)
+        records.append((r.id, r.time, r.event, tuple(feats)))
+    cohort = cohort_from_rows(base.schema, records, base.ground_truth_risk)
     bundle = train_unimodal(cohort, GENOMICS, SMALL_CONFIG)
     assert bundle.encoder.input_dim == cohort.schema.dim(GENOMICS)
 
 
 def test_absent_modality_raises():
     base = small_cohort(seed=2, n=40, missing=0.0)
-    records = [PatientRecord(r.id, r.time, r.event,
-                             (r.features[0], r.features[1], None, r.features[3]))
+    records = [(r.id, r.time, r.event, (r.features[0], r.features[1], None, r.features[3]))
                for r in base.records]
-    cohort = Cohort(base.schema, records, None)
+    cohort = cohort_from_rows(base.schema, records)
     with pytest.raises(DataError):
         train_unimodal(cohort, GENOMICS, SMALL_CONFIG)
 
 
 def test_eventless_pool_raises():
     base = small_cohort(seed=2, n=30, missing=0.0)
-    records = [PatientRecord(r.id, r.time, 0, r.features) for r in base.records]
+    records = [(r.id, r.time, 0, r.features) for r in base.records]
     with pytest.raises(DataError):
-        train_unimodal(Cohort(base.schema, records, None), GENOMICS, SMALL_CONFIG)
+        train_unimodal(cohort_from_rows(base.schema, records), GENOMICS, SMALL_CONFIG)
 
 
 def test_early_stopping_can_end_before_the_epoch_budget():
