@@ -213,7 +213,8 @@ def _cmd_eval(args) -> int:
           f"(n={result.n_test}, dropped={result.n_dropped}, scenario={args.scenario})")
     if args.out:
         payload = {"cindex": result.cindex, "std": result.std, "n_test": result.n_test,
-                   "n_dropped": result.n_dropped, "scenario": args.scenario,
+                   "n_dropped": result.n_dropped, "n_resamples": result.n_resamples,
+                   "scenario": args.scenario,
                    "bootstrap": args.bootstrap, "seed": args.seed}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -381,6 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the c-index line and the reports print "±": write UTF-8 whatever the locale
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -45,7 +45,7 @@ from .fusion import (DropoutPolicy, FusionBatch, FusionModel, FusionStrategy,
                      predict_risk)
 from .nets import (OptimizerState, init_net, net_from_dict, net_to_dict,
                    optimizer_step, read_json)
-from .survival import concordance_index
+from .survival import bootstrap_concordance, concordance_index
 from .unimodal import ENCODER_HIDDEN, export_embeddings, train_unimodal
 
 log = logging.getLogger(__name__)
@@ -93,6 +93,7 @@ class EvalResult:
     std: float | None
     n_test: int
     n_dropped: int
+    n_resamples: int  # bootstrap resamples that had a comparable pair
 
 
 class SurvivalPredictor:
@@ -321,19 +322,10 @@ def evaluate(predictor: SurvivalPredictor, test: Cohort, scenario: MissingnessSc
     risks = predictor.risk_scores(applied)
     times, events = applied.times, applied.events
     ci = concordance_index(risks, times, events)
-    std = None
-    if bootstrap > 0:
-        rng = np.random.default_rng(np.random.SeedSequence([_BOOT_SALT, seed]))
-        stats = []
-        for _ in range(bootstrap):
-            idx = rng.integers(0, len(applied), size=len(applied))
-            try:
-                stats.append(concordance_index(risks[idx], times[idx], events[idx]))
-            except DataError:
-                continue  # resample without comparable pairs
-        if len(stats) >= 2:
-            std = float(np.std(stats, ddof=1))
-    return EvalResult(float(ci), std, len(applied), n_dropped)
+    rng = np.random.default_rng(np.random.SeedSequence([_BOOT_SALT, seed]))
+    stats = bootstrap_concordance(risks, times, events, bootstrap, rng)
+    std = float(np.std(stats, ddof=1)) if stats.size >= 2 else None
+    return EvalResult(float(ci), std, len(applied), n_dropped, int(stats.size))
 
 
 # ── ablation grid ────────────────────────────────────────────────────────────
@@ -510,7 +502,7 @@ def run_ablation_grid(train: Cohort, test: Cohort, cells, config: TrainConfig,
                "stage2_data": cell.stage2_data, "dropout": cell.dropout,
                "recon": cell.recon, "scenario": cell.scenario, "mode": cell.mode,
                "cindex_mean": None, "cindex_std": None, "n_test": None,
-               "params": None, "error": None}
+               "n_resamples": None, "params": None, "error": None}
         if isinstance(outcome, Exception):
             row["error"] = str(outcome)
         else:
@@ -518,7 +510,7 @@ def run_ablation_grid(train: Cohort, test: Cohort, cells, config: TrainConfig,
                 result = evaluate(outcome, test, scenario_by_name(cell.scenario),
                                   config.bootstrap, config.seed)
                 row.update(cindex_mean=result.cindex, cindex_std=result.std,
-                           n_test=result.n_test,
+                           n_test=result.n_test, n_resamples=result.n_resamples,
                            params=model_footprint(outcome.fusion).total_params)
             except (DataError, NumericalError) as e:
                 row["error"] = str(e)

@@ -18,8 +18,21 @@ has one highest bit k at which the two time ranks differ: above k they agree
 upper halves of the blocks are sorted once by (block, risk rank) and each
 event row of a lower half counts, by binary search, the records of its
 block's upper half with a lower risk (concordant) or an equal one (tied).
-That is O(n log^2 n) time and O(n) memory. Numerator and denominator are
-exact integers, so the result equals pair enumeration bit for bit.
+That is O(n log^2 n) time. Numerator and denominator are exact integers, so
+the result equals pair enumeration bit for bit.
+
+The ranks, the sort orders and the search positions form a rank plan that
+depends only on the set. A bootstrap resample differs from the full set only
+in how many times each row occurs, its multiplicity vector w. So the
+bootstrap builds the plan once and counts each resample from w: per bit level
+one prefix sum of w in the plan's sort order, read at the search positions,
+gives weighted concordant and tied counts, and one prefix sum in time order
+gives the comparable pairs. A resample then costs O(n log n) time instead of
+the O(n log^2 n) of ranking it again, the counts stay exact integers, and
+every resample's c-index is the same float a call on the resampled rows
+returns. Resamples are drawn and counted BOOT_CHUNK at a time, in
+O(BOOT_CHUNK * n) memory. A single c-index is the same plan counted at unit
+weights, where each prefix sum is its position.
 """
 from __future__ import annotations
 
@@ -28,6 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
+
+BOOT_CHUNK = 64  # bootstrap resamples drawn and counted together; memory O(BOOT_CHUNK * n)
 
 
 @dataclass
@@ -104,8 +119,7 @@ def has_comparable_pair(times: np.ndarray, events: np.ndarray) -> bool:
     return event_times.size > 0 and bool(times[known].max() > event_times.min())
 
 
-def concordance_index(risks: np.ndarray, times: np.ndarray, events: np.ndarray) -> float:
-    """Harrell's c-index of risk scores against observed outcomes."""
+def _outcomes(risks, times, events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     risks = np.asarray(risks, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.float64)
@@ -113,25 +127,114 @@ def concordance_index(risks: np.ndarray, times: np.ndarray, events: np.ndarray) 
         raise DataError("risks, times, and events must be aligned 1-d arrays")
     if not np.isfinite(risks).all():
         raise NumericalError("non-finite risk scores")
+    return risks, times, events
+
+
+class _RankPlan:
+    """What the pair counts of one set need, whatever multiplicity each row has.
+
+    Built once from the full set: the event rows, the rows in time order with
+    the position of each event's first later time, and per bit level the
+    upper halves' rows in (block, risk rank) order plus the block-start, left
+    and right search positions of each lower-half event row. A prefix sum of
+    the multiplicities in a fixed order turns every position into a weight.
+    """
+
+    def __init__(self, risks: np.ndarray, times: np.ndarray, events: np.ndarray):
+        rows = np.flatnonzero(~np.isnan(times))  # a NaN time compares false with everything
+        t = np.unique(times[rows], return_inverse=True)[1].astype(np.int64, copy=False)
+        risk_values, r = np.unique(risks[rows], return_inverse=True)
+        # one key per row: the time rank above the risk rank's bits, so clearing
+        # a level's low time bits leaves a key that sorts by (block, risk rank)
+        risk_bits = int(risk_values.size).bit_length()
+        z = (t << risk_bits) | r
+        by_time = np.argsort(t, kind="stable")
+        event = by_time[events[rows][by_time] == 1.0]  # in time order, so searches run ahead
+        z_event = z[event]
+        self.n_rows = t.size
+        self.by_time = rows[by_time]
+        self.event_rows = rows[event]
+        self.later = np.cumsum(np.bincount(t))[t[event]]  # time-order position of the next time
+        self.levels = []
+        for k in range(int(t.max()).bit_length() if t.size else 0):
+            bit = 1 << (risk_bits + k)
+            block = ~((bit << 1) - (1 << risk_bits))  # clears time bits 0..k
+            high = (z & bit).nonzero()[0]  # array methods: this loop is call-bound at small n
+            keys = z[high] & block
+            order = keys.argsort()
+            upper = keys[order]
+            low = z_event & bit == 0
+            key = z_event[low] & block
+            start = key & ~((bit << 1) - 1)  # first key of the row's block
+            self.levels.append((rows[high[order]], self.event_rows[low],
+                                upper.searchsorted(start, side="left"),
+                                upper.searchsorted(key, side="left"),
+                                upper.searchsorted(key, side="right")))
+
+    def counts(self, w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Concordant, tied and comparable pair counts for each row of multiplicities ``w``.
+
+        ``w=None`` counts every row once; a prefix sum of unit weights is its
+        own position, so the positions are the counts.
+        """
+        if w is None:
+            comparable = (self.n_rows - self.later).sum()
+            concordant = sum((left - start).sum() for _, _, start, left, _ in self.levels)
+            tied = sum((right - left).sum() for _, _, _, left, right in self.levels)
+            return concordant, tied, comparable
+
+        def prefix(order):
+            out = np.zeros((w.shape[0], order.size + 1), dtype=np.int64)
+            np.cumsum(w[:, order], axis=1, out=out[:, 1:])
+            return out
+
+        cum = prefix(self.by_time)
+        # comparable pairs: each event row against the weight at later times
+        comparable = (w[:, self.event_rows] * (cum[:, -1:] - cum[:, self.later])).sum(axis=1)
+        concordant = np.zeros(w.shape[0], dtype=np.int64)
+        tied = np.zeros(w.shape[0], dtype=np.int64)
+        for order, low_rows, start, left, right in self.levels:
+            cum = prefix(order)
+            w_low = w[:, low_rows]
+            at_left = cum[:, left]
+            concordant += (w_low * (at_left - cum[:, start])).sum(axis=1)
+            tied += (w_low * (cum[:, right] - at_left)).sum(axis=1)
+        return concordant, tied, comparable
+
+
+def concordance_index(risks: np.ndarray, times: np.ndarray, events: np.ndarray) -> float:
+    """Harrell's c-index of risk scores against observed outcomes."""
+    risks, times, events = _outcomes(risks, times, events)
     if not has_comparable_pair(times, events):
         raise DataError("no comparable pairs, c-index undefined")
-    known = ~np.isnan(times)  # a NaN time compares false with everything
-    t = np.unique(times[known], return_inverse=True)[1].astype(np.int64, copy=False)
-    risk_values, r = np.unique(risks[known], return_inverse=True)
-    r = r.astype(np.int64, copy=False)
-    event = events[known] == 1.0
-    t_event, r_event = t[event], r[event]
-    # comparable pairs: each event row against every record with a later time
-    count = (t.size - np.cumsum(np.bincount(t)))[t_event].sum()
-    concordant = tied = 0
-    n_risks = risk_values.size
-    for k in range(int(t.max()).bit_length()):
-        high = (t >> k) & 1 == 1
-        upper = np.sort((t[high] >> (k + 1)) * n_risks + r[high])
-        low = (t_event >> k) & 1 == 0
-        start = (t_event[low] >> (k + 1)) * n_risks  # first key of the row's block
-        key = start + r_event[low]
-        left = np.searchsorted(upper, key, side="left")
-        concordant += (left - np.searchsorted(upper, start, side="left")).sum()
-        tied += (np.searchsorted(upper, key, side="right") - left).sum()
-    return float((concordant + 0.5 * tied) / count)
+    concordant, tied, comparable = _RankPlan(risks, times, events).counts()
+    return float((concordant + 0.5 * tied) / comparable)
+
+
+def bootstrap_concordance(risks: np.ndarray, times: np.ndarray, events: np.ndarray,
+                          resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """c-index of each bootstrap resample that has a comparable pair, in draw order.
+
+    Each resample is its own ``rng.integers(0, n, size=n)`` call, in order,
+    so the stream is that of a loop over resamples by construction rather
+    than through how numpy fills one (chunk, n) array. Each value equals
+    ``concordance_index`` on the resampled rows.
+    """
+    risks, times, events = _outcomes(risks, times, events)
+    if resamples <= 0:
+        return np.empty(0)
+    n = risks.size
+    plan = _RankPlan(risks, times, events)
+    stats = []
+    for first in range(0, resamples, BOOT_CHUNK):
+        chunk = min(BOOT_CHUNK, resamples - first)
+        draws = np.empty((chunk, n), dtype=np.int64)
+        for b in range(chunk):
+            draws[b] = rng.integers(0, n, size=n)
+        draws += np.arange(chunk, dtype=np.int64)[:, None] * n
+        w = np.bincount(draws.ravel(), minlength=chunk * n).reshape(chunk, n)
+        del draws
+        concordant, tied, comparable = plan.counts(w)
+        kept = comparable > 0
+        stats.append((concordant[kept] + 0.5 * tied[kept]) / comparable[kept])
+    return np.concatenate(stats)

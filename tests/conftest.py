@@ -1,5 +1,6 @@
 """Shared pytest wiring: one summary line per acceptance criterion, the
-tests' finite-difference oracle, and the row builder for test cohorts.
+tests' finite-difference, c-index and bootstrap oracles, and the row
+builder for test cohorts.
 
 Acceptance tests are named test_criterion_<number><subtag>_<slug>; every
 phase outcome is collected here and folded into a single PASS/FAIL line
@@ -40,6 +41,39 @@ def cohort_from_rows(schema, rows, gt=None) -> Cohort:
                         for f in feats]) for m in MODALITIES]
     availability = [[int(f[m] is not None) for m in MODALITIES] for f in feats]
     return Cohort(schema, ids, times, events, availability, blocks, gt)
+
+
+def cindex_pairwise(risks, times, events) -> float:
+    """Reference implementation: credit summed over the n x n comparable-pair matrix."""
+    risks = np.asarray(risks, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=np.float64)
+    comparable = (times[:, None] < times[None, :]) & (events[:, None] == 1.0)
+    count = comparable.sum()
+    if count == 0:
+        raise ZeroDivisionError
+    higher = risks[:, None] > risks[None, :]
+    tied = risks[:, None] == risks[None, :]
+    credit = np.where(higher, 1.0, np.where(tied, 0.5, 0.0))
+    return float(credit[comparable].sum() / count)
+
+
+def bootstrap_loop(risks, times, events, resamples: int, rng) -> list:
+    """Reference bootstrap: one resample at a time, each scored by ``cindex_pairwise``.
+
+    The draws, their order and the skipping of resamples without a
+    comparable pair are those of the per-resample loop ``evaluate`` ran
+    before it counted resamples as weights over one rank plan.
+    """
+    n = len(risks)
+    stats = []
+    for _ in range(resamples):
+        idx = rng.integers(0, n, size=n)
+        try:
+            stats.append(cindex_pairwise(risks[idx], times[idx], events[idx]))
+        except ZeroDivisionError:
+            continue  # resample without comparable pairs
+    return stats
 
 
 def finite_diff_grad(f, p: np.ndarray, h: float = 1e-5) -> np.ndarray:

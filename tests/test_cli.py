@@ -115,6 +115,7 @@ def test_full_workflow_chain(tmp_path, capsys):
     payload = json.loads(metrics.read_text())
     assert 0.0 <= payload["cindex"] <= 1.0
     assert payload["scenario"] == "gene-pathology-missing"
+    assert payload["n_resamples"] == 50
     trace = (fuse / "fusion_trace.csv").read_text().splitlines()
     assert trace[0] == "epoch,train_loss,val_cindex"
     assert len(trace) >= 2
@@ -225,6 +226,37 @@ def test_output_files_never_use_the_locale_encoding(tmp_path):
         assert proc.returncode == 0, f"{argv[0]}: {proc.stderr}"
     assert (tmp_path / "enc" / "genomics_trace.csv").exists() and (tmp_path / "eval.json").exists()
     assert (tmp_path / "grid" / "report.md").stat().st_size > 0
+
+
+def test_stdout_is_utf8_under_an_ascii_locale(tmp_path):
+    # eval prints "c-index X ± Y" and ablate prints its markdown table with "±"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mmsurv.__file__)))
+    locales = {"ascii": dict(env, PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0"),
+               "utf8": dict(env, PYTHONUTF8="1")}
+    assert run("synth", "--n", 200, "--seed", 1, "--out", tmp_path / "c.csv", "--quiet") == 0
+    assert run("train-fuse", "--data", tmp_path / "c.csv", "--strategy", "mean", "--seed", 1,
+               "--stage1-epochs", 2, "--fusion-epochs", 2, "--out-dir", tmp_path / "fuse",
+               "--quiet") == 0
+    commands = [
+        ["eval", "--model", "../fuse/model.json", "--data", "../c.csv", "--seed", 1,
+         "--bootstrap", 10, "--out", "eval.json"],
+        ["ablate", "--seed", 1, "--n-train", 150, "--n-test", 80, "--strategies", "mean",
+         "--scenarios", "complete", "--stage1-epochs", 2, "--fusion-epochs", 2,
+         "--bootstrap", 10, "--out-dir", "grid"],
+    ]
+    stdout = {}
+    for name, locale_env in locales.items():
+        (tmp_path / name).mkdir()
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "mmsurv", *map(str, argv)],
+                                  cwd=tmp_path / name, env=locale_env, capture_output=True)
+            assert proc.returncode == 0, f"{name} {argv[0]}: {proc.stderr.decode('utf-8', 'replace')}"
+            stdout[name, argv[0]] = proc.stdout
+    for cmd in ("eval", "ablate"):
+        assert "±".encode("utf-8") in stdout["utf8", cmd]
+        assert stdout["ascii", cmd] == stdout["utf8", cmd]
+    for f in ("eval.json", "grid/report.csv", "grid/report.json", "grid/report.md"):
+        assert (tmp_path / "ascii" / f).read_bytes() == (tmp_path / "utf8" / f).read_bytes()
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
-from conftest import cohort_from_rows
-from mmsurv.cohort import MODALITIES, ModalityId, generate_synthetic, scenario_by_name
+from conftest import bootstrap_loop, cindex_pairwise, cohort_from_rows
+from mmsurv.cohort import (MODALITIES, ModalityId, apply_scenario, generate_synthetic,
+                           scenario_by_name)
 from mmsurv.config import TrainConfig
 from mmsurv.errors import ConfigError, DataError
-from mmsurv.pipeline import (AblationReport, ExperimentCell,
+from mmsurv.pipeline import (_BOOT_SALT, AblationReport, ExperimentCell,
                              default_synthetic_pair, evaluate, load_predictor,
                              run_ablation_grid, save_predictor, table_cells,
                              train_cell, train_end_to_end, train_fusion_on_table,
@@ -134,7 +135,43 @@ def test_evaluate_counts_records_emptied_by_the_scenario():
                       bootstrap=0, seed=5)
     assert result.n_dropped == 5
     assert result.n_test == 35
-    assert result.std is None
+    assert result.std is None and result.n_resamples == 0
+
+
+@pytest.fixture(scope="module")
+def mean_predictor_and_test():
+    train, test = fast_pair(n_train=120, n_test=70)
+    return train_two_stage(train, FAST, ExperimentCell("mean")), test
+
+
+def evaluate_by_loop(predictor, test, scenario, bootstrap, seed):
+    """``evaluate`` as it was: one pairwise c-index per resample, in draw order."""
+    applied = apply_scenario(test, scenario)
+    risks = predictor.risk_scores(applied)
+    rng = np.random.default_rng(np.random.SeedSequence([_BOOT_SALT, seed]))
+    stats = bootstrap_loop(risks, applied.times, applied.events, bootstrap, rng)
+    std = float(np.std(stats, ddof=1)) if len(stats) >= 2 else None
+    return cindex_pairwise(risks, applied.times, applied.events), std, len(stats)
+
+
+@pytest.mark.parametrize("scenario", ["complete", "pathology-missing", "gene-pathology-missing"])
+def test_evaluate_equals_the_per_resample_loop(mean_predictor_and_test, scenario):
+    predictor, test = mean_predictor_and_test
+    for bootstrap in (0, 1, 2, 129):
+        result = evaluate(predictor, test, scenario_by_name(scenario), bootstrap, seed=11)
+        expected = evaluate_by_loop(predictor, test, scenario_by_name(scenario), bootstrap, 11)
+        assert (result.cindex, result.std, result.n_resamples) == expected
+
+
+def test_evaluate_counts_only_resamples_with_a_comparable_pair(mean_predictor_and_test):
+    predictor, test = mean_predictor_and_test
+    rows = [(r.id, time, event, r.features)
+            for r, time, event in zip(test.records[:3], (1.0, 2.0, 3.0), (1, 0, 0))]
+    tiny = cohort_from_rows(test.schema, rows)
+    result = evaluate(predictor, tiny, scenario_by_name("complete"), bootstrap=200, seed=3)
+    _, std, counted = evaluate_by_loop(predictor, tiny, scenario_by_name("complete"), 200, 3)
+    assert 0 < result.n_resamples == counted < 200
+    assert result.std == std
 
 
 def test_predictor_checkpoint_round_trip(tmp_path):
@@ -186,6 +223,8 @@ def test_grid_shares_models_and_reports_every_cell(tmp_path, caplog):
     import json
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["seed"] == FAST.seed
+    assert [row["n_resamples"] for row in payload["rows"]] == [FAST.bootstrap] * 3
+    assert "n_resamples" not in csv_text
     assert len(payload["rows"]) == 3
 
 

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff_grad
+from conftest import bootstrap_loop, cindex_pairwise, finite_diff_grad
 from mmsurv.errors import DataError, NumericalError
-from mmsurv.survival import (SurvivalBatch, concordance_index, cox_loss, cox_loss_grad,
-                             has_comparable_pair)
+from mmsurv.survival import (BOOT_CHUNK, SurvivalBatch, bootstrap_concordance,
+                             concordance_index, cox_loss, cox_loss_grad, has_comparable_pair)
 
 
 def cox_loss_enumerated(hazards, times, events) -> float:
@@ -41,21 +41,6 @@ def cindex_enumerated(risks, times, events) -> float:
     if den == 0:
         raise ZeroDivisionError
     return num / den
-
-
-def cindex_pairwise(risks, times, events) -> float:
-    """Reference implementation: credit summed over the n x n comparable-pair matrix."""
-    risks = np.asarray(risks, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=np.float64)
-    comparable = (times[:, None] < times[None, :]) & (events[:, None] == 1.0)
-    count = comparable.sum()
-    if count == 0:
-        raise ZeroDivisionError
-    higher = risks[:, None] > risks[None, :]
-    tied = risks[:, None] == risks[None, :]
-    credit = np.where(higher, 1.0, np.where(tied, 0.5, 0.0))
-    return float(credit[comparable].sum() / count)
 
 
 def random_batch(rng, n, with_ties=False):
@@ -284,6 +269,78 @@ def test_cindex_at_100k_records_stays_in_linear_memory():
         tracemalloc.stop()
     assert 0.0 < c < 1.0
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+chunk_edges = st.sampled_from([1, BOOT_CHUNK - 1, BOOT_CHUNK, BOOT_CHUNK + 1, 2 * BOOT_CHUNK + 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(outcomes().filter(lambda case: case[0].size > 0), chunk_edges,
+       st.integers(min_value=0, max_value=2**32))
+@example((np.array([0.5, -1.0, 2.0]), np.full(3, 2.0), np.ones(3)), 65, 0)  # all times tied
+@example((np.zeros(4), np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 0.0, 1.0, 0.0])), 64, 1)  # all risks tied
+@example((np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.zeros(2)), 63, 2)  # no event
+@example((np.array([0.3]), np.array([2.0]), np.array([1.0])), 1, 3)  # n = 1
+@example((np.array([1.0, 0.0]), np.array([1.0, 2.0]), np.array([1.0, 0.0])), 129, 4)  # n = 2
+@example((np.array([1.0, 0.0, 0.0]), np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0])), 129, 5)  # n = 3
+@example((np.array([1.0, 1.0, 0.0, 0.0]), np.array([1.0, 1.0, 3.0, 3.0]),
+          np.array([1.0, 1.0, 0.0, 0.0])), 65, 6)  # every row twice
+@example((np.array([1.0, 0.5, 0.0]), np.array([1.0, np.nan, 3.0]), np.array([1.0, 1.0, 0.0])), 64, 7)
+def test_bootstrap_equals_the_per_resample_loop(case, resamples, seed):
+    risks, times, events = case
+    expected = bootstrap_loop(risks, times, events, resamples, np.random.default_rng(seed))
+    got = bootstrap_concordance(risks, times, events, resamples, np.random.default_rng(seed))
+    assert got.tolist() == expected
+    if len(expected) >= 2:
+        assert np.std(got, ddof=1) == np.std(expected, ddof=1)
+
+
+def test_bootstrap_leaves_the_rng_where_the_loop_leaves_it():
+    rng = np.random.default_rng(111)
+    risks, times, events = rng.normal(size=37), rng.uniform(1, 9, size=37), np.ones(37)
+    loop_rng, counted_rng = np.random.default_rng(5), np.random.default_rng(5)
+    bootstrap_loop(risks, times, events, 2 * BOOT_CHUNK + 3, loop_rng)
+    bootstrap_concordance(risks, times, events, 2 * BOOT_CHUNK + 3, counted_rng)
+    assert loop_rng.integers(0, 2**62) == counted_rng.integers(0, 2**62)
+
+
+def test_bootstrap_equals_the_loop_on_larger_tied_sets():
+    rng = np.random.default_rng(112)
+    for n, n_times, n_risks, resamples in ((200, 7, 5, 70), (333, 60, 12, 9), (91, 10**9, 10**9, 130)):
+        times = rng.integers(1, n_times + 1, size=n).astype(float)
+        risks = np.round(rng.normal(size=n) * n_risks / 4) / 8
+        events = (rng.random(n) < 0.6).astype(float)
+        expected = bootstrap_loop(risks, times, events, resamples, np.random.default_rng(n))
+        got = bootstrap_concordance(risks, times, events, resamples, np.random.default_rng(n))
+        assert got.tolist() == expected
+
+
+def test_bootstrap_checks_its_inputs_and_draws_nothing_for_zero_resamples():
+    rng = np.random.default_rng(113)
+    with pytest.raises(DataError):
+        bootstrap_concordance(np.zeros((3, 1)), np.ones(3), np.ones(3), 5, rng)
+    with pytest.raises(NumericalError):
+        bootstrap_concordance(np.array([0.0, np.inf]), np.array([1.0, 2.0]), np.ones(2), 5, rng)
+    state = rng.bit_generator.state
+    assert bootstrap_concordance(np.zeros(3), np.array([1.0, 2.0, 3.0]), np.ones(3), 0, rng).size == 0
+    assert rng.bit_generator.state == state
+
+
+def test_bootstrap_of_20k_records_stays_in_chunk_memory():
+    # drawing all 1,000 resamples of 20,000 rows at once would take 153 MiB
+    rng = np.random.default_rng(114)
+    n = 20_000
+    times = rng.uniform(1.0, 5000.0, size=n)
+    risks = rng.normal(size=n)
+    events = (rng.random(n) < 0.7).astype(float)
+    tracemalloc.start()
+    try:
+        stats = bootstrap_concordance(risks, times, events, 1000, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.size == 1000 and ((0.0 < stats) & (stats < 1.0)).all()
+    assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_batch_validation_rejects_bad_inputs():
