@@ -151,7 +151,6 @@ class _RankPlan:
         by_time = np.argsort(t, kind="stable")
         event = by_time[events[rows][by_time] == 1.0]  # in time order, so searches run ahead
         z_event = z[event]
-        self.n_rows = t.size
         self.by_time = rows[by_time]
         self.event_rows = rows[event]
         self.later = np.cumsum(np.bincount(t))[t[event]]  # time-order position of the next time
@@ -178,7 +177,7 @@ class _RankPlan:
         own position, so the positions are the counts.
         """
         if w is None:
-            comparable = (self.n_rows - self.later).sum()
+            comparable = (self.by_time.size - self.later).sum()
             concordant = sum((left - start).sum() for _, _, start, left, _ in self.levels)
             tied = sum((right - left).sum() for _, _, _, left, right in self.levels)
             return concordant, tied, comparable
