@@ -15,7 +15,12 @@ Everything works on batches: an (n, 4, embed) block of embeddings plus an
 (n, 4) 0/1 mask. Each extender or reducer runs once per batch, on the rows
 where its modality is visible, in modality-id order. Concatenation is a
 masked reshape, mean vector a masked sum over the visible count, and the
-tensor product one einsum over the batch.
+tensor product three chained two-operand products over the batch, widths
+w -> w^2 -> w^3 -> w^4. Each entry comes out as ((f0*f1)*f2)*f3, the same
+multiplications in the same order as one four-operand einsum, and both forms
+add 0.0 to their products, which can only turn a -0.0 into +0.0; so the fused
+block has the same bits as the four-operand einsum, several times faster
+(numpy runs a four-operand einsum through its generic loop).
 
 Training-time modality dropout hides a random subset of the present
 modalities and redraws whenever the draw would hide all of them. The
@@ -230,8 +235,21 @@ def fuse(model: FusionModel, embeddings, mask) -> tuple[np.ndarray, FuseTape]:
     for m, rows, y in _run_body_nets(model.reducers, x, visible, tape):
         factors[rows, m, :s.reduced_dim] = y
     tape.factors = factors
-    h = np.einsum("bi,bj,bk,bl->bijkl", *factors.transpose(1, 0, 2))
-    return h.reshape(n, s.fused_dim), tape
+    return tensor_product(factors), tape
+
+
+def tensor_product(factors: np.ndarray) -> np.ndarray:
+    """Row-wise outer product of an (n, k, w) factor block, flattened to (n, w**k).
+
+    Built as chained two-operand products, so entry (i, j, l, m) is
+    ((f0[i] * f1[j]) * f2[l]) * f3[m] + 0.0, bit for bit what the
+    four-operand einsum computes.
+    """
+    h = factors[:, 0]
+    for m in range(1, factors.shape[1]):
+        g = factors[:, m]
+        h = np.einsum("bi,bj->bij", h, g).reshape(len(h), h.shape[1] * g.shape[1])
+    return h
 
 
 def _run_body_nets(nets: dict, x: np.ndarray, visible: np.ndarray, tape: FuseTape):

@@ -286,6 +286,8 @@ def net_from_dict(d: dict, origin: str = "network") -> DenseNet:
         return DenseNet(layers)
     except (KeyError, IndexError, TypeError, ValueError, ConfigError) as e:
         raise DataError(f"{origin}: not a consistent layer chain ({type(e).__name__}: {e})") from e
+    except NumericalError as e:  # NaN or an overflowed literal such as 1e999 in the file
+        raise DataError(f"{origin}: {e}") from e
 
 
 def read_json(path: str):

@@ -143,7 +143,7 @@ def save_predictor(predictor: SurvivalPredictor, path: str) -> None:
                "fusion": fusion_to_dict(predictor.fusion),
                "encoders": encoders}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # the C encoder; json.dump runs the Python one
 
 
 def load_predictor(path: str) -> SurvivalPredictor:

@@ -5,7 +5,10 @@ risk sets formed inside the batch: for an event at time t_i the risk set is
 every sample j with t_j >= t_i, ties included (Breslow handling, tied events
 share the full risk set). Log-sum-exp terms subtract the in-set maximum, so
 the loss is invariant to a constant shift of all hazards and safe for large
-scores.
+scores. Risk sets are built COX_CHUNK event rows at a time, so a batch of n
+records needs O(COX_CHUNK * n) memory, not events x n; each row's terms are
+row-local and the gradient's column sums run on across blocks in one
+sequential order, so the result does not depend on the chunking.
 
 The concordance index is Harrell's: a pair (i, j) is comparable when
 t_i < t_j and sample i had the event; it scores 1 when risk_i > risk_j and
@@ -43,6 +46,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 BOOT_CHUNK = 64  # bootstrap resamples drawn and counted together; memory O(BOOT_CHUNK * n)
+COX_CHUNK = 256  # event rows whose risk sets are built together; memory O(COX_CHUNK * n)
 
 
 @dataclass
@@ -78,17 +82,28 @@ class SurvivalBatch:
         return int(self.events.sum())
 
 
+def _event_times(batch: SurvivalBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's event mask and the times of its event rows, in row order."""
+    is_event = batch.events == 1.0
+    if not is_event.any():
+        raise DataError("batch has no events, Cox loss undefined")
+    return is_event, batch.times[is_event]
+
+
+def _risk_set_scores(batch: SurvivalBatch, event_times: np.ndarray) -> np.ndarray:
+    """(events, n) hazards over each event's risk set {j : t_j >= t_event}, -inf elsewhere."""
+    return np.where(batch.times[None, :] >= event_times[:, None], batch.hazards[None, :], -np.inf)
+
+
 def cox_loss(batch: SurvivalBatch) -> float:
     """Negative Cox partial log-likelihood of one batch."""
-    if batch.n_events == 0:
-        raise DataError("batch has no events, Cox loss undefined")
-    f = batch.hazards
-    at_risk = batch.times[None, :] >= batch.times[:, None]  # row i: risk set of sample i
-    event_rows = batch.events == 1.0
-    scores = np.where(at_risk[event_rows], f[None, :], -np.inf)
-    mx = scores.max(axis=1)
-    lse = mx + np.log(np.exp(scores - mx[:, None]).sum(axis=1))
-    loss = float(-(f[event_rows] - lse).sum())
+    is_event, event_times = _event_times(batch)
+    lse = np.empty(event_times.size)
+    for start in range(0, event_times.size, COX_CHUNK):
+        scores = _risk_set_scores(batch, event_times[start:start + COX_CHUNK])
+        mx = scores.max(axis=1)
+        lse[start:start + COX_CHUNK] = mx + np.log(np.exp(scores - mx[:, None]).sum(axis=1))
+    loss = float(-(batch.hazards[is_event] - lse).sum())
     if not np.isfinite(loss):
         raise NumericalError("non-finite Cox loss")
     return loss
@@ -96,16 +111,19 @@ def cox_loss(batch: SurvivalBatch) -> float:
 
 def cox_loss_grad(batch: SurvivalBatch) -> np.ndarray:
     """Gradient of ``cox_loss`` with respect to each hazard score."""
-    if batch.n_events == 0:
-        raise DataError("batch has no events, Cox loss undefined")
-    f = batch.hazards
-    at_risk = batch.times[None, :] >= batch.times[:, None]
-    event_rows = batch.events == 1.0
-    scores = np.where(at_risk[event_rows], f[None, :], -np.inf)
-    mx = scores.max(axis=1)
-    expd = np.exp(scores - mx[:, None])
-    weights = expd / expd.sum(axis=1, keepdims=True)  # softmax within each risk set
-    grad = -batch.events + weights.sum(axis=0)
+    _, event_times = _event_times(batch)
+    total = None
+    for start in range(0, event_times.size, COX_CHUNK):
+        scores = _risk_set_scores(batch, event_times[start:start + COX_CHUNK])
+        mx = scores.max(axis=1)
+        expd = np.exp(scores - mx[:, None])
+        weights = expd / expd.sum(axis=1, keepdims=True)  # softmax within each risk set
+        if total is None:
+            total = weights.sum(axis=0)
+        else:
+            # the running sum heads the block, so rows keep adding in one sequential order
+            total = np.add.reduce(np.concatenate([total[None], weights]), axis=0)
+    grad = -batch.events + total
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite Cox gradient")
     return grad

@@ -125,7 +125,7 @@ def save_unimodal(model: UnimodalEncoder, path: str) -> None:
         "head": net_to_dict(model.head),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # the C encoder; json.dump runs the Python one
 
 
 def load_unimodal(path: str) -> UnimodalEncoder:

@@ -1,6 +1,6 @@
 """Shared pytest wiring: one summary line per acceptance criterion, the
-tests' finite-difference, c-index and bootstrap oracles, and the row
-builder for test cohorts.
+tests' finite-difference, c-index, bootstrap, Cox and tensor-product
+oracles, and the row builder for test cohorts.
 
 Acceptance tests are named test_criterion_<number><subtag>_<slug>; every
 phase outcome is collected here and folded into a single PASS/FAIL line
@@ -74,6 +74,42 @@ def bootstrap_loop(risks, times, events, resamples: int, rng) -> list:
         except ZeroDivisionError:
             continue  # resample without comparable pairs
     return stats
+
+
+def cox_loss_unchunked(batch) -> float:
+    """Reference Cox loss: every event row's risk set in one (events x n) matrix.
+
+    The arithmetic ``cox_loss`` ran before it built risk sets a chunk of
+    event rows at a time.
+    """
+    f = batch.hazards
+    at_risk = batch.times[None, :] >= batch.times[:, None]
+    event_rows = batch.events == 1.0
+    scores = np.where(at_risk[event_rows], f[None, :], -np.inf)
+    mx = scores.max(axis=1)
+    lse = mx + np.log(np.exp(scores - mx[:, None]).sum(axis=1))
+    return float(-(f[event_rows] - lse).sum())
+
+
+def cox_loss_grad_unchunked(batch) -> np.ndarray:
+    """Reference Cox gradient over one (events x n) matrix, as ``cox_loss_unchunked``."""
+    f = batch.hazards
+    at_risk = batch.times[None, :] >= batch.times[:, None]
+    event_rows = batch.events == 1.0
+    scores = np.where(at_risk[event_rows], f[None, :], -np.inf)
+    mx = scores.max(axis=1)
+    expd = np.exp(scores - mx[:, None])
+    weights = expd / expd.sum(axis=1, keepdims=True)
+    return -batch.events + weights.sum(axis=0)
+
+
+def tensor_product_einsum(factors: np.ndarray) -> np.ndarray:
+    """Reference tensor-fusion product: one four-operand einsum over (n, 4, w) factors.
+
+    The form ``fuse`` used before it chained two-operand products.
+    """
+    h = np.einsum("bi,bj,bk,bl->bijkl", *factors.transpose(1, 0, 2))
+    return h.reshape(len(factors), -1)
 
 
 def finite_diff_grad(f, p: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -332,6 +332,37 @@ def test_train_fuse_rejects_a_damaged_stage1_checkpoint_with_exit_two(tmp_path, 
     assert "data error" in err and "genomics.json" in err and "Traceback" not in err
 
 
+def test_eval_rejects_an_overflowing_weight_in_the_checkpoint_with_exit_two(tmp_path, capsys):
+    _, test = workflow_files(tmp_path, capsys)
+    model = init_fusion_model(FusionStrategy("concat"), seed=0)
+    save_predictor(SurvivalPredictor(model), str(tmp_path / "model.json"))
+    payload = json.loads((tmp_path / "model.json").read_text())
+    payload["fusion"]["parts"]["hazard_head"]["layers"][0]["w"][0] = "BIG"
+    (tmp_path / "model.json").write_text(json.dumps(payload).replace('"BIG"', "1e999"))
+    assert run("eval", "--model", tmp_path / "model.json", "--data", test, "--seed", 1,
+               "--bootstrap", 0) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "hazard_head" in err and "non-finite" in err
+    assert "Traceback" not in err
+
+
+def test_train_fuse_rejects_a_nan_weight_in_a_stage1_checkpoint_with_exit_two(tmp_path, capsys):
+    cohort = generate_synthetic(40, 5)
+    data = tmp_path / "train.csv"
+    save_cohort(cohort, str(data))
+    save_schema(cohort.schema, str(data) + ".schema")
+    enc = _stage1_dir(tmp_path / "enc", cohort.schema)
+    payload = json.loads((enc / "genomics.json").read_text())
+    payload["encoder"]["layers"][1]["b"][0] = float("nan")
+    (enc / "genomics.json").write_text(json.dumps(payload))
+    assert "NaN" in (enc / "genomics.json").read_text()
+    assert run("train-fuse", "--data", data, "--encoders", enc, "--strategy", "mean",
+               "--seed", 5, "--out-dir", tmp_path / "fuse", *FAST_FUSE, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "genomics.json" in err and "non-finite" in err
+    assert "Traceback" not in err
+
+
 def test_bad_scenario_name_is_a_usage_error(tmp_path, capsys):
     train, test = workflow_files(tmp_path, capsys)
     assert run("eval", "--model", tmp_path / "x.json", "--data", test,

@@ -6,14 +6,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import finite_diff_grad
+from conftest import finite_diff_grad, tensor_product_einsum
 from mmsurv.cohort import MODALITIES, ModalityId
 from mmsurv.errors import ConfigError, DataError
 from mmsurv.fusion import (DropoutPolicy, FusionBatch, FusionStrategy, batch_loss_and_grads,
-                           forward_loss, fuse, fusion_from_dict, fusion_to_dict,
-                           init_fusion_model, modality_dropout, model_footprint,
-                           predict_hazard, recon_loss, recon_loss_grad, reconstruct, total_loss)
+                           SCORE_CHUNK, forward_loss, fuse, fusion_from_dict, fusion_to_dict,
+                           init_fusion_model, modality_dropout, model_footprint, predict_hazard,
+                           predict_risk, recon_loss, recon_loss_grad, reconstruct, tensor_product,
+                           total_loss)
 
 SMALL = dict(embed_dim=4, extended_dim=8, reduced_dim=3,
              extender_hidden=6, reducer_hidden=5, head_hidden=5, recon_hidden=6)
@@ -196,8 +199,68 @@ def test_tensor_fuse_matches_bruteforce_product():
         else:
             factors.append(np.append(np.zeros(3), 1.0))
     expected = kron4_oracle(*factors)
-    assert np.allclose(h, expected, atol=1e-14, rtol=0)
+    assert np.array_equal(h, expected)  # the oracle multiplies in the same left-to-right order
     assert h.shape == ((3 + 1) ** 4,)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# factor entries that stress the sign of zero, overflow to inf and underflow to 0
+HOSTILE = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e150, -1e150, 1e300, np.inf, -np.inf, 3.5e-8]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=0, max_value=2**32))
+@example(1, 1, 0)
+@example(3, 9, 1)
+def test_tensor_product_has_the_bits_of_the_four_operand_einsum(n, width, seed):
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(n, 4, width)) * 10.0 ** rng.integers(-150, 151, size=(n, 4, width))
+    hostile = rng.random((n, 4, width)) < 0.3
+    factors[hostile] = rng.choice(HOSTILE, size=hostile.sum())
+    absent = rng.random((n, 4)) < 0.3  # the slots fuse gives a hidden modality: zeros, then 1
+    factors[absent] = np.r_[np.zeros(width - 1), 1.0]
+    with np.errstate(all="ignore"):
+        assert same_bits(tensor_product(factors), tensor_product_einsum(factors))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 255, 256, 257, 513]), st.sampled_from([1e-120, 1.0, 1e40, 1e90]),
+       st.integers(min_value=0, max_value=2**32))
+@example(1, 1.0, 0)
+@example(255, 1e90, 1)
+@example(256, 1e-120, 2)
+@example(257, 1e40, 3)
+@example(513, 1.0, 4)
+def test_tensor_fuse_has_the_bits_of_the_four_operand_einsum(n, scale, seed):
+    rng = np.random.default_rng(seed)
+    model = init_fusion_model(FusionStrategy("tensor"), seed=seed % 1000)
+    for net in model.reducers.values():
+        net.layers[-1].w[...] *= scale  # huge or tiny factors; 1e90 overflows the product
+    mask = rng.random((n, 4)) < 0.6
+    mask[~mask.any(axis=1), rng.integers(4)] = True
+    x = rng.normal(size=(n, 4, model.strategy.embed_dim))
+    with np.errstate(over="ignore"):
+        h, tape = fuse(model, x, mask)
+    assert same_bits(h, tensor_product_einsum(tape.factors))
+    assert (tape.factors[~mask][:, :-1] == 0.0).all()
+
+
+def test_tensor_predict_risk_over_many_chunks_equals_the_einsum_path():
+    rng = np.random.default_rng(30)
+    model = init_fusion_model(FusionStrategy("tensor"), seed=31)
+    n = 2 * SCORE_CHUNK + 37
+    mask = rng.random((n, 4)) < 0.7
+    mask[~mask.any(axis=1), 0] = True
+    x = rng.normal(size=(n, 4, model.strategy.embed_dim))
+    expected = np.concatenate([
+        predict_hazard(model, tensor_product_einsum(fuse(model, x[s:s + SCORE_CHUNK],
+                                                         mask[s:s + SCORE_CHUNK])[1].factors))
+        for s in range(0, n, SCORE_CHUNK)])
+    assert np.array_equal(predict_risk(model, x, mask), expected)
 
 
 def test_tensor_all_zero_reducers_give_trailing_one_hot():

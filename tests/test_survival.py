@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bootstrap_loop, cindex_pairwise, finite_diff_grad
+from conftest import (bootstrap_loop, cindex_pairwise, cox_loss_grad_unchunked, cox_loss_unchunked,
+                      finite_diff_grad)
+from mmsurv import survival
 from mmsurv.errors import DataError, NumericalError
-from mmsurv.survival import (BOOT_CHUNK, SurvivalBatch, bootstrap_concordance,
+from mmsurv.survival import (BOOT_CHUNK, COX_CHUNK, SurvivalBatch, bootstrap_concordance,
                              concordance_index, cox_loss, cox_loss_grad, has_comparable_pair)
 
 
@@ -135,6 +137,56 @@ def test_cox_grad_sums_to_zero_when_all_tied_events():
     hazards = rng.normal(size=7)
     g = cox_loss_grad(SurvivalBatch(hazards, np.full(7, 4.0), np.ones(7)))
     assert abs(g.sum()) < 1e-12
+
+
+def random_cox_batch(rng, n, n_times, scale):
+    """Times on an ``n_times`` grid (ties common), hazards at ``scale``, at least one event."""
+    times = rng.integers(1, n_times + 1, size=n).astype(float)
+    events = (rng.random(n) < 0.6).astype(float)
+    events[rng.integers(n)] = 1.0
+    return SurvivalBatch(rng.normal(size=n) * scale, times, events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=39),
+       st.sampled_from([1, 3, 20, 10**6]), st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
+       st.integers(min_value=0, max_value=2**32))
+@example(1, 1, 1, 1.0, 0)  # one record
+@example(40, 1, 3, 1.0, 1)  # one event row per chunk, heavy ties
+@example(120, 39, 10**6, 700.0, 2)  # large scores over several chunks
+def test_chunked_cox_equals_the_unchunked_matrices(n, chunk, n_times, scale, seed):
+    batch = random_cox_batch(np.random.default_rng(seed), n, n_times, scale)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(survival, "COX_CHUNK", chunk)
+        loss, grad = cox_loss(batch), cox_loss_grad(batch)
+    assert loss == cox_loss_unchunked(batch)
+    assert np.array_equal(grad, cox_loss_grad_unchunked(batch))
+
+
+def test_cox_at_the_default_chunk_equals_the_unchunked_matrices():
+    rng = np.random.default_rng(105)
+    for n_events in (COX_CHUNK, COX_CHUNK + 1, 2 * COX_CHUNK + 1):
+        events = rng.permutation(np.r_[np.ones(n_events), np.zeros(20)])
+        batch = SurvivalBatch(rng.normal(size=events.size),
+                              rng.integers(1, 50, size=events.size).astype(float), events)
+        assert cox_loss(batch) == cox_loss_unchunked(batch)
+        assert np.array_equal(cox_loss_grad(batch), cox_loss_grad_unchunked(batch))
+
+
+def test_cox_of_10k_records_stays_in_chunk_memory():
+    # one (events x n) float matrix alone would take about 380 MiB here
+    rng = np.random.default_rng(106)
+    n = 10_000
+    batch = SurvivalBatch(rng.normal(size=n), rng.uniform(1.0, 5000.0, size=n),
+                          (rng.random(n) < 0.5).astype(float))
+    tracemalloc.start()
+    try:
+        loss, grad = cox_loss(batch), cox_loss_grad(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss) and abs(grad.sum()) < 1e-8
+    assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_cindex_perfectly_anti_ordered_risks():
