@@ -20,8 +20,7 @@ from .nets import DenseNet, OptimizerState, init_net
 from .pipeline import (AblationReport, ExperimentCell, SurvivalPredictor,
                        default_synthetic_pair, evaluate, load_predictor,
                        run_ablation_grid, save_predictor, table_cells,
-                       train_cell, train_end_to_end, train_fusion_on_table,
-                       train_two_stage)
+                       train_cell, train_fusion_on_table)
 from .survival import SurvivalBatch, concordance_index, cox_loss, cox_loss_grad
 from .unimodal import (UnimodalEncoder, export_embeddings, load_unimodal,
                        save_unimodal, train_unimodal)

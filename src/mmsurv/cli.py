@@ -26,8 +26,7 @@ from .fusion import FUSION_KINDS, FusionStrategy, init_fusion_model, model_footp
 from .gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, run_gradient_checks
 from .pipeline import (DATA_REGIMES, MODES, ExperimentCell, default_synthetic_pair,
                        evaluate, load_predictor, run_ablation_grid, save_predictor,
-                       table_cells, train_end_to_end, train_fusion_on_table,
-                       train_two_stage)
+                       table_cells, train_cell, train_fusion_on_table)
 from .unimodal import load_unimodal, save_unimodal, train_unimodal
 
 
@@ -182,15 +181,10 @@ def _cmd_train_fuse(args) -> int:
     cell = ExperimentCell(args.strategy, args.stage1_data, args.stage2_data,
                           dropout=args.dropout, recon=args.recon, mode=args.mode)
     encoders = _load_encoder_dir(args.encoders) if args.encoders else None
-    if cell.mode == "two-stage":
-        if encoders is not None:
-            predictor = train_two_stage(cohort, config, cell, stage1_encoders=encoders)
-        elif _is_embedding_table(cohort):
-            predictor = train_fusion_on_table(cohort, config, cell)
-        else:
-            predictor = train_two_stage(cohort, config, cell)
+    if cell.mode == "two-stage" and encoders is None and _is_embedding_table(cohort):
+        predictor = train_fusion_on_table(cohort, config, cell)
     else:
-        predictor = train_end_to_end(cohort, config, cell, stage1_encoders=encoders)
+        predictor = train_cell(cohort, config, cell, stage1_encoders=encoders)
     os.makedirs(args.out_dir, exist_ok=True)
     save_predictor(predictor, os.path.join(args.out_dir, "model.json"))
     _write_trace(predictor.trace, os.path.join(args.out_dir, "fusion_trace.csv"))

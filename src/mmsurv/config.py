@@ -6,6 +6,7 @@ and a ``val_risks`` for the hold-out, and ``fit`` does the rest.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,8 @@ class TrainConfig:
             raise ConfigError("seed must be non-negative")
         if min(self.stage1_batch, self.fusion_batch) < 1:
             raise ConfigError("batch sizes must be positive")
-        if min(self.stage1_lr, self.fusion_lr) <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not all(math.isfinite(lr) and lr > 0 for lr in (self.stage1_lr, self.fusion_lr)):
+            raise ConfigError("learning rates must be finite and positive")
         if min(self.stage1_epochs, self.fusion_epochs) < 1:
             raise ConfigError("epoch counts must be positive")
         if self.patience < 0:
@@ -56,8 +57,8 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        if self.lam < 0:
-            raise ConfigError("lam must be non-negative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError("lam must be finite and non-negative")
         if self.bootstrap < 0:
             raise ConfigError("bootstrap must be non-negative")
 

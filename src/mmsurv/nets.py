@@ -207,8 +207,8 @@ class OptimizerState:
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if algorithm not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {algorithm!r}")
-        if lr <= 0.0:
-            raise ConfigError("learning rate must be positive")
+        if not (math.isfinite(lr) and lr > 0.0):
+            raise ConfigError("learning rate must be finite and positive")
         self.algorithm = algorithm
         self.lr = lr
         self.beta1 = beta1

@@ -1,15 +1,17 @@
-"""Training pipelines, evaluation, and the ablation grid.
+"""Training, evaluation, and the ablation grid.
 
-Two training paths produce the same kind of predictor. The two-stage path
-trains one encoder per modality on the Cox objective, freezes them, embeds
-the training cohort, and then trains only the fusion networks on top. The
-joint path updates encoders and fusion together, either from scratch or
-starting from stage-1 encoders. Stage 1 and both fusion trainers run the
-one loop ``config.fit``; each brings its own seeds, networks, optimizer
-states and a step over a batch of record indices. The two-stage step reads
-the precomputed embedding table, the joint step re-encodes its batch.
+``train_cell`` trains every mode with one fusion trainer. The two-stage
+mode trains one encoder per modality on the Cox objective (or takes given
+ones), freezes them, and hands the trainer the embedding table of its
+training records, on which only the fusion networks learn;
+``train_fusion_on_table`` hands it an embedding table directly. The joint
+modes hand it the raw records, re-encode every batch, and update encoders
+and fusion together, either from fresh encoders or starting from stage-1
+encoders. ``unimodal.encode`` runs each encoder on the rows that carry its
+modality, and stage 1 and fusion training both run the one loop
+``config.fit``.
 
-Each path can draw its training records from the complete-modality subset
+Each mode can draw its training records from the complete-modality subset
 ("complete") or from every record ("all"), separately per stage. Together
 with the fusion strategy, modality dropout, and the reconstruction loss
 this spans the ablation grid; one grid cell is one trained configuration
@@ -30,7 +32,9 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from .cohort import (MODALITIES, N_MODALITIES, Cohort, MissingnessScenario,
                      ModalityId, apply_scenario, complete_subset,
                      generate_synthetic, scenario_by_name)
 from .config import TrainConfig, TrainingTrace, fit
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, MmsurvError, NumericalError
 from .fusion import (DropoutPolicy, FusionBatch, FusionModel, FusionStrategy,
                      batch_loss_and_grads, dropout_masks, fusion_from_dict,
                      fusion_to_dict, init_fusion_model, model_footprint,
@@ -46,7 +50,8 @@ from .fusion import (DropoutPolicy, FusionBatch, FusionModel, FusionStrategy,
 from .nets import (OptimizerState, init_net, net_from_dict, net_to_dict,
                    optimizer_step, read_json)
 from .survival import bootstrap_concordance, concordance_index
-from .unimodal import ENCODER_HIDDEN, export_embeddings, train_unimodal
+from .unimodal import (ENCODER_HIDDEN, check_encoders, encode, export_embeddings,
+                       train_unimodal)
 
 log = logging.getLogger(__name__)
 
@@ -104,31 +109,10 @@ class SurvivalPredictor:
         self.encoders = encoders  # {ModalityId: DenseNet}, None for embedding input
         self.trace = trace
 
-    def cohort_embeddings(self, cohort: Cohort) -> np.ndarray:
-        """(n, 4, embed) embeddings of every record, zeros where a modality is absent."""
-        e = self.fusion.strategy.embed_dim
-        out = np.zeros((len(cohort), N_MODALITIES, e))
-        avail = cohort.availability
-        for m in MODALITIES:
-            rows = np.flatnonzero(avail[:, m])
-            if not rows.size:
-                continue
-            width = cohort.schema.dim(m)
-            if self.encoders is None:
-                if width != e:
-                    raise DataError(f"{m.label} has width {width}, expected embeddings of width {e}")
-                out[rows, m] = cohort.block(m)[rows]
-                continue
-            enc = self.encoders.get(m)
-            if enc is None:
-                raise DataError(f"no encoder for {m.label}, which {rows.size} record(s) carry")
-            if enc.input_dim != width:
-                raise DataError(f"{m.label} has width {width}, encoder expects {enc.input_dim}")
-            out[rows, m], _ = enc.forward(cohort.block(m)[rows])
-        return out
-
     def risk_scores(self, cohort: Cohort) -> np.ndarray:
-        return predict_risk(self.fusion, self.cohort_embeddings(cohort), cohort.availability)
+        check_encoders(self.encoders, cohort)
+        embeddings = encode(self.encoders, cohort, np.arange(len(cohort)))
+        return predict_risk(self.fusion, embeddings, cohort.availability)
 
 
 PREDICTOR_FORMAT = "predictor-v1"
@@ -182,136 +166,89 @@ def train_stage1_encoders(train: Cohort, config: TrainConfig, regime: str) -> di
     return {m: train_unimodal(pool, m, config) for m in MODALITIES}
 
 
-def _fit_fusion(table: Cohort, config: TrainConfig, cell: ExperimentCell) -> tuple[FusionModel, TrainingTrace]:
-    """Train fusion networks on a frozen embedding table."""
-    table.require_events(f"fusion training ({cell.label()})")
-    strategy = FusionStrategy(cell.strategy, embed_dim=table.schema.embed_dim)
-    ss = np.random.SeedSequence([_FIT_SALT, config.seed])
-    init_seed, split_seed, shuffle_seed, dropout_seed = ss.spawn(4)
-    model = init_fusion_model(strategy, init_seed, recon=cell.recon, lam=config.lam)
-    opts = {name: OptimizerState(config.optimizer, config.fusion_lr, net)
-            for name, net in model.parts()}
-    policy = DropoutPolicy(rate=config.dropout_rate, enabled=cell.dropout)
-    dropout_rng = np.random.default_rng(dropout_seed)
-    alpha, times, events = table.availability, table.times, table.events
-    embeddings = np.stack([table.block(m) for m in MODALITIES], axis=1)
+def _fit_fusion(pool: Cohort, config: TrainConfig, cell: ExperimentCell, joint: bool = False,
+                start: dict | None = None) -> SurvivalPredictor:
+    """Train fusion networks on ``pool``: the one fusion trainer behind every mode.
 
-    def step(idx):
-        mask = dropout_masks(alpha[idx], policy, dropout_rng)
-        batch = FusionBatch(embeddings[idx], alpha[idx], mask, times[idx], events[idx])
-        total, _, _, grads, _ = batch_loss_and_grads(model, batch)
-        for name, net in model.parts():
-            optimizer_step(net, grads[name], opts[name])
-        return total
-
-    trace = fit([net for _, net in model.parts()], step,
-                lambda idx: predict_risk(model, embeddings[idx], alpha[idx]), times, events,
-                epochs=config.fusion_epochs, batch_size=config.fusion_batch,
-                patience=config.patience, val_fraction=config.val_fraction,
-                split_seed=split_seed, shuffle_seed=shuffle_seed,
-                context=f"fusion training ({cell.label()})")
-    return model, trace
-
-
-def train_fusion_on_table(table: Cohort, config: TrainConfig, cell: ExperimentCell) -> SurvivalPredictor:
-    """Train only the fusion stage on an already-embedded cohort."""
-    model, trace = _fit_fusion(table, config, cell)
-    return SurvivalPredictor(model, encoders=None, trace=trace)
-
-
-def train_two_stage(train: Cohort, config: TrainConfig, cell: ExperimentCell,
-                    stage1_encoders: dict | None = None) -> SurvivalPredictor:
-    """Stage 1 per modality, freeze, then fusion on top of the embeddings.
-
-    Pass ``stage1_encoders`` to reuse already-trained encoders; they are
-    used as-is and never updated here.
+    Without ``joint`` the pool is an embedding table and only the fusion
+    networks learn. With it the pool holds raw features: every batch is
+    re-encoded and the encoders learn along with fusion, starting from
+    copies of the ``start`` encoders ({modality: UnimodalEncoder}) or, when
+    there are none, from fresh ones drawn from the first seed stream.
     """
-    if cell.mode != "two-stage":
-        raise ConfigError(f"cell mode {cell.mode!r} does not belong in train_two_stage")
-    train.require_events("two-stage training")
-    stage1 = stage1_encoders or train_stage1_encoders(train, config, cell.stage1_data)
-    pool = _regime_pool(train, cell.stage2_data, f"stage 2 ({cell.stage2_data} data)")
-    table = export_embeddings(stage1, pool)
-    fusion, trace = _fit_fusion(table, config, cell)
-    encoders = {m: u.encoder for m, u in stage1.items()}
-    return SurvivalPredictor(fusion, encoders, trace=trace)
-
-
-def train_end_to_end(train: Cohort, config: TrainConfig, cell: ExperimentCell,
-                     stage1_encoders: dict | None = None) -> SurvivalPredictor:
-    """Joint training of encoders and fusion against the total loss.
-
-    ``joint-scratch`` initializes fresh encoders; ``joint-finetune`` starts
-    from trained stage-1 encoders and keeps updating them.
-    """
-    if cell.mode not in ("joint-scratch", "joint-finetune"):
-        raise ConfigError(f"cell mode {cell.mode!r} does not belong in train_end_to_end")
-    train.require_events("joint training")
-    pool = _regime_pool(train, cell.stage2_data, f"joint training ({cell.stage2_data} data)")
-    pool.require_events("joint training pool")
-
-    ss = np.random.SeedSequence([_JOINT_SALT, config.seed])
-    enc_seed, init_seed, split_seed, shuffle_seed, dropout_seed = ss.spawn(5)
-    if cell.mode == "joint-finetune":
-        if stage1_encoders is None:
-            raise ConfigError("joint-finetune requires trained stage-1 encoders")
-        encoders = {m: stage1_encoders[m].encoder.copy() for m in MODALITIES}
-    else:
-        enc_seeds = enc_seed.spawn(len(MODALITIES))
-        encoders = {m: init_net((pool.schema.dim(m), ENCODER_HIDDEN, pool.schema.embed_dim),
-                                "selu", enc_seeds[m]) for m in MODALITIES}
-
+    context = f"{'joint' if joint else 'fusion'} training ({cell.label()})"
+    pool.require_events(context)
+    salt, streams = (_JOINT_SALT, 5) if joint else (_FIT_SALT, 4)
+    seeds = np.random.SeedSequence([salt, config.seed]).spawn(streams)
+    init_seed, split_seed, shuffle_seed, dropout_seed = seeds[-4:]
+    encoders = None  # the table's blocks are the embeddings
+    if joint and start is not None:
+        encoders = {m: start[m].encoder.copy() for m in MODALITIES}
+    elif joint:
+        encoders = {m: init_net((pool.schema.dim(m), ENCODER_HIDDEN, pool.schema.embed_dim), "selu", s)
+                    for m, s in zip(MODALITIES, seeds[0].spawn(N_MODALITIES))}
+    check_encoders(encoders, pool)
+    learning_encoders = encoders or {}
     strategy = FusionStrategy(cell.strategy, embed_dim=pool.schema.embed_dim)
     model = init_fusion_model(strategy, init_seed, recon=cell.recon, lam=config.lam)
-    opts = {name: OptimizerState(config.optimizer, config.fusion_lr, net)
-            for name, net in model.parts()}
-    enc_opts = {m: OptimizerState(config.optimizer, config.fusion_lr, encoders[m])
-                for m in MODALITIES}
-
+    nets = [net for _, net in model.parts()] + list(learning_encoders.values())
+    opts = [OptimizerState(config.optimizer, config.fusion_lr, net) for net in nets]
     policy = DropoutPolicy(rate=config.dropout_rate, enabled=cell.dropout)
     dropout_rng = np.random.default_rng(dropout_seed)
     alpha, times, events = pool.availability, pool.times, pool.events
-    blocks = {m: pool.block(m) for m in MODALITIES}
-
-    def embed(idx):
-        """Encode the records idx; returns their (n, 4, embed) block and {modality: (rows, tape)}."""
-        emb = np.zeros((len(idx), N_MODALITIES, pool.schema.embed_dim))
-        tapes = {}
-        for m in MODALITIES:
-            rows = np.flatnonzero(alpha[idx, m])
-            if rows.size:
-                emb[rows, m], tape = encoders[m].forward(blocks[m][idx[rows]])
-                tapes[m] = (rows, tape)
-        return emb, tapes
 
     def step(idx):
-        emb, tapes = embed(idx)
+        tapes = {}
+        emb = encode(encoders, pool, idx, tapes)
         mask = dropout_masks(alpha[idx], policy, dropout_rng)
         batch = FusionBatch(emb, alpha[idx], mask, times[idx], events[idx])
         total, _, _, grads, dx = batch_loss_and_grads(model, batch)
-        enc_grads = {m: np.zeros_like(encoders[m].params) for m in MODALITIES if m not in tapes}
-        for m, (rows, tape) in tapes.items():
-            enc_grads[m], _ = encoders[m].backward(tape, dx[rows, m])
-        for name, net in model.parts():
-            optimizer_step(net, grads[name], opts[name])
-        for m in MODALITIES:
-            optimizer_step(encoders[m], enc_grads[m], enc_opts[m])
+        grads = [grads[name] for name, _ in model.parts()]
+        for m, net in learning_encoders.items():
+            if m in tapes:
+                rows, tape = tapes[m]
+                grads.append(net.backward(tape, dx[rows, m])[0])
+            else:  # an encoder that saw no rows still steps, on zeros
+                grads.append(np.zeros_like(net.params))
+        for net, grad, opt in zip(nets, grads, opts):
+            optimizer_step(net, grad, opt)
         return total
 
-    nets = [net for _, net in model.parts()] + [encoders[m] for m in MODALITIES]
-    trace = fit(nets, step, lambda idx: predict_risk(model, embed(idx)[0], alpha[idx]), times, events,
-                epochs=config.fusion_epochs, batch_size=config.fusion_batch,
+    trace = fit(nets, step, lambda idx: predict_risk(model, encode(encoders, pool, idx), alpha[idx]),
+                times, events, epochs=config.fusion_epochs, batch_size=config.fusion_batch,
                 patience=config.patience, val_fraction=config.val_fraction,
-                split_seed=split_seed, shuffle_seed=shuffle_seed,
-                context=f"joint training ({cell.label()})")
+                split_seed=split_seed, shuffle_seed=shuffle_seed, context=context)
     return SurvivalPredictor(model, encoders, trace=trace)
+
+
+def train_fusion_on_table(table: Cohort, config: TrainConfig, cell: ExperimentCell) -> SurvivalPredictor:
+    """Train only the fusion stage on an already-embedded cohort, on the cell's stage-2 records."""
+    pool = _regime_pool(table, cell.stage2_data, f"stage 2 ({cell.stage2_data} data)")
+    return _fit_fusion(pool, config, cell)
 
 
 def train_cell(train: Cohort, config: TrainConfig, cell: ExperimentCell,
                stage1_encoders: dict | None = None) -> SurvivalPredictor:
-    if cell.mode == "two-stage":
-        return train_two_stage(train, config, cell, stage1_encoders)
-    return train_end_to_end(train, config, cell, stage1_encoders)
+    """Train one grid configuration on a raw cohort, in the cell's mode.
+
+    Two-stage uses ``stage1_encoders`` as they are (or trains them on the
+    cell's stage-1 records), freezes them, and fits fusion on the embedding
+    table of the stage-2 records. Joint-finetune starts from copies of
+    ``stage1_encoders`` and joint-scratch from fresh encoders; both update
+    encoders and fusion together on the stage-2 records.
+    """
+    if cell.mode == "joint-finetune" and stage1_encoders is None:
+        raise ConfigError("joint-finetune requires trained stage-1 encoders")
+    train.require_events(f"{cell.mode} training")
+    if cell.mode != "two-stage":
+        pool = _regime_pool(train, cell.stage2_data, f"joint training ({cell.stage2_data} data)")
+        start = stage1_encoders if cell.mode == "joint-finetune" else None
+        return _fit_fusion(pool, config, cell, joint=True, start=start)
+    stage1 = stage1_encoders or train_stage1_encoders(train, config, cell.stage1_data)
+    pool = _regime_pool(train, cell.stage2_data, f"stage 2 ({cell.stage2_data} data)")
+    predictor = _fit_fusion(export_embeddings(stage1, pool), config, cell)
+    predictor.encoders = {m: u.encoder for m, u in stage1.items()}
+    return predictor
 
 
 def evaluate(predictor: SurvivalPredictor, test: Cohort, scenario: MissingnessScenario,
@@ -428,8 +365,15 @@ class AblationReport:
             fh.write(self.to_markdown_text())
 
 
-def _train_key_job(train, config, cell, stage1_encoders):
-    return cell.training_key(), train_cell(train, config, cell, stage1_encoders)
+def _outcome(fn, *args):
+    """``fn(*args)``, or the error that stopped it; an error among ``args`` is passed on as is."""
+    failed = [a for a in args if isinstance(a, MmsurvError)]
+    if failed:
+        return failed[0]
+    try:
+        return fn(*args)
+    except (DataError, NumericalError, ConfigError) as e:
+        return e
 
 
 def run_ablation_grid(train: Cohort, test: Cohort, cells, config: TrainConfig,
@@ -455,44 +399,23 @@ def run_ablation_grid(train: Cohort, test: Cohort, cells, config: TrainConfig,
 
     notify = progress or (lambda msg: None)
 
-    stage1_sets: dict[str, dict] = {}
+    stage1_sets: dict[str, dict | MmsurvError] = {}
     for cell in deduped:
-        if cell.mode in ("two-stage", "joint-finetune") and cell.stage1_data not in stage1_sets:
+        if cell.mode != "joint-scratch" and cell.stage1_data not in stage1_sets:
             notify(f"stage 1 encoders ({cell.stage1_data} data)")
-            stage1_sets[cell.stage1_data] = train_stage1_encoders(train, config, cell.stage1_data)
+            stage1_sets[cell.stage1_data] = _outcome(train_stage1_encoders, train, config,
+                                                     cell.stage1_data)
 
-    models: dict[tuple, SurvivalPredictor | Exception] = {}
-    unique_keys, key_cells = [], {}
+    jobs: dict[tuple, ExperimentCell] = {}  # the first cell of each training key
     for cell in deduped:
-        key = cell.training_key()
-        if key not in key_cells:
-            unique_keys.append(key)
-            key_cells[key] = cell
-
-    def encoders_for(cell):
-        if cell.mode in ("two-stage", "joint-finetune"):
-            return stage1_sets[cell.stage1_data]
-        return None
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {key: pool.submit(_train_key_job, train, config, key_cells[key],
-                                        encoders_for(key_cells[key]))
-                       for key in unique_keys}
-            for key in unique_keys:
-                try:
-                    _, predictor = futures[key].result()
-                    models[key] = predictor
-                except (DataError, NumericalError, ConfigError) as e:
-                    models[key] = e
-                notify(f"trained {key_cells[key].label()}")
-    else:
-        for key in unique_keys:
-            cell = key_cells[key]
-            try:
-                models[key] = train_cell(train, config, cell, encoders_for(cell))
-            except (DataError, NumericalError, ConfigError) as e:
-                models[key] = e
+        jobs.setdefault(cell.training_key(), cell)
+    stage1 = [None if c.mode == "joint-scratch" else stage1_sets[c.stage1_data] for c in jobs.values()]
+    train_job = partial(_outcome, train_cell, train, config)
+    models: dict[tuple, SurvivalPredictor | MmsurvError] = {}
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        outcomes = (pool.map if pool else map)(train_job, jobs.values(), stage1)
+        for (key, cell), outcome in zip(jobs.items(), outcomes):
+            models[key] = outcome
             notify(f"trained {cell.label()}")
 
     rows = []

@@ -10,6 +10,10 @@ for the fusion stage.
 An embedding table is just a cohort whose feature blocks are embeddings
 (every block width equals the embedding width), which keeps one file format
 for raw cohorts and precomputed embeddings.
+
+``encode`` is the one way a set of encoders runs over a cohort, and
+``check_encoders`` the one check that it can: exporting a table, scoring
+and joint training all go through them.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import Cohort, ModalityId, embedding_schema
+from .cohort import N_MODALITIES, Cohort, ModalityId, embedding_schema
 from .config import TrainConfig, TrainingTrace, fit
 from .errors import DataError
 from .nets import (DenseNet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step,
@@ -39,11 +43,6 @@ class UnimodalEncoder:
     encoder: DenseNet
     head: DenseNet
     trace: TrainingTrace | None = field(default=None, repr=False)
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """Embeddings of an (n, raw) block of feature rows, (n, embed)."""
-        y, _ = self.encoder.forward(x)
-        return y
 
 
 def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) -> UnimodalEncoder:
@@ -84,6 +83,57 @@ def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) ->
     return UnimodalEncoder(modality, encoder, head, trace)
 
 
+def check_encoders(nets, cohort: Cohort) -> None:
+    """A DataError unless ``encode(nets, cohort, ...)`` can run.
+
+    Every modality the cohort carries needs a net in ``nets`` ({modality:
+    DenseNet}) that takes its feature width and yields the schema's
+    embedding width. With ``nets`` None the feature blocks are the
+    embeddings, so each carried block must be embedding-wide.
+    """
+    schema = cohort.schema
+    needed = [m for m in ModalityId if cohort.availability[:, m].any()]
+    if nets is None:
+        for m in needed:
+            if schema.dim(m) != schema.embed_dim:
+                raise DataError(f"{m.label} has width {schema.dim(m)}, "
+                                f"expected embeddings of width {schema.embed_dim}")
+        return
+    missing = sorted(m.label for m in needed if m not in nets)
+    if missing:
+        raise DataError("no encoder for modalities present in cohort: " + ", ".join(missing))
+    for m in needed:
+        if nets[m].input_dim != schema.dim(m):
+            raise DataError(f"{m.label} encoder expects {nets[m].input_dim} features, "
+                            f"cohort provides {schema.dim(m)}")
+        if nets[m].output_dim != schema.embed_dim:
+            raise DataError(f"{m.label} encoder yields {nets[m].output_dim}-wide embeddings, "
+                            f"the schema declares {schema.embed_dim}")
+
+
+def encode(nets, cohort: Cohort, idx: np.ndarray, tapes: dict | None = None) -> np.ndarray:
+    """(len(idx), 4, embed) embeddings of the records ``idx``, zero where a modality is absent.
+
+    Each modality's net runs once, on the rows of ``idx`` that carry it, in
+    id order; with ``nets`` None the feature blocks are copied as they are.
+    Given a ``tapes`` dict, each forward leaves its (rows, tape) in
+    ``tapes[modality]``, rows counted as positions in ``idx``.
+    """
+    out = np.zeros((len(idx), N_MODALITIES, cohort.schema.embed_dim))
+    for m in ModalityId:
+        rows = np.flatnonzero(cohort.availability[idx, m])
+        if not rows.size:
+            continue
+        x = cohort.block(m)[idx[rows]]
+        if nets is None:
+            out[rows, m] = x
+            continue
+        out[rows, m], tape = nets[m].forward(x)
+        if tapes is not None:
+            tapes[m] = (rows, tape)
+    return out
+
+
 def export_embeddings(encoders, cohort: Cohort) -> Cohort:
     """Embed every present modality of every record with frozen encoders.
 
@@ -92,29 +142,11 @@ def export_embeddings(encoders, cohort: Cohort) -> Cohort:
     imputed here. Each encoder runs once, on all records carrying its
     modality.
     """
-    avail = cohort.availability
-    needed = [m for m in ModalityId if avail[:, m].any()]
-    missing = sorted(m.label for m in needed if m not in encoders)
-    if missing:
-        raise DataError("no encoder for modalities present in cohort: " + ", ".join(missing))
-    schema = embedding_schema(cohort.schema)
-    for m in needed:
-        net = encoders[m].encoder
-        if net.input_dim != cohort.schema.dim(m):
-            raise DataError(f"{m.label} encoder expects {net.input_dim} features, "
-                            f"cohort provides {cohort.schema.dim(m)}")
-        if net.output_dim != schema.dim(m):
-            raise DataError(f"{m.label} encoder yields {net.output_dim}-wide embeddings, "
-                            f"the schema declares {schema.dim(m)}")
-    blocks = []
-    for m in ModalityId:
-        block = np.zeros((len(cohort), schema.dim(m)))
-        rows = np.flatnonzero(avail[:, m])
-        if rows.size:
-            block[rows] = encoders[m].embed(cohort.block(m)[rows])
-        blocks.append(block)
-    return Cohort(schema, cohort.ids, cohort.times, cohort.events, avail, blocks,
-                  cohort.ground_truth_risk)
+    nets = {m: u.encoder for m, u in encoders.items()}
+    check_encoders(nets, cohort)
+    emb = encode(nets, cohort, np.arange(len(cohort)))
+    return Cohort(embedding_schema(cohort.schema), cohort.ids, cohort.times, cohort.events,
+                  cohort.availability, [emb[:, m] for m in ModalityId], cohort.ground_truth_risk)
 
 
 def save_unimodal(model: UnimodalEncoder, path: str) -> None:

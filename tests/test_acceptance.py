@@ -24,7 +24,7 @@ from mmsurv.fusion import (DropoutPolicy, FusionStrategy, init_fusion_model,
                            modality_dropout, model_footprint, recon_loss)
 from mmsurv.gradcheck import run_gradient_checks
 from mmsurv.pipeline import (ExperimentCell, default_synthetic_pair, evaluate,
-                             train_stage1_encoders, train_two_stage)
+                             train_cell, train_stage1_encoders)
 from mmsurv.survival import SurvivalBatch, concordance_index, cox_loss
 
 
@@ -227,8 +227,8 @@ def sweep():
             cell = ExperimentCell("mean", stage1_data=s1, stage2_data=s2,
                                   dropout=drop, recon=recon)
             t0 = time.time()
-            predictor = train_two_stage(train, config, cell,
-                                        stage1_encoders=stage1[s1])
+            predictor = train_cell(train, config, cell,
+                                   stage1_encoders=stage1[s1])
             train_seconds = time.time() - t0
             for name in _SCENARIOS:
                 t0 = time.time()

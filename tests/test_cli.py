@@ -14,7 +14,7 @@ from mmsurv.cohort import MODALITIES, generate_synthetic, save_cohort, save_sche
 from mmsurv.config import TrainConfig
 from mmsurv.errors import ConfigError
 from mmsurv.fusion import FusionStrategy, init_fusion_model
-from mmsurv.nets import init_net
+from mmsurv.nets import OptimizerState, init_net
 from mmsurv.pipeline import SurvivalPredictor, save_predictor, train_stage1_encoders
 from mmsurv.unimodal import ENCODER_HIDDEN, UnimodalEncoder, export_embeddings, save_unimodal
 
@@ -392,6 +392,35 @@ def test_negative_seeds_and_bootstraps_are_usage_errors(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "must be a non-negative integer" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+NON_FINITE = {
+    "train-fuse-lam-nan": ["train-fuse", "--strategy", "mean", "--out-dir", "fuse", "--lam", "nan"],
+    "train-fuse-lam-inf": ["train-fuse", "--strategy", "mean", "--out-dir", "fuse", "--lam", "inf"],
+    "train-fuse-lr-nan": ["train-fuse", "--strategy", "mean", "--out-dir", "fuse",
+                          "--fusion-lr", "nan"],
+    "train-uni-lr-inf": ["train-uni", "--out-dir", "enc", "--stage1-lr", "inf"],
+    "train-uni-lr-nan": ["train-uni", "--out-dir", "enc", "--stage1-lr", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_learning_rates_and_lam_are_usage_errors(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--n", 60, "--seed", 1, "--out", "c.csv", "--quiet") == 0
+    assert run(*NON_FINITE[case], "--data", "c.csv", "--seed", 1, "--stage1-epochs", 2,
+               "--quiet") == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: .*must be finite", err, re.MULTILINE)
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.csv.schema"]
+
+
+def test_optimizer_state_rejects_a_non_finite_learning_rate():
+    net = init_net((2, 1), "identity", 0)
+    for lr in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            OptimizerState("adam", lr, net)
 
 
 def test_train_config_rejects_a_negative_seed():

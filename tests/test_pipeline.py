@@ -3,16 +3,15 @@ import numpy as np
 import pytest
 
 from conftest import bootstrap_loop, cindex_pairwise, cohort_from_rows
-from mmsurv.cohort import (MODALITIES, ModalityId, apply_scenario, generate_synthetic,
-                           scenario_by_name)
+from mmsurv.cohort import (MODALITIES, ModalityId, ModalitySchema, apply_scenario,
+                           complete_subset, generate_synthetic, scenario_by_name)
 from mmsurv.config import TrainConfig
 from mmsurv.errors import ConfigError, DataError
-from mmsurv.pipeline import (_BOOT_SALT, AblationReport, ExperimentCell,
+from mmsurv.pipeline import (_BOOT_SALT, AblationReport, ExperimentCell, SurvivalPredictor,
                              default_synthetic_pair, evaluate, load_predictor,
                              run_ablation_grid, save_predictor, table_cells,
-                             train_cell, train_end_to_end, train_fusion_on_table,
-                             train_stage1_encoders, train_two_stage)
-from mmsurv.unimodal import export_embeddings
+                             train_cell, train_fusion_on_table, train_stage1_encoders)
+from mmsurv.unimodal import UnimodalEncoder, export_embeddings
 
 FAST = TrainConfig(seed=5, stage1_epochs=15, fusion_epochs=8, bootstrap=50)
 
@@ -44,7 +43,7 @@ def test_cell_validation_and_training_key():
 def test_two_stage_smoke_beats_chance():
     train, test = fast_pair()
     cell = ExperimentCell("mean", "all", "all", dropout=True)
-    predictor = train_two_stage(train, FAST, cell)
+    predictor = train_cell(train, FAST, cell)
     result = evaluate(predictor, test, scenario_by_name("complete"), bootstrap=50, seed=5)
     assert result.cindex > 0.6
     assert result.std is not None and 0 < result.std < 0.2
@@ -54,8 +53,8 @@ def test_two_stage_smoke_beats_chance():
 def test_two_stage_is_deterministic():
     train, test = fast_pair()
     cell = ExperimentCell("concat", "all", "all")
-    a = train_two_stage(train, FAST, cell)
-    b = train_two_stage(train, FAST, cell)
+    a = train_cell(train, FAST, cell)
+    b = train_cell(train, FAST, cell)
     assert np.array_equal(predictor_params(a), predictor_params(b))
     ra = evaluate(a, test, scenario_by_name("pathology-missing"), 50, 5)
     rb = evaluate(b, test, scenario_by_name("pathology-missing"), 50, 5)
@@ -66,12 +65,24 @@ def test_shared_encoders_give_identical_fusion_input():
     train, _ = fast_pair()
     encoders = train_stage1_encoders(train, FAST, "all")
     cell = ExperimentCell("mean", "all", "all")
-    direct = train_two_stage(train, FAST, cell, stage1_encoders=encoders)
+    direct = train_cell(train, FAST, cell, stage1_encoders=encoders)
     table = export_embeddings(encoders, train)
     on_table = train_fusion_on_table(table, FAST, cell)
     a = np.concatenate([n.params for _, n in direct.fusion.parts()])
     b = np.concatenate([n.params for _, n in on_table.fusion.parts()])
     assert np.array_equal(a, b)
+
+
+def test_table_training_draws_the_stage2_regime():
+    train, _ = fast_pair()
+    table = export_embeddings(train_stage1_encoders(train, FAST, "all"), train)
+    on_complete = train_fusion_on_table(table, FAST, ExperimentCell("mean", stage2_data="complete"))
+    on_subset = train_fusion_on_table(complete_subset(table), FAST, ExperimentCell("mean"))
+    on_all = train_fusion_on_table(table, FAST, ExperimentCell("mean"))
+    assert 0 < len(complete_subset(table)) < len(table)
+    assert np.array_equal(predictor_params(on_complete), predictor_params(on_subset))
+    assert not np.array_equal(predictor_params(on_complete), predictor_params(on_all))
+    assert on_complete.trace.epochs == on_subset.trace.epochs
 
 
 def no_complete_records_cohort(seed=6, n=60):
@@ -88,22 +99,14 @@ def test_complete_regime_requires_complete_records():
     cohort = no_complete_records_cohort()
     cell = ExperimentCell("mean", "all", "complete")
     with pytest.raises(DataError, match="complete"):
-        train_two_stage(cohort, FAST, cell)
+        train_cell(cohort, FAST, cell)
 
 
 def test_joint_finetune_requires_encoders():
     train, _ = fast_pair(n_train=80, n_test=40)
     cell = ExperimentCell("mean", mode="joint-finetune")
     with pytest.raises(ConfigError, match="stage-1"):
-        train_end_to_end(train, FAST, cell)
-
-
-def test_mode_and_entry_point_must_agree():
-    train, _ = fast_pair(n_train=80, n_test=40)
-    with pytest.raises(ConfigError):
-        train_two_stage(train, FAST, ExperimentCell("mean", mode="joint-scratch"))
-    with pytest.raises(ConfigError):
-        train_end_to_end(train, FAST, ExperimentCell("mean", mode="two-stage"))
+        train_cell(train, FAST, cell)
 
 
 def test_joint_training_runs_and_scores():
@@ -130,7 +133,7 @@ def test_evaluate_counts_records_emptied_by_the_scenario():
             feats[ModalityId.DEMOGRAPHICS] = None
         records.append((r.id, r.time, r.event, tuple(feats)))
     test = cohort_from_rows(base.schema, records)
-    predictor = train_two_stage(train, FAST, ExperimentCell("concat"))
+    predictor = train_cell(train, FAST, ExperimentCell("concat"))
     result = evaluate(predictor, test, scenario_by_name("gene-pathology-missing"),
                       bootstrap=0, seed=5)
     assert result.n_dropped == 5
@@ -141,7 +144,7 @@ def test_evaluate_counts_records_emptied_by_the_scenario():
 @pytest.fixture(scope="module")
 def mean_predictor_and_test():
     train, test = fast_pair(n_train=120, n_test=70)
-    return train_two_stage(train, FAST, ExperimentCell("mean")), test
+    return train_cell(train, FAST, ExperimentCell("mean")), test
 
 
 def evaluate_by_loop(predictor, test, scenario, bootstrap, seed):
@@ -174,9 +177,23 @@ def test_evaluate_counts_only_resamples_with_a_comparable_pair(mean_predictor_an
     assert result.std == std
 
 
+def test_scoring_checks_the_cohort_against_the_encoders(mean_predictor_and_test):
+    predictor, test = mean_predictor_and_test
+    narrow = generate_synthetic(10, 1, schema=ModalitySchema((4, 4, 4, 4), 32),
+                                missing_rate=(0.0,) * 4)
+    with pytest.raises(DataError, match="radiology encoder expects 16 features"):
+        predictor.risk_scores(narrow)
+    table = export_embeddings({m: UnimodalEncoder(m, net, None) for m, net in predictor.encoders.items()},
+                              test)
+    on_table = SurvivalPredictor(predictor.fusion)
+    assert np.array_equal(on_table.risk_scores(table), predictor.risk_scores(test))
+    with pytest.raises(DataError, match="radiology has width 16, expected embeddings of width 32"):
+        on_table.risk_scores(test)
+
+
 def test_predictor_checkpoint_round_trip(tmp_path):
     train, test = fast_pair(n_train=100, n_test=50)
-    predictor = train_two_stage(train, FAST, ExperimentCell("mean", recon=True))
+    predictor = train_cell(train, FAST, ExperimentCell("mean", recon=True))
     path = tmp_path / "model.json"
     save_predictor(predictor, str(path))
     loaded = load_predictor(str(path))
@@ -240,6 +257,28 @@ def test_grid_records_cell_failures_and_continues():
     assert report.rows[0]["cindex_mean"] is None
     assert report.rows[1]["error"] is None
     assert report.rows[1]["cindex_mean"] is not None
+
+
+def test_a_failed_stage1_regime_fails_only_the_cells_that_need_it():
+    train = no_complete_records_cohort(n=80)
+    _, test = fast_pair(n_train=40, n_test=60)
+    cells = [ExperimentCell("mean", s1, s2, scenario=scen)
+             for s1, s2 in (("complete", "complete"), ("all", "complete"), ("all", "all"))
+             for scen in ("complete", "pathology-missing")]
+    cells.append(ExperimentCell("mean", "complete", "all", mode="joint-scratch"))
+    reports = [run_ablation_grid(train, test, cells, FAST, workers=w) for w in (1, 2)]
+    assert reports[0].rows == reports[1].rows
+    by_regimes = {}
+    for row in reports[0].rows:
+        by_regimes.setdefault((row["mode"], row["stage1_data"], row["stage2_data"]), []).append(row)
+    for row in by_regimes[("two-stage", "complete", "complete")]:
+        assert row["cindex_mean"] is None
+        assert row["error"].startswith("stage 1 (complete data): no complete-modality records")
+    for row in by_regimes[("two-stage", "all", "complete")]:
+        assert row["cindex_mean"] is None and row["error"].startswith("stage 2 (complete data)")
+    for key in (("two-stage", "all", "all"), ("joint-scratch", "complete", "all")):
+        for row in by_regimes[key]:
+            assert row["error"] is None and row["cindex_mean"] is not None
 
 
 def test_grid_worker_pool_matches_serial():

@@ -25,7 +25,7 @@ def nets_equal(a, b):
 
 def stage1_risks(bundle, x):
     """The stage-1 risk score of each row of an (n, raw) block: the head on the embeddings."""
-    return bundle.head.forward(bundle.embed(x))[0][:, 0]
+    return bundle.head.forward(bundle.encoder.forward(x)[0])[0][:, 0]
 
 
 def test_trained_encoder_beats_chance_on_heldout_data():
@@ -112,7 +112,8 @@ def test_export_preserves_outcomes_and_availability():
     assert np.array_equal(table.availability, cohort.availability)
     for m in MODALITIES:
         carriers = [i for i, r in enumerate(cohort.records) if r.has(m)]
-        expected = encoders[m].embed(np.stack([cohort.records[i].features[m] for i in carriers]))
+        expected = encoders[m].encoder.forward(
+            np.stack([cohort.records[i].features[m] for i in carriers]))[0]
         for i, r in enumerate(table.records):
             if i in carriers:
                 assert np.array_equal(r.features[m], expected[carriers.index(i)])
