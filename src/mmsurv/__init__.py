@@ -9,7 +9,7 @@ masked reconstruction loss.
 from .cohort import (Cohort, MissingnessScenario, ModalityId, ModalitySchema,
                      apply_scenario, complete_subset, generate_synthetic,
                      load_cohort, load_schema, save_cohort, save_schema,
-                     scenario_by_name, split)
+                     scenario_by_name)
 from .config import TrainConfig, fit
 from .errors import ConfigError, DataError, MmsurvError, NumericalError
 from .fusion import (DropoutPolicy, FusionModel, FusionStrategy, fuse,

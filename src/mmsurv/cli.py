@@ -17,16 +17,16 @@ import os
 import sys
 from dataclasses import fields
 
-from .cohort import (MODALITIES, SCENARIOS, Cohort, ModalityId, complete_subset,
-                     embedding_schema, generate_synthetic, load_cohort, load_schema,
-                     save_cohort, save_schema, scenario_by_name)
+from .cohort import (MODALITIES, SCENARIOS, Cohort, ModalityId, embedding_schema,
+                     generate_synthetic, load_cohort, load_schema, save_cohort, save_schema,
+                     scenario_by_name)
 from .config import TrainConfig
 from .errors import ConfigError, DataError, NumericalError
 from .fusion import FUSION_KINDS, FusionStrategy, init_fusion_model, model_footprint
 from .gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, run_gradient_checks
-from .pipeline import (DATA_REGIMES, MODES, ExperimentCell, default_synthetic_pair,
-                       evaluate, load_predictor, run_ablation_grid, save_predictor,
-                       table_cells, train_cell, train_fusion_on_table)
+from .pipeline import (DATA_REGIMES, MODES, ExperimentCell, _regime_pool,
+                       default_synthetic_pair, evaluate, load_predictor, run_ablation_grid,
+                       save_predictor, table_cells, train_cell, train_fusion_on_table)
 from .unimodal import load_unimodal, save_unimodal, train_unimodal
 
 
@@ -141,12 +141,7 @@ def _cmd_train_uni(args) -> int:
     cohort = _load_data(args)
     config = _config_from(args)
     notify = _progress(args)
-    if args.data_regime == "complete":
-        pool = complete_subset(cohort)
-        if not len(pool):
-            raise DataError("no complete-modality records to train on")
-    else:
-        pool = cohort
+    pool = _regime_pool(cohort, args.data_regime, f"stage 1 ({args.data_regime} data)")
     wanted = MODALITIES if args.modality == "all" else (ModalityId.from_name(args.modality),)
     os.makedirs(args.out_dir, exist_ok=True)
     for m in wanted:
@@ -176,6 +171,9 @@ def _is_embedding_table(cohort: Cohort) -> bool:
 
 
 def _cmd_train_fuse(args) -> int:
+    if args.encoders and args.mode == "joint-scratch":
+        raise ConfigError("--encoders does not apply to --mode joint-scratch, "
+                          "which trains its encoders from scratch")
     cohort = _load_data(args)
     config = _config_from(args)
     cell = ExperimentCell(args.strategy, args.stage1_data, args.stage2_data,

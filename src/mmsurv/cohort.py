@@ -218,20 +218,6 @@ def complete_subset(cohort: Cohort) -> Cohort:
     return cohort.subset(np.flatnonzero(cohort.availability.all(axis=1)))
 
 
-def cohorts_equal(a: Cohort, b: Cohort) -> bool:
-    """Field-for-field equality, exact on floats. Used by round-trip tests."""
-    if a.schema != b.schema or len(a) != len(b):
-        return False
-    if (a.ground_truth_risk is None) != (b.ground_truth_risk is None):
-        return False
-    if a.ground_truth_risk is not None and not np.array_equal(a.ground_truth_risk, b.ground_truth_risk):
-        return False
-    return (np.array_equal(a.ids, b.ids) and np.array_equal(a.times, b.times)
-            and np.array_equal(a.events, b.events)
-            and np.array_equal(a.availability, b.availability)
-            and all(np.array_equal(a.block(m), b.block(m)) for m in MODALITIES))
-
-
 # ── missingness scenarios ────────────────────────────────────────────────────
 
 @dataclass(frozen=True)
@@ -544,20 +530,3 @@ def generate_synthetic(n: int, seed: int, *, schema: ModalitySchema = DEFAULT_SC
                     ground_truth_risk=risk)
     cohort.require_events("synthetic generation (every record was censored, lower censor_rate)")
     return cohort
-
-
-def split(cohort: Cohort, train_fraction: float, seed: int) -> tuple[Cohort, Cohort]:
-    """Deterministic disjoint train/test split; both sides must keep events."""
-    if not 0 < train_fraction < 1:
-        raise ConfigError("train_fraction must lie strictly between 0 and 1")
-    n = len(cohort)
-    k = int(round(n * train_fraction))
-    if k == 0 or k == n:
-        raise ConfigError(f"train_fraction {train_fraction} leaves an empty side for n={n}")
-    perm = np.random.default_rng(np.random.SeedSequence([0x5EED03, seed])).permutation(n)
-    train_idx = sorted(perm[:k].tolist())
-    test_idx = sorted(perm[k:].tolist())
-    train, test = cohort.subset(train_idx), cohort.subset(test_idx)
-    train.require_events("train split")
-    test.require_events("test split")
-    return train, test

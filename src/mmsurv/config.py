@@ -1,8 +1,9 @@
 """Training configuration and ``fit``, the one training loop.
 
 Stage 1, fusion on an embedding table and joint training all run ``fit``:
-each trainer brings its networks, a ``step`` over a batch of record indices
-and a ``val_risks`` for the hold-out, and ``fit`` does the rest.
+each trainer brings the one vector its networks are packed into
+(``nets.pack``), a ``step`` over a batch of record indices and a
+``val_risks`` for the hold-out, and ``fit`` does the rest.
 """
 from __future__ import annotations
 
@@ -73,9 +74,9 @@ class TrainingTrace:
         self.epochs.append({"epoch": epoch, "train_loss": train_loss, "val_cindex": val_cindex})
 
 
-def fit(nets, step, val_risks, times, events, *, epochs: int, batch_size: int, patience: int,
-        val_fraction: float, split_seed, shuffle_seed, context: str) -> TrainingTrace:
-    """Train ``nets`` through ``step`` with early stopping; returns the trace.
+def fit(params: np.ndarray, step, val_risks, times, events, *, epochs: int, batch_size: int,
+        patience: int, val_fraction: float, split_seed, shuffle_seed, context: str) -> TrainingTrace:
+    """Train the packed vector ``params`` through ``step`` with early stopping; returns the trace.
 
     A permutation drawn from ``split_seed`` holds out its first
     round(n * val_fraction) records for validation. Each epoch visits the
@@ -85,10 +86,10 @@ def fit(nets, step, val_risks, times, events, *, epochs: int, batch_size: int, p
     a rest whose Cox loss is exactly zero because no event in it has another
     record at or after its time.
     ``step(idx)`` and ``val_risks(idx)`` take indices into ``times`` and
-    ``events``. While the validation c-index improves, the networks'
-    ``params`` are copied; once it has not improved for more than
-    ``patience`` epochs, training stops, and the best copy is written back
-    into each network's ``params``.
+    ``events``. Each time the validation c-index improves, ``params`` is
+    copied into one snapshot vector; once it has not improved for more than
+    ``patience`` epochs, training stops, and the snapshot is written back
+    into ``params``, so every network viewing it returns to its best epoch.
     A hold-out without a comparable pair has no c-index: every epoch then
     logs None, all epochs run and the last state is kept.
     """
@@ -105,7 +106,8 @@ def fit(nets, step, val_risks, times, events, *, epochs: int, batch_size: int, p
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     trace = TrainingTrace()
-    best_ci, best, stale = -np.inf, None, 0
+    # overwritten in place: a fresh copy per improvement would briefly hold two
+    best_ci, best, stale = -np.inf, np.empty_like(params), 0
     for epoch in range(epochs):
         order = shuffle_rng.permutation(len(fit_idx))
         epoch_loss, n_batches = 0.0, 0
@@ -122,11 +124,12 @@ def fit(nets, step, val_risks, times, events, *, epochs: int, batch_size: int, p
         trace.log(epoch, epoch_loss / n_batches, val_ci)
         if use_val:
             if val_ci > best_ci:
-                best_ci, best, stale = val_ci, [net.params.copy() for net in nets], 0
+                best_ci, stale = val_ci, 0
+                best[...] = params
             else:
                 stale += 1
                 if stale > patience:
                     break
-    for net, kept in zip(nets, best or ()):
-        net.params[...] = kept
+    if best_ci > -np.inf:
+        params[...] = best
     return trace

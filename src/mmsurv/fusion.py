@@ -41,7 +41,7 @@ import numpy as np
 
 from .cohort import MODALITIES, N_MODALITIES
 from .errors import ConfigError, DataError, NumericalError
-from .nets import DenseNet, init_net, net_from_dict, net_to_dict
+from .nets import DenseNet, init_net, net_from_dict, net_to_dict, split
 from .survival import SurvivalBatch, cox_loss, cox_loss_grad
 
 FUSION_KINDS = ("concat", "mean", "tensor")
@@ -115,17 +115,6 @@ class FusionModel:
         if self.recon_head is not None:
             out.append(("recon_head", self.recon_head))
         return out
-
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([net.params for _, net in self.parts()])
-
-    def set_flat_params(self, p: np.ndarray) -> None:
-        if p.shape != (sum(net.params.size for _, net in self.parts()),):
-            raise ConfigError("flat parameter vector has wrong length")
-        ofs = 0
-        for _, net in self.parts():
-            net.params[...] = p[ofs:ofs + net.params.size]
-            ofs += net.params.size
 
 
 def _part_dims(s: FusionStrategy, recon: bool) -> dict[str, tuple[int, ...]]:
@@ -273,26 +262,31 @@ def _tensor_factor_grads(dh: np.ndarray, factors: np.ndarray) -> np.ndarray:
                      np.einsum("bijkl,bi,bj,bk->bl", u, f0, f1, f2)], axis=1)
 
 
-def fuse_backward(model: FusionModel, tape: FuseTape, dh: np.ndarray):
+def fuse_backward(model: FusionModel, tape: FuseTape, dh: np.ndarray, grads: dict) -> np.ndarray:
     """Push an (n, fused_dim) gradient back to body nets and input embeddings.
 
-    Returns ({part name: parameter gradient} for the body nets that ran, and the
-    (n, 4, embed) input gradient, zero on hidden slots).
+    Writes each body net's parameter gradient into ``grads[part name]``, a
+    vector in its ``params`` layout, zeros for a net that saw no rows, and
+    returns the (n, 4, embed) input gradient, zero on hidden slots.
     """
     s = model.strategy
     n = dh.shape[0]
-    grads: dict[str, np.ndarray] = {}
     if s.kind == "concat":
-        return grads, np.where(tape.mask[:, :, None], dh.reshape(n, N_MODALITIES, s.embed_dim), 0.0)
+        return np.where(tape.mask[:, :, None], dh.reshape(n, N_MODALITIES, s.embed_dim), 0.0)
     dx = np.zeros((n, N_MODALITIES, s.embed_dim))
     if s.kind == "mean":
         nets, prefix, up = model.extenders, "extender", dh / tape.mask.sum(axis=1)[:, None]
     else:
         nets, prefix, up = model.reducers, "reducer", _tensor_factor_grads(dh, tape.factors)
-    for m, (rows, net_tape) in tape.net_tapes.items():
+    for m in MODALITIES:
+        grad = grads[f"{prefix}_{m.label}"]
+        if m not in tape.net_tapes:
+            grad[...] = 0.0
+            continue
+        rows, net_tape = tape.net_tapes[m]
         upstream = up[rows] if s.kind == "mean" else up[rows, m, :s.reduced_dim]
-        grads[f"{prefix}_{m.label}"], dx[rows, m] = nets[m].backward(net_tape, upstream)
-    return grads, dx
+        _, dx[rows, m] = nets[m].backward(net_tape, upstream, grad)
+    return dx
 
 
 def predict_hazard(model: FusionModel, h: np.ndarray) -> np.ndarray:
@@ -309,14 +303,6 @@ def predict_risk(model: FusionModel, embeddings: np.ndarray, mask: np.ndarray) -
         h, _ = fuse(model, embeddings[block], mask[block])
         out[block] = predict_hazard(model, h)
     return out
-
-
-def reconstruct(model: FusionModel, h: np.ndarray) -> np.ndarray:
-    """Decode an (n, fused_dim) block back to all four embedding slots, (n, 4, embed)."""
-    if model.recon_head is None:
-        raise ConfigError("model has no reconstruction head")
-    y, _ = model.recon_head.forward(h)
-    return y.reshape(len(h), N_MODALITIES, model.strategy.embed_dim)
 
 
 def recon_loss(decoded: np.ndarray, targets: np.ndarray, alpha: np.ndarray) -> float:
@@ -424,29 +410,30 @@ def forward_loss(model: FusionModel, batch: FusionBatch) -> tuple[float, float, 
     return total_loss(cox, recon, model.lam), cox, recon, fwd
 
 
-def batch_loss_and_grads(model: FusionModel, batch: FusionBatch):
+def batch_loss_and_grads(model: FusionModel, batch: FusionBatch, grad: np.ndarray | None = None):
     """One full training step's worth of math, no parameter updates.
 
-    Returns (total, cox, recon, {part name: parameter gradient} in ``parts()``
-    order, (n, 4, embed) input gradient). A part that saw no rows gets a
-    zero gradient. Reconstruction targets are treated as constants,
-    gradients flow into the decoder and the fused representation but not
-    through the target side.
+    Returns (total, cox, recon, parameter gradient, (n, 4, embed) input
+    gradient). The parameter gradient is written into ``grad``, a vector in
+    the layout ``nets.pack`` gives ``parts()`` (a fresh one when None); a
+    part that saw no rows gets zeros there. Reconstruction targets are
+    treated as constants, gradients flow into the decoder and the fused
+    representation but not through the target side.
     """
     total, cox, recon, fwd = forward_loss(model, batch)
+    names, nets = zip(*model.parts())
+    if grad is None:
+        grad = np.empty(sum(net.params.size for net in nets))
+    grads = dict(zip(names, split(grad, nets)))
     d_scores = cox_loss_grad(fwd.survival)
-    grads: dict[str, np.ndarray] = {}
-    grads["hazard_head"], dh = model.hazard_head.backward(fwd.head_tape, d_scores[:, None])
+    _, dh = model.hazard_head.backward(fwd.head_tape, d_scores[:, None], grads["hazard_head"])
     if fwd.recon_tape is not None:
         d_decoded = model.lam * recon_loss_grad(fwd.decoded, batch.embeddings, batch.alpha)
-        grads["recon_head"], dh_recon = model.recon_head.backward(
-            fwd.recon_tape, d_decoded.reshape(len(dh), -1))
+        _, dh_recon = model.recon_head.backward(
+            fwd.recon_tape, d_decoded.reshape(len(dh), -1), grads["recon_head"])
         dh = dh + dh_recon
-    body, dx = fuse_backward(model, fwd.fuse_tape, dh)
-    grads.update(body)
-    ordered = {name: grads[name] if name in grads else np.zeros_like(net.params)
-               for name, net in model.parts()}
-    return total, cox, recon, ordered, dx
+    dx = fuse_backward(model, fwd.fuse_tape, dh, grads)
+    return total, cox, recon, grad, dx
 
 
 # ── model size ───────────────────────────────────────────────────────────────

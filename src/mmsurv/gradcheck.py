@@ -23,7 +23,7 @@ from .cohort import DEFAULT_SCHEMA, MODALITIES
 from .errors import ConfigError
 from .fusion import (FusionBatch, FusionStrategy, batch_loss_and_grads, forward_loss,
                      init_fusion_model, recon_loss, recon_loss_grad)
-from .nets import init_net
+from .nets import init_net, pack
 from .survival import SurvivalBatch, cox_loss, cox_loss_grad
 
 DEFAULT_TOLERANCE = 1e-4
@@ -137,17 +137,10 @@ def _check_total(rng, instances: int, h: float) -> float:
             batch = _random_batch(rng, 4, dims["embed_dim"])
             if _tape_kink_gap(forward_loss(model, batch)[3].net_tapes()) >= _KINK_GUARD:
                 break
-        _, _, _, grads, _ = batch_loss_and_grads(model, batch)
-        analytic = np.concatenate(list(grads.values()))
-        p = model.flat_params()
+        p = pack([net for _, net in model.parts()])
+        _, _, _, analytic, _ = batch_loss_and_grads(model, batch)
         coords = rng.choice(p.size, size=min(_COORDS_PER_INSTANCE, p.size), replace=False)
-
-        def loss_at():
-            model.set_flat_params(p)
-            return forward_loss(model, batch)[0]
-
-        numeric = _fd_coords(loss_at, p, coords, h)
-        model.set_flat_params(p)
+        numeric = _fd_coords(lambda: forward_loss(model, batch)[0], p, coords, h)
         worst = max(worst, _rel_err(analytic[coords], numeric))
     return worst
 

@@ -12,8 +12,12 @@ A network keeps all of its parameters in one contiguous vector,
 ``params``: layer by layer, each layer's (out, in) weights row-major and
 then its out biases. Every ``layer.w`` and ``layer.b`` is a reshaped view
 into that vector, so writing ``params`` moves the layers and vice versa.
-``backward`` returns the parameter gradient as one vector in the same
-layout, and the optimizer updates ``params`` with one call per step.
+``pack`` moves the networks a trainer updates into one vector, their
+``params`` in list order, and points every network's ``params`` and layers
+at views of it. ``backward`` writes the parameter gradient into a vector in
+the ``params`` layout, which may be a slice of one gradient vector in the
+``pack`` layout, and the optimizer updates the packed vector with one call
+per step.
 
 Checkpoints are JSON: dims, per-layer activation ids, and row-major
 parameter lists. Python's float repr round-trips doubles exactly, so a
@@ -92,12 +96,18 @@ class DenseNet:
             if not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
                 raise NumericalError(f"layer {k}: non-finite parameters")
         self._shapes = [layer.w.shape for layer in layers]
-        self.params = np.concatenate([a for l in layers for a in (np.ravel(l.w), l.b)], dtype=np.float64)
-        self.layers = [Layer(w, b, l.activation) for (w, b), l in zip(self._views(self.params), layers)]
+        self.layers = [Layer(l.w, l.b, l.activation) for l in layers]
+        self._bind(np.concatenate([a for l in layers for a in (np.ravel(l.w), l.b)], dtype=np.float64))
 
     def __reduce__(self):
         # pickle copies each array on its own; rebuilding re-creates the views
         return DenseNet, (self.layers,)
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Point ``params`` and every layer array at ``params``, a vector in this net's layout."""
+        self.params = params
+        for layer, (w, b) in zip(self.layers, self._views(params)):
+            layer.w, layer.b = w, b
 
     def _views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(weight, bias) views of each layer into a vector in the ``params`` layout."""
@@ -143,12 +153,14 @@ class DenseNet:
             a = activate(layer.activation, z)
         return a, tape
 
-    def backward(self, tape: list, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, tape: list, upstream: np.ndarray,
+                 grad: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagate an (n, output_dim) upstream block through a forward tape.
 
-        Returns a fresh gradient vector in the ``params`` layout, summed over
-        the rows, plus the (n, input_dim) gradient with respect to the
-        network input (needed when networks are chained).
+        Writes the parameter gradient, summed over the rows, into ``grad``, a
+        vector in the ``params`` layout (a fresh one when None), and returns
+        it plus the (n, input_dim) gradient with respect to the network input
+        (needed when networks are chained).
         """
         if len(tape) != len(self.layers):
             raise ConfigError("tape does not match network depth")
@@ -156,7 +168,7 @@ class DenseNet:
         if upstream.shape != (tape[0][0].shape[0], self.output_dim):
             raise ConfigError(f"upstream shape {upstream.shape} does not match the taped batch "
                               f"of {tape[0][0].shape[0]} rows x {self.output_dim} outputs")
-        grad = np.empty_like(self.params)
+        grad = np.empty_like(self.params) if grad is None else grad
         views = self._views(grad)
         delta = upstream
         for k in range(len(self.layers) - 1, -1, -1):
@@ -200,10 +212,28 @@ def init_net(dims: tuple[int, ...], activation: str, seed, output_activation: st
     return DenseNet(layers)
 
 
-class OptimizerState:
-    """Per-network optimizer state. ``optimizer_step`` is the only mutator."""
+def pack(nets: list[DenseNet]) -> np.ndarray:
+    """Move ``nets`` into one contiguous vector, their ``params`` in list order.
 
-    def __init__(self, algorithm: str, lr: float, net: DenseNet,
+    Returns the vector. Afterwards every net's ``params``, ``layer.w`` and
+    ``layer.b`` are views into it, so one optimizer step, one snapshot or
+    one restore of the vector covers all the nets.
+    """
+    flat = np.concatenate([net.params for net in nets])
+    for net, part in zip(nets, split(flat, nets)):
+        net._bind(part)
+    return flat
+
+
+def split(flat: np.ndarray, nets: list[DenseNet]) -> list[np.ndarray]:
+    """Views of a vector in the ``pack(nets)`` layout, one slice per net."""
+    return np.split(flat, np.cumsum([net.params.size for net in nets])[:-1])
+
+
+class OptimizerState:
+    """Optimizer state for one parameter vector. ``optimizer_step`` is the only mutator."""
+
+    def __init__(self, algorithm: str, lr: float, params: np.ndarray,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if algorithm not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {algorithm!r}")
@@ -216,9 +246,9 @@ class OptimizerState:
         self.eps = eps
         self.t = 0
         if algorithm == "adam":
-            self.m = np.zeros_like(net.params)
-            self.v = np.zeros_like(net.params)
-            width = min(ADAM_BLOCK, net.params.size)
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
+            width = min(ADAM_BLOCK, params.size)
             self.scratch = (np.empty(width), np.empty(width))
 
 
@@ -246,20 +276,23 @@ def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
         pb -= u
 
 
-def optimizer_step(net: DenseNet, grad: np.ndarray, state: OptimizerState) -> None:
-    """Apply one update to ``net.params`` in place. Refuses to step on non-finite gradients."""
-    if grad.shape != net.params.shape:
+def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) -> None:
+    """Apply one update to ``params`` in place.
+
+    Refuses to step on non-finite gradients, before any entry moves.
+    """
+    if grad.shape != params.shape:
         raise ConfigError(f"gradient of shape {grad.shape} does not match the "
-                          f"{net.params.size} network parameters")
+                          f"{params.size} parameters")
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient entries, step refused")
     state.t += 1
     if state.algorithm == "sgd":
-        net.params -= state.lr * grad
+        params -= state.lr * grad
         return
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    _adam_update(net.params, grad, state.m, state.v, state, c1, c2)
+    _adam_update(params, grad, state.m, state.v, state, c1, c2)
 
 
 def net_to_dict(net: DenseNet) -> dict:

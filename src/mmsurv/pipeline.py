@@ -48,7 +48,7 @@ from .fusion import (DropoutPolicy, FusionBatch, FusionModel, FusionStrategy,
                      fusion_to_dict, init_fusion_model, model_footprint,
                      predict_risk)
 from .nets import (OptimizerState, init_net, net_from_dict, net_to_dict,
-                   optimizer_step, read_json)
+                   optimizer_step, pack, read_json, split)
 from .survival import bootstrap_concordance, concordance_index
 from .unimodal import (ENCODER_HIDDEN, check_encoders, encode, export_embeddings,
                        train_unimodal)
@@ -191,8 +191,12 @@ def _fit_fusion(pool: Cohort, config: TrainConfig, cell: ExperimentCell, joint: 
     learning_encoders = encoders or {}
     strategy = FusionStrategy(cell.strategy, embed_dim=pool.schema.embed_dim)
     model = init_fusion_model(strategy, init_seed, recon=cell.recon, lam=config.lam)
-    nets = [net for _, net in model.parts()] + list(learning_encoders.values())
-    opts = [OptimizerState(config.optimizer, config.fusion_lr, net) for net in nets]
+    parts, encoder_nets = [net for _, net in model.parts()], list(learning_encoders.values())
+    params = pack(parts + encoder_nets)
+    grad = np.empty_like(params)
+    fusion_grad = grad[:sum(net.params.size for net in parts)]
+    encoder_grads = dict(zip(learning_encoders, split(grad[fusion_grad.size:], encoder_nets)))
+    opt = OptimizerState(config.optimizer, config.fusion_lr, params)
     policy = DropoutPolicy(rate=config.dropout_rate, enabled=cell.dropout)
     dropout_rng = np.random.default_rng(dropout_seed)
     alpha, times, events = pool.availability, pool.times, pool.events
@@ -202,19 +206,17 @@ def _fit_fusion(pool: Cohort, config: TrainConfig, cell: ExperimentCell, joint: 
         emb = encode(encoders, pool, idx, tapes)
         mask = dropout_masks(alpha[idx], policy, dropout_rng)
         batch = FusionBatch(emb, alpha[idx], mask, times[idx], events[idx])
-        total, _, _, grads, dx = batch_loss_and_grads(model, batch)
-        grads = [grads[name] for name, _ in model.parts()]
+        total, _, _, _, dx = batch_loss_and_grads(model, batch, fusion_grad)
         for m, net in learning_encoders.items():
             if m in tapes:
                 rows, tape = tapes[m]
-                grads.append(net.backward(tape, dx[rows, m])[0])
+                net.backward(tape, dx[rows, m], encoder_grads[m])
             else:  # an encoder that saw no rows still steps, on zeros
-                grads.append(np.zeros_like(net.params))
-        for net, grad, opt in zip(nets, grads, opts):
-            optimizer_step(net, grad, opt)
+                encoder_grads[m][...] = 0.0
+        optimizer_step(params, grad, opt)
         return total
 
-    trace = fit(nets, step, lambda idx: predict_risk(model, encode(encoders, pool, idx), alpha[idx]),
+    trace = fit(params, step, lambda idx: predict_risk(model, encode(encoders, pool, idx), alpha[idx]),
                 times, events, epochs=config.fusion_epochs, batch_size=config.fusion_batch,
                 patience=config.patience, val_fraction=config.val_fraction,
                 split_seed=split_seed, shuffle_seed=shuffle_seed, context=context)

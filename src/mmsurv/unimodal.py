@@ -26,7 +26,7 @@ from .cohort import N_MODALITIES, Cohort, ModalityId, embedding_schema
 from .config import TrainConfig, TrainingTrace, fit
 from .errors import DataError
 from .nets import (DenseNet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step,
-                   read_json)
+                   pack, read_json, split)
 from .survival import SurvivalBatch, cox_loss, cox_loss_grad
 
 ENCODER_HIDDEN = 64
@@ -60,23 +60,24 @@ def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) ->
     init_seed, head_seed, split_seed, shuffle_seed = ss.spawn(4)
     encoder = init_net((raw_dim, ENCODER_HIDDEN, embed_dim), "selu", init_seed)
     head = init_net((embed_dim, 1), "identity", head_seed)
-    opt_enc = OptimizerState(config.optimizer, config.stage1_lr, encoder)
-    opt_head = OptimizerState(config.optimizer, config.stage1_lr, head)
+    params = pack([encoder, head])
+    grad = np.empty_like(params)
+    g_enc, g_head = split(grad, [encoder, head])
+    opt = OptimizerState(config.optimizer, config.stage1_lr, params)
 
     def step(idx):
         emb, tape_e = encoder.forward(x[idx])
         f, tape_h = head.forward(emb)
         sb = SurvivalBatch(f[:, 0], times[idx], events[idx])
-        g_head, d_emb = head.backward(tape_h, cox_loss_grad(sb)[:, None])
-        g_enc, _ = encoder.backward(tape_e, d_emb)
-        optimizer_step(encoder, g_enc, opt_enc)
-        optimizer_step(head, g_head, opt_head)
+        _, d_emb = head.backward(tape_h, cox_loss_grad(sb)[:, None], g_head)
+        encoder.backward(tape_e, d_emb, g_enc)
+        optimizer_step(params, grad, opt)
         return cox_loss(sb)
 
     def val_risks(idx):
         return head.forward(encoder.forward(x[idx])[0])[0][:, 0]
 
-    trace = fit([encoder, head], step, val_risks, times, events, epochs=config.stage1_epochs,
+    trace = fit(params, step, val_risks, times, events, epochs=config.stage1_epochs,
                 batch_size=config.stage1_batch, patience=config.patience,
                 val_fraction=config.val_fraction, split_seed=split_seed,
                 shuffle_seed=shuffle_seed, context=f"stage 1 ({modality.label})")

@@ -1,6 +1,6 @@
 """Shared pytest wiring: one summary line per acceptance criterion, the
-tests' finite-difference, c-index, bootstrap, Cox and tensor-product
-oracles, and the row builder for test cohorts.
+tests' finite-difference, c-index, bootstrap, Cox, tensor-product and
+cohort round-trip oracles, and the row builder for test cohorts.
 
 Acceptance tests are named test_criterion_<number><subtag>_<slug>; every
 phase outcome is collected here and folded into a single PASS/FAIL line
@@ -41,6 +41,20 @@ def cohort_from_rows(schema, rows, gt=None) -> Cohort:
                         for f in feats]) for m in MODALITIES]
     availability = [[int(f[m] is not None) for m in MODALITIES] for f in feats]
     return Cohort(schema, ids, times, events, availability, blocks, gt)
+
+
+def cohorts_equal(a: Cohort, b: Cohort) -> bool:
+    """Field-for-field equality, exact on floats: the oracle of the round-trip tests."""
+    if a.schema != b.schema or len(a) != len(b):
+        return False
+    if (a.ground_truth_risk is None) != (b.ground_truth_risk is None):
+        return False
+    if a.ground_truth_risk is not None and not np.array_equal(a.ground_truth_risk, b.ground_truth_risk):
+        return False
+    return (np.array_equal(a.ids, b.ids) and np.array_equal(a.times, b.times)
+            and np.array_equal(a.events, b.events)
+            and np.array_equal(a.availability, b.availability)
+            and all(np.array_equal(a.block(m), b.block(m)) for m in MODALITIES))
 
 
 def cindex_pairwise(risks, times, events) -> float:
@@ -125,14 +139,22 @@ def finite_diff_grad(f, p: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
-def assert_layers_view_params(net) -> None:
-    """Every layer array is a view into ``net.params``, and a step moves them all."""
+def assert_layers_view_params(net, packed=None) -> None:
+    """Every layer array is a view into ``net.params``, and a step moves them all.
+
+    With ``packed``, the vector a trainer packed the net into, every layer
+    array must view that vector too.
+    """
     for layer in net.layers:
-        assert np.shares_memory(layer.w, net.params) and np.shares_memory(layer.b, net.params)
+        for a in (layer.w, layer.b):
+            assert np.shares_memory(a, net.params)
+            assert packed is None or np.shares_memory(a, packed)
     before = [(layer.w.copy(), layer.b.copy()) for layer in net.layers]
-    optimizer_step(net, np.ones_like(net.params), OptimizerState("sgd", lr=0.25, net=net))
+    state = OptimizerState("sgd", lr=0.25, params=net.params)
+    optimizer_step(net.params, np.ones_like(net.params), state)
     for layer, (w, b) in zip(net.layers, before):
         assert np.array_equal(layer.w, w - 0.25) and np.array_equal(layer.b, b - 0.25)
+
 
 _CRITERION = re.compile(r"test_acceptance.*::test_criterion_(\d+)([a-z]?)_")
 

@@ -332,6 +332,29 @@ def test_train_fuse_rejects_a_damaged_stage1_checkpoint_with_exit_two(tmp_path, 
     assert "data error" in err and "genomics.json" in err and "Traceback" not in err
 
 
+def test_joint_scratch_with_encoders_is_a_usage_error_before_any_checkpoint_is_read(tmp_path, capsys):
+    cohort = generate_synthetic(40, 5)
+    data = tmp_path / "train.csv"
+    save_cohort(cohort, str(data))
+    save_schema(cohort.schema, str(data) + ".schema")
+    for enc in (_stage1_dir(tmp_path / "enc", cohort.schema), tmp_path / "absent"):
+        assert run("train-fuse", "--data", data, "--encoders", enc, "--mode", "joint-scratch",
+                   "--strategy", "mean", "--seed", 5, "--out-dir", tmp_path / "fuse", *FAST_FUSE,
+                   "--quiet") == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: --encoders .*--mode joint-scratch", err, re.MULTILINE)
+        assert "Traceback" not in err and not (tmp_path / "fuse").exists()
+
+
+def test_train_uni_on_complete_records_needs_some(tmp_path, capsys):
+    data = tmp_path / "c.csv"
+    assert run("synth", "--n", 30, "--seed", 2, "--missing-rate", 0.9, "--out", data, "--quiet") == 0
+    assert run("train-uni", "--data", data, "--seed", 1, "--data-regime", "complete",
+               "--out-dir", tmp_path / "enc", "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "data error: stage 1 (complete data): no complete-modality records available" in err
+
+
 def test_eval_rejects_an_overflowing_weight_in_the_checkpoint_with_exit_two(tmp_path, capsys):
     _, test = workflow_files(tmp_path, capsys)
     model = init_fusion_model(FusionStrategy("concat"), seed=0)
@@ -420,7 +443,7 @@ def test_optimizer_state_rejects_a_non_finite_learning_rate():
     net = init_net((2, 1), "identity", 0)
     for lr in (float("nan"), float("inf"), 0.0):
         with pytest.raises(ConfigError, match="finite and positive"):
-            OptimizerState("adam", lr, net)
+            OptimizerState("adam", lr, net.params)
 
 
 def test_train_config_rejects_a_negative_seed():

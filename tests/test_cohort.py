@@ -9,12 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import Row, cohort_from_rows
+from conftest import Row, cohort_from_rows, cohorts_equal
 from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, N_MODALITIES, SCENARIOS, Cohort,
                            MissingnessScenario, ModalityId, ModalitySchema, apply_scenario,
-                           cohorts_equal, complete_subset, embedding_schema, generate_synthetic,
-                           load_cohort, load_schema, save_cohort, save_schema, scenario_by_name,
-                           split)
+                           complete_subset, embedding_schema, generate_synthetic, load_cohort,
+                           load_schema, save_cohort, save_schema, scenario_by_name)
 from mmsurv.errors import ConfigError, DataError
 from mmsurv.survival import concordance_index
 
@@ -294,34 +293,6 @@ def test_apply_scenario_refuses_eventless_result():
     c = cohort_from_rows(SMALL_SCHEMA, records)
     with pytest.raises(DataError, match="zero observed events"):
         apply_scenario(c, scenario_by_name("pathology-missing"))
-
-
-def test_split_deterministic_disjoint_exhaustive():
-    c = generate_synthetic(50, seed=6)
-    tr1, te1 = split(c, 0.8, seed=3)
-    tr2, te2 = split(c, 0.8, seed=3)
-    assert cohorts_equal(tr1, tr2) and cohorts_equal(te1, te2)
-    assert len(tr1) == 40 and len(te1) == 10
-    ids = {r.id for r in tr1.records} | {r.id for r in te1.records}
-    assert len(ids) == 50
-    tr3, _ = split(c, 0.8, seed=4)
-    assert not cohorts_equal(tr1, tr3)
-
-
-def test_split_rejects_degenerate_fractions():
-    c = generate_synthetic(20, seed=7)
-    with pytest.raises(ConfigError):
-        split(c, 0.0, seed=0)
-    with pytest.raises(ConfigError):
-        split(c, 0.999, seed=0)  # rounds to an empty test side
-
-
-def test_split_requires_events_on_both_sides():
-    records = [make_record(f"r{i}", event=1 if i == 0 else 0) for i in range(10)]
-    c = cohort_from_rows(SMALL_SCHEMA, records)
-    # seed 0 sends the only event to the train side
-    with pytest.raises(DataError, match="test split"):
-        split(c, 0.8, seed=0)
 
 
 def test_complete_subset_filters_partial_records():

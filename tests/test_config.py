@@ -5,7 +5,7 @@ import pytest
 from conftest import assert_layers_view_params
 from mmsurv.config import fit
 from mmsurv.errors import DataError, NumericalError
-from mmsurv.nets import init_net
+from mmsurv.nets import init_net, pack
 
 N = 40
 
@@ -20,7 +20,7 @@ def run_fit(nets, step, val_risks, times=None, events=None, **kw):
     args = dict(epochs=30, batch_size=4, patience=2, val_fraction=0.25, split_seed=1,
                 shuffle_seed=2, context="toy training")
     args.update(kw)
-    return fit(nets, step, val_risks, times, events, **args)
+    return fit(pack(nets), step, val_risks, times, events, **args)
 
 
 def counting_step(nets, calls):
@@ -63,10 +63,12 @@ def test_best_copy_is_restored_in_place():
     assert len(trace.epochs) == 5
     steps_per_epoch = len(calls) // 5
     assert [id(net) for net in nets] == ids
+    packed = nets[0].params.base  # the one vector fit restored
+    assert packed is nets[1].params.base and packed.size == sum(net.params.size for net in nets)
     for net, b0 in zip(nets, originals):
         # the best epoch is the second, so two epochs' worth of steps are kept
         assert np.array_equal(net.layers[0].b, b0 + 2 * steps_per_epoch)
-        assert_layers_view_params(net)
+        assert_layers_view_params(net, packed)
 
 
 def test_split_holds_out_the_rounded_fraction_and_never_trains_on_it():

@@ -15,8 +15,8 @@ from mmsurv.errors import ConfigError, DataError
 from mmsurv.fusion import (DropoutPolicy, FusionBatch, FusionStrategy, batch_loss_and_grads,
                            SCORE_CHUNK, forward_loss, fuse, fusion_from_dict, fusion_to_dict,
                            init_fusion_model, modality_dropout, model_footprint, predict_hazard,
-                           predict_risk, recon_loss, recon_loss_grad, reconstruct, tensor_product,
-                           total_loss)
+                           predict_risk, recon_loss, recon_loss_grad, tensor_product, total_loss)
+from mmsurv.nets import OptimizerState, optimizer_step, pack, split
 
 SMALL = dict(embed_dim=4, extended_dim=8, reduced_dim=3,
              extender_hidden=6, reducer_hidden=5, head_hidden=5, recon_hidden=6)
@@ -296,6 +296,12 @@ def rel_close(a, b, tol=1e-12):
     return np.abs(a - b).max() <= tol * max(np.abs(b).max(), 1e-300)
 
 
+def part_grads(model, grad) -> dict:
+    """{part name: its slice} of a gradient vector in the ``parts()`` packing layout."""
+    names, nets = zip(*model.parts())
+    return dict(zip(names, split(grad, nets)))
+
+
 @pytest.mark.parametrize("kind", ["concat", "mean", "tensor"])
 def test_fuse_batch_equals_stacked_single_rows(kind):
     model = init_fusion_model(small_strategy(kind), seed=22)
@@ -325,6 +331,8 @@ def test_batch_loss_and_grads_is_invariant_to_row_order(kind, recon):
     assert abs(p_total - total) <= 1e-12 * abs(total)
     assert abs(p_cox - cox) <= 1e-12 * abs(cox)
     assert abs(p_rec - rec) <= 1e-12 * max(abs(rec), 1e-300)
+    assert p_grads.shape == grads.shape == (sum(net.params.size for _, net in model.parts()),)
+    p_grads, grads = part_grads(model, p_grads), part_grads(model, grads)
     assert list(p_grads) == [name for name, _ in model.parts()] == list(grads)
     for name in grads:
         assert rel_close(p_grads[name], grads[name])
@@ -338,15 +346,6 @@ def test_predict_hazard_zero_head_outputs_zero():
         layer.b[...] = 0.0
     scores = predict_hazard(model, np.ones((3, 8)))
     assert scores.shape == (3,) and np.all(scores == 0.0)
-
-
-def test_reconstruct_shape_and_missing_head_error():
-    model = init_fusion_model(small_strategy("mean"), seed=8, recon=True)
-    out = reconstruct(model, np.ones((2, 8)))
-    assert out.shape == (2, 4, 4)
-    bare = init_fusion_model(small_strategy("mean"), seed=8, recon=False)
-    with pytest.raises(ConfigError):
-        reconstruct(bare, np.ones((2, 8)))
 
 
 # ── reconstruction loss ──────────────────────────────────────────────────────
@@ -427,15 +426,15 @@ def test_fusion_parameter_gradients_match_finite_differences(kind, recon):
     model = init_fusion_model(small_strategy(kind), seed=14, recon=recon, lam=0.7)
     batch = make_batch(rng, 6, embed_dim=4, with_dropout=True)
 
-    _, _, _, grads, _ = batch_loss_and_grads(model, batch)
-    analytic = np.concatenate([grads[name] for name, _ in model.parts()])
+    params = pack([net for _, net in model.parts()])
+    _, _, _, analytic, _ = batch_loss_and_grads(model, batch)
 
     def loss_of(p):
-        model.set_flat_params(p)
+        params[...] = p
         total, _, _, _ = forward_loss(model, batch)
         return total
 
-    numeric = finite_diff_grad(loss_of, model.flat_params(), h=1e-5)
+    numeric = finite_diff_grad(loss_of, params.copy(), h=1e-5)
     scale = max(np.abs(numeric).max(), 1e-8)
     assert np.abs(analytic - numeric).max() / scale < 1e-4
 
@@ -468,9 +467,30 @@ def test_masked_modalities_receive_no_parameter_gradient():
     batch = FusionBatch(rng.normal(size=(4, 4, 4)), np.ones((4, 4), dtype=np.int64),
                         np.tile(mask, (4, 1)), np.arange(1.0, 5.0), np.ones(4))
     _, _, _, grads, dx = batch_loss_and_grads(model, batch)
+    grads = part_grads(model, grads)
     assert np.all(grads["extender_pathology"] == 0.0)
     assert np.any(grads["extender_radiology"] != 0.0)
     assert np.all(dx[:, ModalityId.PATHOLOGY] == 0.0)
+
+
+def test_an_absent_modality_leaves_exact_zeros_in_its_slice_of_the_trainer_gradient():
+    rng = np.random.default_rng(19)
+    model = init_fusion_model(small_strategy("mean"), seed=20, recon=True)
+    params = pack([net for _, net in model.parts()])
+    alpha = np.tile(np.array([1, 1, 0, 1], dtype=np.int64), (4, 1))  # no row has genomics
+    batch = FusionBatch(rng.normal(size=(4, 4, 4)) * alpha[:, :, None], alpha, alpha.copy(),
+                        np.arange(1.0, 5.0), np.ones(4))
+    grad = np.full_like(params, np.nan)  # what an earlier step could have left in the buffer
+    _, _, _, out, _ = batch_loss_and_grads(model, batch, grad)
+    assert out is grad and np.isfinite(grad).all()
+    grads = part_grads(model, grad)
+    assert np.all(grads["extender_genomics"] == 0.0)
+    assert all(np.any(grads[name] != 0.0) for name in grads if name != "extender_genomics")
+    genomics, before = model.extenders[ModalityId.GENOMICS], params.copy()
+    kept = genomics.params.copy()
+    optimizer_step(params, grad, OptimizerState("adam", lr=0.01, params=params))
+    assert np.array_equal(genomics.params, kept)  # a first Adam step on zeros moves nothing
+    assert not np.array_equal(params, before)
 
 
 # ── footprint ────────────────────────────────────────────────────────────────

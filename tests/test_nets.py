@@ -11,7 +11,7 @@ from mmsurv.errors import ConfigError, DataError, NumericalError
 from mmsurv.gradcheck import _net_configs
 from mmsurv.nets import (ADAM_BLOCK, SELU_ALPHA, SELU_LAMBDA, DenseNet, Layer,
                          OptimizerState, activate, init_net, net_from_dict, net_to_dict,
-                         optimizer_step)
+                         optimizer_step, pack, split)
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -162,36 +162,36 @@ def test_selu_stack_keeps_activations_normalized():
 
 def test_sgd_step_is_plain_descent():
     net = DenseNet([Layer(np.array([[1.0]]), np.array([0.0]), "identity")])
-    state = OptimizerState("sgd", lr=0.1, net=net)
-    optimizer_step(net, np.array([2.0, 0.0]), state)
+    state = OptimizerState("sgd", lr=0.1, params=net.params)
+    optimizer_step(net.params, np.array([2.0, 0.0]), state)
     assert net.layers[0].w[0, 0] == pytest.approx(0.8, abs=0)
 
 
 @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
 def test_adam_first_step_size_is_learning_rate(magnitude):
     net = DenseNet([Layer(np.array([[0.0]]), np.array([0.0]), "identity")])
-    state = OptimizerState("adam", lr=0.01, net=net)
-    optimizer_step(net, np.array([magnitude, 0.0]), state)
+    state = OptimizerState("adam", lr=0.01, params=net.params)
+    optimizer_step(net.params, np.array([magnitude, 0.0]), state)
     assert abs(net.layers[0].w[0, 0] + 0.01) < 1e-5 * 0.01 + 1e-12
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
     net = init_net((3, 2), "relu", seed=4)
     before = net.params.copy()
-    state = OptimizerState("adam", lr=0.05, net=net)
-    optimizer_step(net, np.zeros_like(net.params), state)
+    state = OptimizerState("adam", lr=0.05, params=net.params)
+    optimizer_step(net.params, np.zeros_like(net.params), state)
     assert np.array_equal(net.params, before)
 
 
 def assert_adam_matches_textbook(net):
     rng = np.random.default_rng(7)
-    state = OptimizerState("adam", lr=0.01, net=net)
+    state = OptimizerState("adam", lr=0.01, params=net.params)
     params = [a.copy() for l in net.layers for a in (l.w, l.b)]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     for t in range(1, 4):
         grads = [rng.normal(size=p.shape) for p in params]
-        optimizer_step(net, np.concatenate([g.ravel() for g in grads]), state)
+        optimizer_step(net.params, np.concatenate([g.ravel() for g in grads]), state)
         c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
         for k, g in enumerate(grads):
             m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
@@ -220,18 +220,58 @@ def test_nonfinite_gradient_refuses_step():
     before = net.params.copy()
     grads = np.zeros_like(net.params)
     grads[0] = np.nan
-    state = OptimizerState("adam", lr=0.05, net=net)
+    state = OptimizerState("adam", lr=0.05, params=net.params)
     with pytest.raises(NumericalError):
-        optimizer_step(net, grads, state)
+        optimizer_step(net.params, grads, state)
     assert np.array_equal(net.params, before)
+
+
+def test_a_nonfinite_gradient_leaves_the_whole_packed_vector_unchanged():
+    nets = [init_net((3, 2), "relu", seed=4), init_net((2, 5, 1), "relu", seed=5)]
+    params = pack(nets)
+    before = params.copy()
+    grad = np.ones_like(params)
+    split(grad, nets)[1][-1] = np.inf  # only the last net's gradient is bad
+    state = OptimizerState("adam", lr=0.05, params=params)
+    with pytest.raises(NumericalError):
+        optimizer_step(params, grad, state)
+    assert np.array_equal(params, before) and state.t == 0
+    assert not state.m.any() and not state.v.any()
+
+
+def test_pack_points_every_net_at_one_vector_and_keeps_its_values():
+    nets = [init_net((5, 4, 3), "selu", seed=40), init_net((3, 1), "identity", seed=41)]
+    values = [net.params.copy() for net in nets]
+    params = pack(nets)
+    assert params.size == sum(v.size for v in values)
+    assert np.array_equal(params, np.concatenate(values))
+    for net, v, part in zip(nets, values, split(params, nets)):
+        assert net.params.base is params and np.shares_memory(net.params, part)
+        assert np.array_equal(net.params, v)
+        assert_layers_view_params(net, params)
+    copied = pickle.loads(pickle.dumps(nets[0]))
+    assert not np.shares_memory(copied.params, params) and copied.params.base is None
+    assert np.array_equal(copied.params, nets[0].params)
+
+
+def test_backward_writes_into_a_given_slice():
+    nets = [init_net((4, 3, 2), "relu", seed=42), init_net((2, 1), "identity", seed=43)]
+    grad = np.full(sum(net.params.size for net in nets), np.nan)
+    x = np.random.default_rng(44).normal(size=(6, 4))
+    _, tape = nets[0].forward(x)
+    upstream = np.ones((6, 2))
+    fresh, fresh_dx = nets[0].backward(tape, upstream)
+    out, dx = nets[0].backward(tape, upstream, split(grad, nets)[0])
+    assert np.shares_memory(out, grad) and np.array_equal(out, fresh) and np.array_equal(dx, fresh_dx)
+    assert np.isnan(split(grad, nets)[1]).all()  # the other net's slice is untouched
 
 
 def test_gradient_shape_mismatch_rejected():
     net = init_net((3, 2), "relu", seed=4)
     other = init_net((4, 2), "relu", seed=4)
-    state = OptimizerState("sgd", lr=0.1, net=net)
+    state = OptimizerState("sgd", lr=0.1, params=net.params)
     with pytest.raises(ConfigError):
-        optimizer_step(net, np.zeros_like(other.params), state)
+        optimizer_step(net.params, np.zeros_like(other.params), state)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):

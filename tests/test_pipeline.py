@@ -1,8 +1,12 @@
 """End-to-end training paths, evaluation, and the ablation grid."""
+import pickle
+
 import numpy as np
 import pytest
 
-from conftest import bootstrap_loop, cindex_pairwise, cohort_from_rows
+import mmsurv.pipeline
+import mmsurv.unimodal
+from conftest import assert_layers_view_params, bootstrap_loop, cindex_pairwise, cohort_from_rows
 from mmsurv.cohort import (MODALITIES, ModalityId, ModalitySchema, apply_scenario,
                            complete_subset, generate_synthetic, scenario_by_name)
 from mmsurv.config import TrainConfig
@@ -189,6 +193,42 @@ def test_scoring_checks_the_cohort_against_the_encoders(mean_predictor_and_test)
     assert np.array_equal(on_table.risk_scores(table), predictor.risk_scores(test))
     with pytest.raises(DataError, match="radiology has width 16, expected embeddings of width 32"):
         on_table.risk_scores(test)
+
+
+@pytest.mark.parametrize("mode", ["stage-1", "two-stage", "joint-scratch", "joint-finetune"])
+def test_each_trainer_steps_one_vector_that_every_trained_layer_views(monkeypatch, mode):
+    train, test = fast_pair(n_train=120, n_test=40)
+    config = TrainConfig(seed=3, stage1_epochs=2, fusion_epochs=2)
+    built = []
+    for module in (mmsurv.pipeline, mmsurv.unimodal):
+        real = module.OptimizerState
+        monkeypatch.setattr(module, "OptimizerState",
+                            lambda *a, real=real, **kw: built.append(a) or real(*a, **kw))
+    encoders = train_stage1_encoders(train, config, "all")
+    if mode == "stage-1":
+        assert len(built) == len(MODALITIES)  # one per trainer
+        groups = [[u.encoder, u.head] for u in encoders.values()]
+    else:
+        built.clear()
+        cell = ExperimentCell("mean", recon=True, mode=mode)
+        predictor = train_cell(train, config, cell, None if mode == "joint-scratch" else encoders)
+        assert len(built) == 1
+        trained = [net for _, net in predictor.fusion.parts()]
+        if mode != "two-stage":
+            trained += [predictor.encoders[m] for m in MODALITIES]
+        groups = [trained]
+        # the --workers 2 grid hands predictors back pickled: each net then owns its params
+        clone = pickle.loads(pickle.dumps(predictor))
+        assert not np.shares_memory(clone.fusion.hazard_head.params, predictor.fusion.hazard_head.params)
+        assert np.array_equal(clone.risk_scores(test).view(np.int64),
+                              predictor.risk_scores(test).view(np.int64))
+    for nets in groups:
+        packed = nets[0].params.base
+        assert packed.size == sum(net.params.size for net in nets)
+        for net in nets:
+            assert_layers_view_params(net, packed)
+        if mode == "joint-finetune":  # training moved copies, not the stage-1 encoders
+            assert not any(np.shares_memory(u.encoder.params, packed) for u in encoders.values())
 
 
 def test_predictor_checkpoint_round_trip(tmp_path):
