@@ -47,8 +47,11 @@ from .survival import SurvivalBatch, cox_loss, cox_loss_grad
 FUSION_KINDS = ("concat", "mean", "tensor")
 CHECKPOINT_FORMAT = "fusion-v1"
 NORM_EPS = 1e-12  # guards the derivative of the unsquared norm
-# Rows fused at a time when scoring: a tensor block is SCORE_CHUNK x 6561
-# doubles (13 MB), so scoring memory does not grow with the cohort.
+# Records scored at a time: the scoring loop (``pipeline``) encodes, fuses
+# and runs the hazard head on SCORE_CHUNK rows per pass, and an embedding
+# export encodes in the same blocks, so no pass holds more than one block's
+# activations (a fused tensor block is SCORE_CHUNK x 6561 doubles, 13 MB)
+# whatever the cohort size.
 SCORE_CHUNK = 256
 
 _FUSION_SALT = 0xF05E
@@ -296,13 +299,13 @@ def predict_hazard(model: FusionModel, h: np.ndarray) -> np.ndarray:
 
 
 def predict_risk(model: FusionModel, embeddings: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Hazard score per row of an (n, 4, embed) block, fusing SCORE_CHUNK rows at a time."""
-    out = np.empty(len(embeddings))
-    for start in range(0, len(embeddings), SCORE_CHUNK):
-        block = slice(start, start + SCORE_CHUNK)
-        h, _ = fuse(model, embeddings[block], mask[block])
-        out[block] = predict_hazard(model, h)
-    return out
+    """Hazard score per row of an (n, 4, embed) block: ``fuse``, then the hazard head.
+
+    Runs on all the rows it is given; the scoring loop hands it one block
+    of at most SCORE_CHUNK rows at a time.
+    """
+    h, _ = fuse(model, embeddings, mask)
+    return predict_hazard(model, h)
 
 
 def recon_loss(decoded: np.ndarray, targets: np.ndarray, alpha: np.ndarray) -> float:

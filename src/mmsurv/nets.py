@@ -51,7 +51,13 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "selu":
-        return SELU_LAMBDA * np.where(z > 0.0, z, SELU_ALPHA * np.expm1(z))
+        # LAMBDA * where(z > 0, z, ALPHA * expm1(z)) in one buffer: every
+        # element goes through the same operations, so the bits are the same
+        out = np.expm1(z)
+        out *= SELU_ALPHA
+        np.copyto(out, z, where=z > 0.0)
+        out *= SELU_LAMBDA
+        return out
     if name == "tanh":
         return np.tanh(z)
     if name == "identity":
@@ -148,7 +154,8 @@ class DenseNet:
         tape = []
         a = x
         for layer in self.layers:
-            z = a @ layer.w.T + layer.b
+            z = a @ layer.w.T
+            z += layer.b
             tape.append((a, z))
             a = activate(layer.activation, z)
         return a, tape

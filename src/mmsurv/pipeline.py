@@ -9,7 +9,10 @@ modes hand it the raw records, re-encode every batch, and update encoders
 and fusion together, either from fresh encoders or starting from stage-1
 encoders. ``unimodal.encode`` runs each encoder on the rows that carry its
 modality, and stage 1 and fusion training both run the one loop
-``config.fit``.
+``config.fit``. ``score_records`` is the one scoring loop: scoring a
+cohort and the validation scores of fusion training both take
+``fusion.SCORE_CHUNK`` records at a time through encode, fuse and hazard
+head.
 
 Each mode can draw its training records from the complete-modality subset
 ("complete") or from every record ("all"), separately per stage. Together
@@ -31,7 +34,6 @@ import io
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -43,10 +45,10 @@ from .cohort import (MODALITIES, N_MODALITIES, Cohort, MissingnessScenario,
                      generate_synthetic, scenario_by_name)
 from .config import TrainConfig, TrainingTrace, fit
 from .errors import ConfigError, DataError, MmsurvError, NumericalError
-from .fusion import (DropoutPolicy, FusionBatch, FusionModel, FusionStrategy,
-                     batch_loss_and_grads, dropout_masks, fusion_from_dict,
-                     fusion_to_dict, init_fusion_model, model_footprint,
-                     predict_risk)
+from .fusion import (SCORE_CHUNK, DropoutPolicy, FusionBatch, FusionModel,
+                     FusionStrategy, batch_loss_and_grads, dropout_masks,
+                     fusion_from_dict, fusion_to_dict, init_fusion_model,
+                     model_footprint, predict_risk)
 from .nets import (OptimizerState, init_net, net_from_dict, net_to_dict,
                    optimizer_step, pack, read_json, split)
 from .survival import bootstrap_concordance, concordance_index
@@ -111,8 +113,23 @@ class SurvivalPredictor:
 
     def risk_scores(self, cohort: Cohort) -> np.ndarray:
         check_encoders(self.encoders, cohort)
-        embeddings = encode(self.encoders, cohort, np.arange(len(cohort)))
-        return predict_risk(self.fusion, embeddings, cohort.availability)
+        return score_records(self.fusion, self.encoders, cohort, np.arange(len(cohort)))
+
+
+def score_records(fusion: FusionModel, encoders, cohort: Cohort, idx: np.ndarray) -> np.ndarray:
+    """Hazard score of each record ``idx`` of ``cohort``, in ``idx`` order.
+
+    Encodes (``encoders`` None: the blocks are embeddings), fuses and runs
+    the hazard head on SCORE_CHUNK records at a time, writing each block's
+    scores into the one output vector, so a pass holds one block's
+    activations whatever ``len(idx)``.
+    """
+    out = np.empty(len(idx))
+    for start in range(0, len(idx), SCORE_CHUNK):
+        rows = idx[start:start + SCORE_CHUNK]
+        out[start:start + len(rows)] = predict_risk(fusion, encode(encoders, cohort, rows),
+                                                    cohort.availability[rows])
+    return out
 
 
 PREDICTOR_FORMAT = "predictor-v1"
@@ -216,8 +233,8 @@ def _fit_fusion(pool: Cohort, config: TrainConfig, cell: ExperimentCell, joint: 
         optimizer_step(params, grad, opt)
         return total
 
-    trace = fit(params, step, lambda idx: predict_risk(model, encode(encoders, pool, idx), alpha[idx]),
-                times, events, epochs=config.fusion_epochs, batch_size=config.fusion_batch,
+    trace = fit(params, step, partial(score_records, model, encoders, pool), times, events,
+                epochs=config.fusion_epochs, batch_size=config.fusion_batch,
                 patience=config.patience, val_fraction=config.val_fraction,
                 split_seed=split_seed, shuffle_seed=shuffle_seed, context=context)
     return SurvivalPredictor(model, encoders, trace=trace)
@@ -414,7 +431,11 @@ def run_ablation_grid(train: Cohort, test: Cohort, cells, config: TrainConfig,
     stage1 = [None if c.mode == "joint-scratch" else stage1_sets[c.stage1_data] for c in jobs.values()]
     train_job = partial(_outcome, train_cell, train, config)
     models: dict[tuple, SurvivalPredictor | MmsurvError] = {}
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    executor = nullcontext()
+    if workers > 1:  # imported here: the pool's modules add 10-15 ms to every import of mmsurv
+        from concurrent.futures import ProcessPoolExecutor
+        executor = ProcessPoolExecutor(workers)
+    with executor as pool:
         outcomes = (pool.map if pool else map)(train_job, jobs.values(), stage1)
         for (key, cell), outcome in zip(jobs.items(), outcomes):
             models[key] = outcome

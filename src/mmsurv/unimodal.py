@@ -25,6 +25,7 @@ import numpy as np
 from .cohort import N_MODALITIES, Cohort, ModalityId, embedding_schema
 from .config import TrainConfig, TrainingTrace, fit
 from .errors import DataError
+from .fusion import SCORE_CHUNK
 from .nets import (DenseNet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step,
                    pack, read_json, split)
 from .survival import SurvivalBatch, cox_loss, cox_loss_grad
@@ -140,12 +141,16 @@ def export_embeddings(encoders, cohort: Cohort) -> Cohort:
 
     Returns a cohort over the embedding schema with identical ids, times,
     events, and availability. Missing modalities stay missing, nothing is
-    imputed here. Each encoder runs once, on all records carrying its
-    modality.
+    imputed here. The table is filled SCORE_CHUNK records at a time, the
+    blocks of the scoring loop, so the encoders' activations never span
+    more than one block.
     """
     nets = {m: u.encoder for m, u in encoders.items()}
     check_encoders(nets, cohort)
-    emb = encode(nets, cohort, np.arange(len(cohort)))
+    emb = np.empty((len(cohort), N_MODALITIES, cohort.schema.embed_dim))
+    for start in range(0, len(cohort), SCORE_CHUNK):
+        rows = np.arange(start, min(start + SCORE_CHUNK, len(cohort)))
+        emb[rows] = encode(nets, cohort, rows)
     return Cohort(embedding_schema(cohort.schema), cohort.ids, cohort.times, cohort.events,
                   cohort.availability, [emb[:, m] for m in ModalityId], cohort.ground_truth_risk)
 

@@ -1,6 +1,7 @@
 """Shared pytest wiring: one summary line per acceptance criterion, the
 tests' finite-difference, c-index, bootstrap, Cox, tensor-product and
-cohort round-trip oracles, and the row builder for test cohorts.
+cohort round-trip oracles, and test cohorts made from rows or drawn at
+random around the scoring blocks.
 
 Acceptance tests are named test_criterion_<number><subtag>_<slug>; every
 phase outcome is collected here and folded into a single PASS/FAIL line
@@ -12,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mmsurv.cohort import MODALITIES, Cohort
+from mmsurv.cohort import MODALITIES, Cohort, ModalityId
+from mmsurv.fusion import SCORE_CHUNK
 from mmsurv.errors import NumericalError
 from mmsurv.nets import OptimizerState, optimizer_step
 
@@ -41,6 +43,21 @@ def cohort_from_rows(schema, rows, gt=None) -> Cohort:
                         for f in feats]) for m in MODALITIES]
     availability = [[int(f[m] is not None) for m in MODALITIES] for f in feats]
     return Cohort(schema, ids, times, events, availability, blocks, gt)
+
+
+def block_cohort(schema, n: int, seed: int, absent=ModalityId.GENOMICS) -> Cohort:
+    """``n`` random records in which ``absent`` is missing from every row of the first scoring block.
+
+    Every other slot is present with probability 0.7 (radiology fills in for
+    a row left with none), so later blocks carry every modality.
+    """
+    rng = np.random.default_rng(seed)
+    alpha = rng.random((n, len(MODALITIES))) < 0.7
+    alpha[:SCORE_CHUNK, absent] = False
+    alpha[~alpha.any(axis=1), ModalityId.RADIOLOGY] = True
+    blocks = [np.where(alpha[:, m, None], rng.normal(size=(n, schema.dim(m))), 0.0) for m in MODALITIES]
+    return Cohort(schema, [f"r{i}" for i in range(n)], rng.exponential(size=n) + 0.1,
+                  (rng.random(n) < 0.7).astype(np.float64), alpha.astype(np.int64), blocks)
 
 
 def cohorts_equal(a: Cohort, b: Cohort) -> bool:

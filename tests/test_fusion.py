@@ -10,13 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_diff_grad, tensor_product_einsum
-from mmsurv.cohort import MODALITIES, ModalityId
+from mmsurv.cohort import DEFAULT_SCHEMA, MODALITIES, Cohort, ModalityId, embedding_schema
 from mmsurv.errors import ConfigError, DataError
 from mmsurv.fusion import (DropoutPolicy, FusionBatch, FusionStrategy, batch_loss_and_grads,
                            SCORE_CHUNK, forward_loss, fuse, fusion_from_dict, fusion_to_dict,
                            init_fusion_model, modality_dropout, model_footprint, predict_hazard,
-                           predict_risk, recon_loss, recon_loss_grad, tensor_product, total_loss)
+                           recon_loss, recon_loss_grad, tensor_product, total_loss)
 from mmsurv.nets import OptimizerState, optimizer_step, pack, split
+from mmsurv.pipeline import score_records
 
 SMALL = dict(embed_dim=4, extended_dim=8, reduced_dim=3,
              extender_hidden=6, reducer_hidden=5, head_hidden=5, recon_hidden=6)
@@ -249,18 +250,20 @@ def test_tensor_fuse_has_the_bits_of_the_four_operand_einsum(n, scale, seed):
     assert (tape.factors[~mask][:, :-1] == 0.0).all()
 
 
-def test_tensor_predict_risk_over_many_chunks_equals_the_einsum_path():
+def test_tensor_scoring_over_many_chunks_equals_the_einsum_path():
     rng = np.random.default_rng(30)
     model = init_fusion_model(FusionStrategy("tensor"), seed=31)
     n = 2 * SCORE_CHUNK + 37
     mask = rng.random((n, 4)) < 0.7
     mask[~mask.any(axis=1), 0] = True
-    x = rng.normal(size=(n, 4, model.strategy.embed_dim))
+    x = np.where(mask[:, :, None], rng.normal(size=(n, 4, model.strategy.embed_dim)), 0.0)
+    table = Cohort(embedding_schema(DEFAULT_SCHEMA), [f"r{i}" for i in range(n)], np.ones(n),
+                   np.ones(n), mask.astype(np.int64), [x[:, m] for m in MODALITIES])
     expected = np.concatenate([
         predict_hazard(model, tensor_product_einsum(fuse(model, x[s:s + SCORE_CHUNK],
                                                          mask[s:s + SCORE_CHUNK])[1].factors))
         for s in range(0, n, SCORE_CHUNK)])
-    assert np.array_equal(predict_risk(model, x, mask), expected)
+    assert np.array_equal(score_records(model, None, table, np.arange(n)), expected)
 
 
 def test_tensor_all_zero_reducers_give_trailing_one_hot():

@@ -65,6 +65,19 @@ def test_selu_matches_published_constants():
     assert round(-SELU_LAMBDA * SELU_ALPHA, 4) == -1.7581
 
 
+def test_selu_has_the_bits_of_the_textbook_formula():
+    rng = np.random.default_rng(12)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, -800.0, 800.0])
+    blocks = [specials, rng.normal(size=(64, 33)), 30.0 * rng.normal(size=(7, 5)),
+              rng.normal(size=(2800, 64))[:, ::2]]
+    with np.errstate(over="ignore"):
+        for z in blocks:
+            textbook = SELU_LAMBDA * np.where(z > 0, z, SELU_ALPHA * np.expm1(z))
+            got = activate("selu", z)
+            assert got.shape == z.shape
+            assert np.array_equal(got.view(np.int64), textbook.view(np.int64))
+
+
 def test_forward_rejects_wrong_width_and_nonfinite():
     net = init_net((3, 2), "relu", seed=0)
     with pytest.raises(ConfigError):

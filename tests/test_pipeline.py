@@ -1,21 +1,29 @@
-"""End-to-end training paths, evaluation, and the ablation grid."""
+"""End-to-end training paths, scoring, evaluation, and the ablation grid."""
+import os
 import pickle
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mmsurv.pipeline
 import mmsurv.unimodal
-from conftest import assert_layers_view_params, bootstrap_loop, cindex_pairwise, cohort_from_rows
-from mmsurv.cohort import (MODALITIES, ModalityId, ModalitySchema, apply_scenario,
-                           complete_subset, generate_synthetic, scenario_by_name)
+from conftest import (assert_layers_view_params, block_cohort, bootstrap_loop, cindex_pairwise,
+                      cohort_from_rows)
+from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, ModalityId, ModalitySchema,
+                           apply_scenario, complete_subset, embedding_schema,
+                           generate_synthetic, scenario_by_name)
 from mmsurv.config import TrainConfig
 from mmsurv.errors import ConfigError, DataError
+from mmsurv.fusion import SCORE_CHUNK, FusionStrategy, fuse, init_fusion_model
+from mmsurv.nets import init_net
 from mmsurv.pipeline import (_BOOT_SALT, AblationReport, ExperimentCell, SurvivalPredictor,
                              default_synthetic_pair, evaluate, load_predictor,
                              run_ablation_grid, save_predictor, table_cells,
                              train_cell, train_fusion_on_table, train_stage1_encoders)
-from mmsurv.unimodal import UnimodalEncoder, export_embeddings
+from mmsurv.unimodal import ENCODER_HIDDEN, UnimodalEncoder, export_embeddings
 
 FAST = TrainConfig(seed=5, stage1_epochs=15, fusion_epochs=8, bootstrap=50)
 
@@ -229,6 +237,69 @@ def test_each_trainer_steps_one_vector_that_every_trained_layer_views(monkeypatc
             assert_layers_view_params(net, packed)
         if mode == "joint-finetune":  # training moved copies, not the stage-1 encoders
             assert not any(np.shares_memory(u.encoder.params, packed) for u in encoders.values())
+
+
+def untrained_predictor(kind: str, seed: int = 0):
+    """A fresh fusion model, with fresh SELU encoders unless ``kind`` is "table"."""
+    schema = DEFAULT_SCHEMA
+    if kind == "table":
+        return SurvivalPredictor(init_fusion_model(FusionStrategy("mean"), seed)), embedding_schema(schema)
+    encoders = {m: init_net((schema.dim(m), ENCODER_HIDDEN, schema.embed_dim), "selu", seed + 1 + m)
+                for m in MODALITIES}
+    return SurvivalPredictor(init_fusion_model(FusionStrategy(kind), seed), encoders), schema
+
+
+def scores_block_by_block(predictor, cohort) -> np.ndarray:
+    """The oracle: each SCORE_CHUNK block encoded, fused and scored as one batch."""
+    out = []
+    for start in range(0, len(cohort), SCORE_CHUNK):
+        rows = np.arange(start, min(start + SCORE_CHUNK, len(cohort)))
+        alpha = cohort.availability[rows]
+        emb = np.zeros((len(rows), len(MODALITIES), predictor.fusion.strategy.embed_dim))
+        for m in MODALITIES:
+            present = np.flatnonzero(alpha[:, m])
+            if present.size:
+                x = cohort.block(m)[rows[present]]
+                emb[present, m] = x if predictor.encoders is None else predictor.encoders[m].forward(x)[0]
+        h, _ = fuse(predictor.fusion, emb, alpha)
+        out.append(predictor.fusion.hazard_head.forward(h)[0][:, 0])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("kind", ["concat", "mean", "tensor", "table"])
+@pytest.mark.parametrize("n", [1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1, 2 * SCORE_CHUNK + 37])
+def test_risk_scores_equal_each_block_scored_as_one_batch(kind, n):
+    predictor, schema = untrained_predictor(kind)
+    cohort = block_cohort(schema, n, seed=n)  # genomics absent from all of the first block
+    assert not cohort.availability[:SCORE_CHUNK, ModalityId.GENOMICS].any()
+    got = predictor.risk_scores(cohort)
+    assert got.shape == (n,)
+    assert np.array_equal(got.view(np.int64), scores_block_by_block(predictor, cohort).view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["mean", "tensor"])
+def test_scoring_memory_does_not_grow_with_the_cohort(kind):
+    predictor, schema = untrained_predictor(kind)
+    peaks = []
+    for n in (4 * SCORE_CHUNK, 32 * SCORE_CHUNK):
+        cohort = block_cohort(schema, n, seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            predictor.risk_scores(cohort)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 ** 20, peaks
+
+
+def test_importing_the_package_loads_no_process_pool():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", "import sys, mmsurv; "
+                           "print('concurrent.futures.process' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_predictor_checkpoint_round_trip(tmp_path):

@@ -2,13 +2,15 @@
 import numpy as np
 import pytest
 
-from conftest import cohort_from_rows
-from mmsurv.cohort import (MODALITIES, ModalityId, ModalitySchema, embedding_schema,
-                           generate_synthetic)
+from conftest import block_cohort, cohort_from_rows
+from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, ModalityId, ModalitySchema,
+                           embedding_schema, generate_synthetic)
 from mmsurv.config import TrainConfig
 from mmsurv.errors import DataError
-from mmsurv.unimodal import (export_embeddings, load_unimodal,
-                             save_unimodal, train_unimodal)
+from mmsurv.fusion import SCORE_CHUNK
+from mmsurv.nets import init_net
+from mmsurv.unimodal import (ENCODER_HIDDEN, UnimodalEncoder, encode, export_embeddings,
+                             load_unimodal, save_unimodal, train_unimodal)
 
 GENOMICS = ModalityId.GENOMICS
 SMALL_CONFIG = TrainConfig(seed=7, stage1_epochs=20, patience=5)
@@ -119,6 +121,21 @@ def test_export_preserves_outcomes_and_availability():
                 assert np.array_equal(r.features[m], expected[carriers.index(i)])
             else:
                 assert r.features[m] is None
+
+
+def test_export_fills_the_table_one_scoring_block_at_a_time():
+    n = 2 * SCORE_CHUNK + 37
+    cohort = block_cohort(DEFAULT_SCHEMA, n, seed=3)
+    nets = {m: init_net((DEFAULT_SCHEMA.dim(m), ENCODER_HIDDEN, DEFAULT_SCHEMA.embed_dim), "selu", 10 + m)
+            for m in MODALITIES}
+    table = export_embeddings({m: UnimodalEncoder(m, net, None) for m, net in nets.items()}, cohort)
+    got = np.stack([table.block(m) for m in MODALITIES], axis=1)
+    blocks = np.concatenate([encode(nets, cohort, np.arange(s, min(s + SCORE_CHUNK, n)))
+                             for s in range(0, n, SCORE_CHUNK)])
+    assert np.array_equal(got.view(np.int64), blocks.view(np.int64))
+    # one call over every record agrees to rounding: BLAS may pick another
+    # kernel, and so another summation order, for a product of few rows
+    np.testing.assert_allclose(got, encode(nets, cohort, np.arange(n)), rtol=1e-12, atol=1e-14)
 
 
 def test_export_requires_an_encoder_per_present_modality():
