@@ -33,6 +33,7 @@ cohorts.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from array import array
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
@@ -272,7 +274,7 @@ SCHEMA_KEYS = tuple(m.label + "_dim" for m in MODALITIES) + ("embedding_dim",)
 
 
 def save_schema(schema: ModalitySchema, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for m in MODALITIES:
             fh.write(f"{m.label}_dim={schema.dim(m)}\n")
         fh.write(f"embedding_dim={schema.embed_dim}\n")
@@ -317,25 +319,34 @@ def _header(schema: ModalitySchema, with_risk: bool) -> list[str]:
 
 
 def save_cohort(cohort: Cohort, path: str) -> None:
+    """Write the cohort CSV row by row, each row one string, to ``path`` as a whole.
+
+    The bytes are those of ``csv.writer`` over the cells: ids are quoted by
+    the csv module, floats are ``repr`` (never quoted) and lines end in
+    ``\r\n``. Each row's block values are converted to floats one row at a
+    time, so no whole block is ever a list of Python floats.
+    """
     with_risk = cohort.ground_truth_risk is not None
     risks = cohort.ground_truth_risk.tolist() if with_risk else None
     present = cohort.availability.tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_header(cohort.schema, with_risk))
+    blocks = [cohort.block(m) for m in MODALITIES]
+    absent = ["0" + "," * cohort.schema.dim(m) for m in MODALITIES]   # the flag, then empty cells
+    quoted = io.StringIO()
+    id_cell = csv.writer(quoted)   # its \r\n terminator is what makes it quote line breaks
+    with atomic_write(path, newline="") as fh:
+        csv.writer(fh).writerow(_header(cohort.schema, with_risk))
         for i, (rid, time, event) in enumerate(zip(cohort.ids.tolist(), cohort.times.tolist(),
                                                    cohort.events.tolist())):
-            row = [rid, repr(time), str(int(event))]
+            quoted.seek(0)
+            quoted.truncate()
+            id_cell.writerow((rid,))
+            cells = [quoted.getvalue()[:-2], repr(time), str(int(event))]
             if with_risk:
-                row.append(repr(risks[i]))
+                cells.append(repr(risks[i]))
             for m in MODALITIES:
-                if present[i][m]:
-                    row.append("1")
-                    row.extend(map(repr, cohort.block(m)[i].tolist()))
-                else:
-                    row.append("0")
-                    row.extend([""] * cohort.schema.dim(m))
-            writer.writerow(row)
+                cells.append("1," + ",".join(map(repr, blocks[m][i].tolist())) if present[i][m]
+                             else absent[m])
+            fh.write(",".join(cells) + "\r\n")
 
 
 def load_cohort(path: str, schema: ModalitySchema) -> Cohort:
@@ -501,8 +512,12 @@ def generate_synthetic(n: int, seed: int, *, schema: ModalitySchema = DEFAULT_SC
 
     z = rng.normal(size=(n, LATENT_DIM))
     risk = z @ w + 0.5 * np.tanh(z[:, 0] * z[:, 1])
-    blocks = [z[:, views[m]] @ maps[m].T + FEATURE_NOISE * rng.normal(size=(n, schema.dim(m)))
-              for m in MODALITIES]
+    blocks = []
+    for m in MODALITIES:  # noise + projection in the noise's buffer: the bits of projection + noise
+        block = rng.normal(size=(n, schema.dim(m)))
+        block *= FEATURE_NOISE
+        block += z[:, views[m]] @ maps[m].T
+        blocks.append(block)
 
     event_time = rng.exponential(scale=TIME_SCALE * np.exp(-risk))
     censored = rng.random(n) < censor_rate
@@ -525,8 +540,8 @@ def generate_synthetic(n: int, seed: int, *, schema: ModalitySchema = DEFAULT_SC
                 break
         ids.append(f"p{i:0{width}d}")
 
-    cohort = Cohort(schema, ids, time, event, keep,
-                    [np.where(keep[:, m, None], blocks[m], 0.0) for m in MODALITIES],
-                    ground_truth_risk=risk)
+    for m in MODALITIES:
+        blocks[m][~keep[:, m]] = 0.0
+    cohort = Cohort(schema, ids, time, event, keep, blocks, ground_truth_risk=risk)
     cohort.require_events("synthetic generation (every record was censored, lower censor_rate)")
     return cohort

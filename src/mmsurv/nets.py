@@ -21,7 +21,12 @@ per step.
 
 Checkpoints are JSON: dims, per-layer activation ids, and row-major
 parameter lists. Python's float repr round-trips doubles exactly, so a
-save/load cycle is bit-identical.
+save/load cycle is bit-identical. ``net_to_dict`` gives the parameter lists
+as array views, and ``write_json`` writes a payload with the bytes of
+``json.dumps`` while it converts each array ``WRITE_CHUNK`` floats at a time,
+so a save holds one slice's Python floats and text, not the whole
+checkpoint's. It writes through ``atomic.atomic_write``, so an interrupted
+save leaves the previous file in place.
 """
 from __future__ import annotations
 
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ConfigError, DataError, NumericalError
 
 SELU_LAMBDA = 1.0507009873554805
@@ -45,6 +51,12 @@ CHECKPOINT_FORMAT = "densenet-v1"
 # the scratch stays small however large the network (a tensor head's weights
 # alone are 3.4 MB).
 ADAM_BLOCK = 16384
+
+# Floats per slice a checkpoint write converts at once: a slice's Python
+# floats and its text, about 2 MiB while json.dumps runs, are the transient
+# of a save whatever the network (a tensor head and decoder hold 851k
+# parameters).
+WRITE_CHUNK = 16384
 
 
 def activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -307,7 +319,7 @@ def net_to_dict(net: DenseNet) -> dict:
         "format": CHECKPOINT_FORMAT,
         "dims": list(net.dims),
         "activations": [l.activation for l in net.layers],
-        "layers": [{"w": l.w.ravel().tolist(), "b": l.b.tolist()} for l in net.layers],
+        "layers": [{"w": l.w.ravel(), "b": l.b} for l in net.layers],
     }
 
 
@@ -339,3 +351,39 @@ def read_json(path: str):
         raise DataError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not JSON ({e})") from None
+
+
+def write_json(path: str, payload) -> None:
+    """Write a checkpoint payload to ``path`` with the bytes ``json.dumps(payload)`` would have.
+
+    Dicts and lists are walked; a 1-D float array, as ``net_to_dict`` gives,
+    is written ``WRITE_CHUNK`` floats at a time; any other value goes through
+    ``json.dumps`` whole.
+    """
+    with atomic_write(path) as fh:
+        _write_value(fh, payload)
+
+
+def _write_value(fh, value) -> None:
+    if isinstance(value, np.ndarray):
+        fh.write("[")
+        for start in range(0, value.size, WRITE_CHUNK):
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(value[start:start + WRITE_CHUNK].tolist())[1:-1])
+        fh.write("]")
+    elif isinstance(value, dict):
+        fh.write("{")
+        for k, (key, item) in enumerate(value.items()):
+            fh.write(f"{', ' if k else ''}{json.dumps(key)}: ")
+            _write_value(fh, item)
+        fh.write("}")
+    elif isinstance(value, list):
+        fh.write("[")
+        for k, item in enumerate(value):
+            if k:
+                fh.write(", ")
+            _write_value(fh, item)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value))

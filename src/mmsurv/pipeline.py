@@ -50,7 +50,7 @@ from .fusion import (SCORE_CHUNK, DropoutPolicy, FusionBatch, FusionModel,
                      fusion_from_dict, fusion_to_dict, init_fusion_model,
                      model_footprint, predict_risk)
 from .nets import (OptimizerState, init_net, net_from_dict, net_to_dict,
-                   optimizer_step, pack, read_json, split)
+                   optimizer_step, pack, read_json, split, write_json)
 from .survival import bootstrap_concordance, concordance_index
 from .unimodal import (ENCODER_HIDDEN, check_encoders, encode, export_embeddings,
                        train_unimodal)
@@ -143,8 +143,7 @@ def save_predictor(predictor: SurvivalPredictor, path: str) -> None:
     payload = {"format": PREDICTOR_FORMAT,
                "fusion": fusion_to_dict(predictor.fusion),
                "encoders": encoders}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload))  # the C encoder; json.dump runs the Python one
+    write_json(path, payload)
 
 
 def load_predictor(path: str) -> SurvivalPredictor:

@@ -17,7 +17,6 @@ and joint training all go through them.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .config import TrainConfig, TrainingTrace, fit
 from .errors import DataError
 from .fusion import SCORE_CHUNK
 from .nets import (DenseNet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step,
-                   pack, read_json, split)
+                   pack, read_json, split, write_json)
 from .survival import SurvivalBatch, cox_loss, cox_loss_grad
 
 ENCODER_HIDDEN = 64
@@ -162,8 +161,7 @@ def save_unimodal(model: UnimodalEncoder, path: str) -> None:
         "encoder": net_to_dict(model.encoder),
         "head": net_to_dict(model.head),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload))  # the C encoder; json.dump runs the Python one
+    write_json(path, payload)
 
 
 def load_unimodal(path: str) -> UnimodalEncoder:

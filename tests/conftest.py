@@ -1,19 +1,23 @@
 """Shared pytest wiring: one summary line per acceptance criterion, the
-tests' finite-difference, c-index, bootstrap, Cox, tensor-product and
-cohort round-trip oracles, and test cohorts made from rows or drawn at
-random around the scoring blocks.
+tests' finite-difference, c-index, bootstrap, Cox, tensor-product,
+cohort round-trip, file-writer and synthetic-generator oracles, and test
+cohorts made from rows or drawn at random around the scoring blocks.
 
 Acceptance tests are named test_criterion_<number><subtag>_<slug>; every
 phase outcome is collected here and folded into a single PASS/FAIL line
 per criterion at the end of the run.
 """
 
+import csv
+import io
+import json
 import re
 from typing import NamedTuple
 
 import numpy as np
 
-from mmsurv.cohort import MODALITIES, Cohort, ModalityId
+from mmsurv import cohort as cohort_module
+from mmsurv.cohort import MODALITIES, N_MODALITIES, Cohort, ModalityId, ModalitySchema
 from mmsurv.fusion import SCORE_CHUNK
 from mmsurv.errors import NumericalError
 from mmsurv.nets import OptimizerState, optimizer_step
@@ -72,6 +76,77 @@ def cohorts_equal(a: Cohort, b: Cohort) -> bool:
             and np.array_equal(a.events, b.events)
             and np.array_equal(a.availability, b.availability)
             and all(np.array_equal(a.block(m), b.block(m)) for m in MODALITIES))
+
+
+def checkpoint_text(payload) -> str:
+    """Reference checkpoint text: the whole payload through one ``json.dumps``, arrays as lists.
+
+    What ``save_predictor`` and ``save_unimodal`` wrote before ``nets.write_json``
+    converted arrays a slice at a time.
+    """
+    return json.dumps(payload, default=lambda a: a.tolist())
+
+
+def cohort_csv_text(cohort: Cohort) -> str:
+    """Reference cohort CSV: every cell of every row through one ``csv.writer``.
+
+    The rows ``save_cohort`` built before it wrote each row as one string.
+    """
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    with_risk = cohort.ground_truth_risk is not None
+    header = ["id", "time", "event"] + ["true_risk"] * with_risk
+    for m in MODALITIES:
+        header += [m.label + "_present"] + [f"{m.label}_f{k}" for k in range(cohort.schema.dim(m))]
+    writer.writerow(header)
+    for i in range(len(cohort)):
+        row = [cohort.ids[i], repr(float(cohort.times[i])), str(int(cohort.events[i]))]
+        if with_risk:
+            row.append(repr(float(cohort.ground_truth_risk[i])))
+        for m in MODALITIES:
+            if cohort.availability[i, m]:
+                row += ["1"] + [repr(v) for v in cohort.block(m)[i].tolist()]
+            else:
+                row += ["0"] + [""] * cohort.schema.dim(m)
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def generate_synthetic_where(n: int, seed: int, *, schema: ModalitySchema = cohort_module.DEFAULT_SCHEMA,
+                             missing_rate=(0.3, 0.3, 0.3, 0.3), censor_rate: float = 0.2,
+                             mnar: bool = False, family_seed: int = 0) -> Cohort:
+    """Reference generator: ``generate_synthetic`` as it was before it built its blocks in place.
+
+    Each block is ``projection + FEATURE_NOISE * noise`` and the absent rows
+    are zeroed by an ``np.where`` copy; the draws are the generator's, in
+    its order. The arguments are assumed valid.
+    """
+    c = cohort_module
+    w, views, maps = c._generative_family(schema, family_seed)
+    rng = np.random.default_rng(np.random.SeedSequence([c._COHORT_SALT, seed]))
+    z = rng.normal(size=(n, c.LATENT_DIM))
+    risk = z @ w + 0.5 * np.tanh(z[:, 0] * z[:, 1])
+    blocks = [z[:, views[m]] @ maps[m].T + c.FEATURE_NOISE * rng.normal(size=(n, schema.dim(m)))
+              for m in MODALITIES]
+    event_time = rng.exponential(scale=c.TIME_SCALE * np.exp(-risk))
+    censored = rng.random(n) < censor_rate
+    frac = rng.random(n)
+    time = np.where(censored, event_time * np.maximum(frac, 1e-12), event_time)
+    rates = np.asarray(missing_rate, dtype=np.float64)
+    quantile = np.argsort(np.argsort(risk)) / max(n - 1, 1)
+    width = max(4, len(str(n - 1)))
+    keep = np.empty((n, N_MODALITIES), dtype=bool)
+    for i in range(n):
+        p_drop = rates.copy()
+        if mnar:
+            p_drop[ModalityId.PATHOLOGY] = min(2.0 * rates[ModalityId.PATHOLOGY] * quantile[i], 0.95)
+        while True:
+            keep[i] = rng.random(N_MODALITIES) >= p_drop
+            if keep[i].any():
+                break
+    return Cohort(schema, [f"p{i:0{width}d}" for i in range(n)], time, (~censored).astype(np.float64),
+                  keep, [np.where(keep[:, m, None], blocks[m], 0.0) for m in MODALITIES],
+                  ground_truth_risk=risk)
 
 
 def cindex_pairwise(risks, times, events) -> float:

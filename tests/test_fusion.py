@@ -16,7 +16,7 @@ from mmsurv.fusion import (DropoutPolicy, FusionBatch, FusionStrategy, batch_los
                            SCORE_CHUNK, forward_loss, fuse, fusion_from_dict, fusion_to_dict,
                            init_fusion_model, modality_dropout, model_footprint, predict_hazard,
                            recon_loss, recon_loss_grad, tensor_product, total_loss)
-from mmsurv.nets import OptimizerState, optimizer_step, pack, split
+from mmsurv.nets import OptimizerState, optimizer_step, pack, split, write_json
 from mmsurv.pipeline import score_records
 
 SMALL = dict(embed_dim=4, extended_dim=8, reduced_dim=3,
@@ -534,7 +534,7 @@ def test_footprint_ordering_tensor_over_mean_over_concat():
 def test_fusion_checkpoint_round_trip_bit_exact(tmp_path, kind, recon):
     model = init_fusion_model(small_strategy(kind), seed=21, recon=recon, lam=0.5)
     path = tmp_path / "fusion.json"
-    path.write_text(json.dumps(fusion_to_dict(model)))
+    write_json(str(path), fusion_to_dict(model))
     loaded = fusion_from_dict(json.loads(path.read_text()), origin=str(path))
     assert loaded.strategy == model.strategy
     assert loaded.lam == model.lam

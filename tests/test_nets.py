@@ -6,12 +6,12 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import assert_layers_view_params, finite_diff_grad
+from conftest import assert_layers_view_params, checkpoint_text, finite_diff_grad
 from mmsurv.errors import ConfigError, DataError, NumericalError
 from mmsurv.gradcheck import _net_configs
-from mmsurv.nets import (ADAM_BLOCK, SELU_ALPHA, SELU_LAMBDA, DenseNet, Layer,
+from mmsurv.nets import (ADAM_BLOCK, SELU_ALPHA, SELU_LAMBDA, WRITE_CHUNK, DenseNet, Layer,
                          OptimizerState, activate, init_net, net_from_dict, net_to_dict,
-                         optimizer_step, pack, split)
+                         optimizer_step, pack, split, write_json)
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -290,13 +290,36 @@ def test_gradient_shape_mismatch_rejected():
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     net = init_net((7, 5, 3, 1), "selu", seed=21, output_activation="identity")
     path = tmp_path / "net.json"
-    path.write_text(json.dumps(net_to_dict(net)))
+    write_json(str(path), net_to_dict(net))
     loaded = net_from_dict(json.loads(path.read_text()), origin=str(path))
     assert loaded.dims == net.dims
     for la, lb in zip(net.layers, loaded.layers):
         assert la.activation == lb.activation
         assert np.array_equal(la.w, lb.w) and la.w.dtype == lb.w.dtype
         assert np.array_equal(la.b, lb.b)
+
+
+@pytest.mark.parametrize("width", [1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1, 2 * WRITE_CHUNK + 5])
+def test_written_checkpoint_has_the_bytes_of_one_json_dumps(tmp_path, width):
+    # a (1 -> width) layer holds width weights and width biases, so both of its
+    # arrays end one float short of, on, or one float past a slice boundary
+    net = init_net((1, width, 2), "selu", seed=width, output_activation="identity")
+    rng = np.random.default_rng(width)
+    net.params[:] = rng.normal(size=net.params.size) * 10.0 ** rng.integers(-300, 300, net.params.size)
+    net.params[:3] = [5e-324, -0.0, 1.7976931348623157e308]
+    payload = {"format": "outer", "lam": 0.1, "nets": [net_to_dict(net), None], "empty": np.empty(0),
+               "nested": {"b": [1, "two", 3.0], "a": {"n": net_to_dict(init_net((3, 1), "tanh", 0))}}}
+    path = tmp_path / "net.json"
+    write_json(str(path), payload)
+    assert path.read_text(encoding="ascii") == checkpoint_text(payload)
+    assert net_from_dict(json.loads(path.read_text())["nets"][0]).params.tobytes() == net.params.tobytes()
+
+
+def test_net_dict_holds_views_of_the_parameters():
+    net = init_net((4, 3, 2), "relu", seed=8)
+    for blob, layer in zip(net_to_dict(net)["layers"], net.layers):
+        assert blob["w"].ndim == 1 and np.shares_memory(blob["w"], net.params)
+        assert np.array_equal(blob["w"], layer.w.ravel()) and np.array_equal(blob["b"], layer.b)
 
 
 def test_checkpoint_dict_rejects_foreign_payload():
