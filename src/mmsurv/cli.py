@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import fields
 
+from .atomic import atomic_write
 from .cohort import (MODALITIES, SCENARIOS, Cohort, ModalityId, embedding_schema,
                      generate_synthetic, load_cohort, load_schema, save_cohort, save_schema,
                      scenario_by_name)
@@ -113,7 +114,7 @@ def _print_config(args) -> None:
 
 
 def _write_trace(trace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "train_loss", "val_cindex"])
         for row in trace.epochs:
@@ -208,7 +209,7 @@ def _cmd_eval(args) -> int:
                    "n_dropped": result.n_dropped, "n_resamples": result.n_resamples,
                    "scenario": args.scenario,
                    "bootstrap": args.bootstrap, "seed": args.seed}
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             json.dump(payload, fh, indent=2)
     return 0
 

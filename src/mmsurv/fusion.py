@@ -96,28 +96,23 @@ class DropoutPolicy:
 
 
 class FusionModel:
-    """Fusion networks for one strategy: body nets, hazard head, optional decoder."""
+    """Fusion networks for one strategy as one ``{name: DenseNet}`` table, in ``_part_dims`` order.
 
-    def __init__(self, strategy: FusionStrategy, extenders, reducers,
-                 hazard_head: DenseNet, recon_head: DenseNet | None, lam: float = 1.0):
+    ``body`` maps each modality to its extender (mean) or reducer (tensor)
+    and is empty for concat; the heads are read from the same table.
+    """
+
+    def __init__(self, strategy: FusionStrategy, parts: dict, lam: float = 1.0):
         self.strategy = strategy
-        self.extenders = extenders
-        self.reducers = reducers
-        self.hazard_head = hazard_head
-        self.recon_head = recon_head
+        self._parts = dict(parts)
         self.lam = float(lam)
+        self.body = dict(zip(MODALITIES, self._parts.values())) if strategy.kind != "concat" else {}
+        self.hazard_head = self._parts["hazard_head"]
+        self.recon_head = self._parts.get("recon_head")
 
     def parts(self) -> list[tuple[str, DenseNet]]:
         """Named subnetworks in a fixed order; the unit of optimization."""
-        out = []
-        if self.strategy.kind == "mean":
-            out += [(f"extender_{m.label}", self.extenders[m]) for m in MODALITIES]
-        elif self.strategy.kind == "tensor":
-            out += [(f"reducer_{m.label}", self.reducers[m]) for m in MODALITIES]
-        out.append(("hazard_head", self.hazard_head))
-        if self.recon_head is not None:
-            out.append(("recon_head", self.recon_head))
-        return out
+        return list(self._parts.items())
 
 
 def _part_dims(s: FusionStrategy, recon: bool) -> dict[str, tuple[int, ...]]:
@@ -135,27 +130,19 @@ def _part_dims(s: FusionStrategy, recon: bool) -> dict[str, tuple[int, ...]]:
     return dims
 
 
-def _assemble(strategy: FusionStrategy, parts: dict, lam: float) -> FusionModel:
-    extenders = reducers = None
-    if strategy.kind == "mean":
-        extenders = {m: parts[f"extender_{m.label}"] for m in MODALITIES}
-    elif strategy.kind == "tensor":
-        reducers = {m: parts[f"reducer_{m.label}"] for m in MODALITIES}
-    return FusionModel(strategy, extenders, reducers, parts["hazard_head"],
-                       parts.get("recon_head"), lam)
-
-
 def init_fusion_model(strategy: FusionStrategy, seed, recon: bool = False, lam: float = 1.0) -> FusionModel:
     if isinstance(seed, np.random.SeedSequence):
         base = seed
     else:
         base = np.random.SeedSequence([_FUSION_SALT, int(seed)])
-    # body nets take the first four streams (concat leaves them unused), then the two heads
+    # body nets take streams 0-3 by modality, the hazard head 4 and any decoder
+    # 5; concat has no body nets, so its heads skip to stream 4
     seeds = base.spawn(N_MODALITIES + 2)
-    slot = {"hazard_head": N_MODALITIES, "recon_head": N_MODALITIES + 1}
-    parts = {name: init_net(dims, "relu", seeds[slot.get(name, k)], output_activation="identity")
-             for k, (name, dims) in enumerate(_part_dims(strategy, recon).items())}
-    return _assemble(strategy, parts, lam)
+    if strategy.kind == "concat":
+        seeds = seeds[N_MODALITIES:]
+    parts = {name: init_net(dims, "relu", s, output_activation="identity")
+             for (name, dims), s in zip(_part_dims(strategy, recon).items(), seeds)}
+    return FusionModel(strategy, parts, lam)
 
 
 def modality_dropout(mask: np.ndarray, policy: DropoutPolicy, rng) -> np.ndarray:
@@ -218,13 +205,13 @@ def fuse(model: FusionModel, embeddings, mask) -> tuple[np.ndarray, FuseTape]:
         return np.where(visible[:, :, None], x, 0.0).reshape(n, s.fused_dim), tape
     if s.kind == "mean":
         acc = np.zeros((n, s.extended_dim))
-        for m, rows, y in _run_body_nets(model.extenders, x, visible, tape):
+        for m, rows, y in _run_body_nets(model.body, x, visible, tape):
             acc[rows] += y
         return acc / visible.sum(axis=1)[:, None], tape
     # tensor: reduce, append the constant slot, then the 4-way outer product
     factors = np.zeros((n, N_MODALITIES, s.reduced_dim + 1))
     factors[:, :, s.reduced_dim] = 1.0
-    for m, rows, y in _run_body_nets(model.reducers, x, visible, tape):
+    for m, rows, y in _run_body_nets(model.body, x, visible, tape):
         factors[rows, m, :s.reduced_dim] = y
     tape.factors = factors
     return tensor_product(factors), tape
@@ -265,12 +252,13 @@ def _tensor_factor_grads(dh: np.ndarray, factors: np.ndarray) -> np.ndarray:
                      np.einsum("bijkl,bi,bj,bk->bl", u, f0, f1, f2)], axis=1)
 
 
-def fuse_backward(model: FusionModel, tape: FuseTape, dh: np.ndarray, grads: dict) -> np.ndarray:
+def fuse_backward(model: FusionModel, tape: FuseTape, dh: np.ndarray, body_grads) -> np.ndarray:
     """Push an (n, fused_dim) gradient back to body nets and input embeddings.
 
-    Writes each body net's parameter gradient into ``grads[part name]``, a
-    vector in its ``params`` layout, zeros for a net that saw no rows, and
-    returns the (n, 4, embed) input gradient, zero on hidden slots.
+    ``body_grads`` holds one vector per body net in modality-id order (none
+    for concat), each in its net's ``params`` layout; each net's parameter
+    gradient is written into its vector, zeros for a net that saw no rows.
+    Returns the (n, 4, embed) input gradient, zero on hidden slots.
     """
     s = model.strategy
     n = dh.shape[0]
@@ -278,17 +266,16 @@ def fuse_backward(model: FusionModel, tape: FuseTape, dh: np.ndarray, grads: dic
         return np.where(tape.mask[:, :, None], dh.reshape(n, N_MODALITIES, s.embed_dim), 0.0)
     dx = np.zeros((n, N_MODALITIES, s.embed_dim))
     if s.kind == "mean":
-        nets, prefix, up = model.extenders, "extender", dh / tape.mask.sum(axis=1)[:, None]
+        up = dh / tape.mask.sum(axis=1)[:, None]
     else:
-        nets, prefix, up = model.reducers, "reducer", _tensor_factor_grads(dh, tape.factors)
-    for m in MODALITIES:
-        grad = grads[f"{prefix}_{m.label}"]
+        up = _tensor_factor_grads(dh, tape.factors)
+    for m, grad in zip(MODALITIES, body_grads):
         if m not in tape.net_tapes:
             grad[...] = 0.0
             continue
         rows, net_tape = tape.net_tapes[m]
         upstream = up[rows] if s.kind == "mean" else up[rows, m, :s.reduced_dim]
-        _, dx[rows, m] = nets[m].backward(net_tape, upstream, grad)
+        _, dx[rows, m] = model.body[m].backward(net_tape, upstream, grad)
     return dx
 
 
@@ -424,18 +411,18 @@ def batch_loss_and_grads(model: FusionModel, batch: FusionBatch, grad: np.ndarra
     representation but not through the target side.
     """
     total, cox, recon, fwd = forward_loss(model, batch)
-    names, nets = zip(*model.parts())
+    nets = [net for _, net in model.parts()]
     if grad is None:
         grad = np.empty(sum(net.params.size for net in nets))
-    grads = dict(zip(names, split(grad, nets)))
+    grads, k = split(grad, nets), len(model.body)  # parts(): k body nets, hazard head, any decoder
     d_scores = cox_loss_grad(fwd.survival)
-    _, dh = model.hazard_head.backward(fwd.head_tape, d_scores[:, None], grads["hazard_head"])
+    _, dh = model.hazard_head.backward(fwd.head_tape, d_scores[:, None], grads[k])
     if fwd.recon_tape is not None:
         d_decoded = model.lam * recon_loss_grad(fwd.decoded, batch.embeddings, batch.alpha)
         _, dh_recon = model.recon_head.backward(
-            fwd.recon_tape, d_decoded.reshape(len(dh), -1), grads["recon_head"])
+            fwd.recon_tape, d_decoded.reshape(len(dh), -1), grads[k + 1])
         dh = dh + dh_recon
-    dx = fuse_backward(model, fwd.fuse_tape, dh, grads)
+    dx = fuse_backward(model, fwd.fuse_tape, dh, grads[:k])
     return total, cox, recon, grad, dx
 
 
@@ -484,5 +471,5 @@ def fusion_from_dict(payload: dict, origin: str = "payload") -> FusionModel:
     for name, dims in expected.items():
         if parts[name].dims != dims:
             raise DataError(f"{origin}: {name} has widths {parts[name].dims}, the strategy needs {dims}")
-    return _assemble(strategy, parts, lam)
+    return FusionModel(strategy, parts, lam)
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import DEFAULT_SCHEMA, MODALITIES
+from .cohort import DEFAULT_SCHEMA, MODALITIES, ModalityId
 from .errors import ConfigError
-from .fusion import (FusionBatch, FusionStrategy, batch_loss_and_grads, forward_loss,
-                     init_fusion_model, recon_loss, recon_loss_grad)
+from .fusion import (FUSION_KINDS, FusionBatch, FusionStrategy, batch_loss_and_grads,
+                     forward_loss, init_fusion_model, recon_loss, recon_loss_grad)
 from .nets import init_net, pack
 from .survival import SurvivalBatch, cox_loss, cox_loss_grad
+from .unimodal import init_encoder
 
 DEFAULT_TOLERANCE = 1e-4
 DEFAULT_STEP = 1e-5
@@ -146,31 +147,29 @@ def _check_total(rng, instances: int, h: float) -> float:
 
 
 def _net_configs():
+    """(name, dims, hidden activation, output activation) of every network geometry.
+
+    Read off the nets that ``init_encoder`` and ``init_fusion_model`` build
+    at default widths, so the list follows the builders; the first net of
+    each dims is kept.
+    """
+    def geometry(name, net):
+        return (f"{name} ({net.input_dim}->{net.output_dim})", net.dims,
+                net.layers[0].activation, net.layers[-1].activation)
+
     schema = DEFAULT_SCHEMA
     e = schema.embed_dim
-    configs = []
-    for raw in sorted(set(schema.raw_dims)):
-        configs.append((f"encoder ({raw}->{e})", (raw, 64, e), "selu", None))
+    configs = [geometry("encoder", init_encoder(schema, m, 0)) for m in sorted(ModalityId, key=schema.dim)]
     configs.append((f"stage-1 head ({e}->1)", (e, 1), "identity", None))
-    for kind in ("concat", "mean", "tensor"):
-        s = FusionStrategy(kind, embed_dim=e)
-        fused = s.fused_dim
-        if kind == "mean":
-            configs.append((f"extender ({e}->{s.extended_dim})",
-                            (e, s.extender_hidden, s.extended_dim), "relu", "identity"))
-        if kind == "tensor":
-            configs.append((f"reducer ({e}->{s.reduced_dim})",
-                            (e, s.reducer_hidden, s.reduced_dim), "relu", "identity"))
-        configs.append((f"{kind} hazard head ({fused}->1)",
-                        (fused, s.head_hidden, 1), "relu", "identity"))
-        configs.append((f"{kind} recon head ({fused}->{4 * e})",
-                        (fused, s.recon_hidden, 4 * e), "relu", "identity"))
-    seen, out = set(), []
-    for name, dims, act, out_act in configs:
-        if dims not in seen:
-            seen.add(dims)
-            out.append((name, dims, act, out_act))
-    return out
+    for kind in FUSION_KINDS:
+        model = init_fusion_model(FusionStrategy(kind, embed_dim=e), 0, recon=True)
+        for part, net in model.parts():
+            configs.append(geometry(f"{kind} {part.replace('_', ' ')}" if part.endswith("_head")
+                                    else part.split("_")[0], net))
+    unique = {}
+    for config in configs:
+        unique.setdefault(config[1], config)
+    return list(unique.values())
 
 
 def _check_net(rng, dims, activation, output_activation, instances: int, h: float) -> float:

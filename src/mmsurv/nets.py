@@ -52,6 +52,11 @@ CHECKPOINT_FORMAT = "densenet-v1"
 # alone are 3.4 MB).
 ADAM_BLOCK = 16384
 
+# Adam's moment decay rates (b1, b2) and denominator guard (eps)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # Floats per slice a checkpoint write converts at once: a slice's Python
 # floats and its text, about 2 MiB while json.dumps runs, are the transient
 # of a save whatever the network (a tensor head and decoder hold 851k
@@ -252,17 +257,13 @@ def split(flat: np.ndarray, nets: list[DenseNet]) -> list[np.ndarray]:
 class OptimizerState:
     """Optimizer state for one parameter vector. ``optimizer_step`` is the only mutator."""
 
-    def __init__(self, algorithm: str, lr: float, params: np.ndarray,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, algorithm: str, lr: float, params: np.ndarray):
         if algorithm not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {algorithm!r}")
         if not (math.isfinite(lr) and lr > 0.0):
             raise ConfigError("learning rate must be finite and positive")
         self.algorithm = algorithm
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         if algorithm == "adam":
             self.m = np.zeros_like(params)
@@ -274,21 +275,20 @@ class OptimizerState:
 def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                  state: OptimizerState, c1: float, c2: float) -> None:
     """Adam on a parameter vector in place, in the textbook order of operations."""
-    b1, b2 = state.beta1, state.beta2
     for start in range(0, p.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         pb, gb, mb, vb = p[block], g[block], m[block], v[block]
         s, u = state.scratch[0][:pb.size], state.scratch[1][:pb.size]
-        np.multiply(gb, 1.0 - b1, out=s)      # m = b1 m + (1 - b1) g
-        mb *= b1
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=s)  # m = b1 m + (1 - b1) g
+        mb *= ADAM_BETA1
         mb += s
-        np.multiply(gb, 1.0 - b2, out=s)      # v = b2 v + (1 - b2) g g
+        np.multiply(gb, 1.0 - ADAM_BETA2, out=s)  # v = b2 v + (1 - b2) g g
         s *= gb
-        vb *= b2
+        vb *= ADAM_BETA2
         vb += s
-        np.divide(vb, c2, out=s)              # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(vb, c2, out=s)                  # p -= lr (m / c1) / (sqrt(v / c2) + eps)
         np.sqrt(s, out=s)
-        s += state.eps
+        s += ADAM_EPS
         np.divide(mb, c1, out=u)
         u *= state.lr
         u /= s
@@ -309,8 +309,8 @@ def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) 
     if state.algorithm == "sgd":
         params -= state.lr * grad
         return
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     _adam_update(params, grad, state.m, state.v, state, c1, c2)
 
 

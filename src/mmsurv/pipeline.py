@@ -40,6 +40,7 @@ from functools import partial
 
 import numpy as np
 
+from .atomic import atomic_write
 from .cohort import (MODALITIES, N_MODALITIES, Cohort, MissingnessScenario,
                      ModalityId, apply_scenario, complete_subset,
                      generate_synthetic, scenario_by_name)
@@ -49,11 +50,10 @@ from .fusion import (SCORE_CHUNK, DropoutPolicy, FusionBatch, FusionModel,
                      FusionStrategy, batch_loss_and_grads, dropout_masks,
                      fusion_from_dict, fusion_to_dict, init_fusion_model,
                      model_footprint, predict_risk)
-from .nets import (OptimizerState, init_net, net_from_dict, net_to_dict,
-                   optimizer_step, pack, read_json, split, write_json)
+from .nets import (OptimizerState, net_from_dict, net_to_dict, optimizer_step, pack,
+                   read_json, split, write_json)
 from .survival import bootstrap_concordance, concordance_index
-from .unimodal import (ENCODER_HIDDEN, check_encoders, encode, export_embeddings,
-                       train_unimodal)
+from .unimodal import check_encoders, encode, export_embeddings, init_encoder, train_unimodal
 
 log = logging.getLogger(__name__)
 
@@ -201,7 +201,7 @@ def _fit_fusion(pool: Cohort, config: TrainConfig, cell: ExperimentCell, joint: 
     if joint and start is not None:
         encoders = {m: start[m].encoder.copy() for m in MODALITIES}
     elif joint:
-        encoders = {m: init_net((pool.schema.dim(m), ENCODER_HIDDEN, pool.schema.embed_dim), "selu", s)
+        encoders = {m: init_encoder(pool.schema, m, s)
                     for m, s in zip(MODALITIES, seeds[0].spawn(N_MODALITIES))}
     check_encoders(encoders, pool)
     learning_encoders = encoders or {}
@@ -375,12 +375,10 @@ class AblationReport:
 
     def write(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv_text())
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(self.to_json_text())
-        with open(os.path.join(out_dir, "report.md"), "w", encoding="utf-8") as fh:
-            fh.write(self.to_markdown_text())
+        for name, text in (("report.csv", self.to_csv_text), ("report.json", self.to_json_text),
+                           ("report.md", self.to_markdown_text)):
+            with atomic_write(os.path.join(out_dir, name)) as fh:
+                fh.write(text())
 
 
 def _outcome(fn, *args):

@@ -11,9 +11,10 @@ An embedding table is just a cohort whose feature blocks are embeddings
 (every block width equals the embedding width), which keeps one file format
 for raw cohorts and precomputed embeddings.
 
-``encode`` is the one way a set of encoders runs over a cohort, and
-``check_encoders`` the one check that it can: exporting a table, scoring
-and joint training all go through them.
+``init_encoder`` is the one encoder builder, for stage 1, joint-scratch
+training and the gradient checks alike. ``encode`` is the one way a set of
+encoders runs over a cohort, and ``check_encoders`` the one check that it
+can: exporting a table, scoring and joint training all go through them.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import N_MODALITIES, Cohort, ModalityId, embedding_schema
+from .cohort import N_MODALITIES, Cohort, ModalityId, ModalitySchema, embedding_schema
 from .config import TrainConfig, TrainingTrace, fit
 from .errors import DataError
 from .fusion import SCORE_CHUNK
@@ -45,6 +46,11 @@ class UnimodalEncoder:
     trace: TrainingTrace | None = field(default=None, repr=False)
 
 
+def init_encoder(schema: ModalitySchema, modality: ModalityId, seed) -> DenseNet:
+    """A fresh SELU encoder from ``modality``'s feature width to the schema's embedding width."""
+    return init_net((schema.dim(modality), ENCODER_HIDDEN, schema.embed_dim), "selu", seed)
+
+
 def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) -> UnimodalEncoder:
     """Train one modality's encoder on the records where it is present."""
     present = cohort.availability[:, modality] == 1
@@ -53,13 +59,10 @@ def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) ->
     x, times, events = cohort.block(modality)[present], cohort.times[present], cohort.events[present]
     if events.sum() == 0:
         raise DataError(f"records carrying {modality.label} have zero observed events")
-    raw_dim = cohort.schema.dim(modality)
-    embed_dim = cohort.schema.embed_dim
-
     ss = np.random.SeedSequence([_STAGE1_SALT, config.seed, int(modality)])
     init_seed, head_seed, split_seed, shuffle_seed = ss.spawn(4)
-    encoder = init_net((raw_dim, ENCODER_HIDDEN, embed_dim), "selu", init_seed)
-    head = init_net((embed_dim, 1), "identity", head_seed)
+    encoder = init_encoder(cohort.schema, modality, init_seed)
+    head = init_net((cohort.schema.embed_dim, 1), "identity", head_seed)
     params = pack([encoder, head])
     grad = np.empty_like(params)
     g_enc, g_head = split(grad, [encoder, head])

@@ -1,21 +1,30 @@
 """Interrupted writes: a save that fails part-way leaves the target as it was.
 
 Every file writer (predictor and stage-1 checkpoints, cohort CSV, schema
-sidecar) writes through ``atomic.atomic_write``. The tests here make the
-file object raise part-way through a save, after the first slice or row is
-written, and check that the target still holds its old bytes, or is still
-absent if it was new, and that no temporary file is left beside it.
+sidecar, training trace, ``eval --out`` JSON and the three ablation report
+files) writes through ``atomic.atomic_write``. The tests here make the file
+object raise half-way through the characters of a save, once the first half
+is written, and check that every file under the test directory still holds
+its old bytes, or is still absent if it was new, and that no temporary file
+is left beside it. The report writer's target is a directory holding
+``report.csv``, ``report.json`` and ``report.md``; its failure comes while
+the CSV is written, so none of the three changes.
 """
+import math
 import os
+import shutil
 
 import pytest
 
 from mmsurv import atomic
-from mmsurv.cohort import ModalityId, ModalitySchema, generate_synthetic, save_cohort, save_schema
+from mmsurv.cli import _write_trace, main
+from mmsurv.cohort import (DEFAULT_SCHEMA, ModalityId, ModalitySchema, generate_synthetic,
+                           save_cohort, save_schema)
+from mmsurv.config import TrainingTrace
 from mmsurv.fusion import FusionStrategy, init_fusion_model
 from mmsurv.nets import init_net
-from mmsurv.pipeline import SurvivalPredictor, save_predictor
-from mmsurv.unimodal import UnimodalEncoder, save_unimodal
+from mmsurv.pipeline import AblationReport, SurvivalPredictor, save_predictor
+from mmsurv.unimodal import UnimodalEncoder, init_encoder, save_unimodal
 
 
 def write_predictor(path, seed):
@@ -35,21 +44,68 @@ def write_schema(path, seed):
     save_schema(ModalitySchema(raw_dims=(seed + 1, 2, 3, 4)), path)
 
 
+def write_trace(path, seed):
+    trace = TrainingTrace()
+    for epoch in range(1, 5):
+        trace.log(epoch, 1.0 / (epoch + seed), None if epoch == 1 else 0.5 + 0.01 * seed)
+    _write_trace(trace, path)
+
+
+EVAL_INPUTS = []  # the predictor and cohort ``write_eval`` scores, set once per module
+
+
+@pytest.fixture(scope="module", autouse=True)
+def eval_inputs(tmp_path_factory):
+    """A predictor with encoders and a small cohort, kept outside each test's directory."""
+    root = tmp_path_factory.mktemp("eval_inputs")
+    encoders = {m: init_encoder(DEFAULT_SCHEMA, m, 10 + m) for m in ModalityId}
+    save_predictor(SurvivalPredictor(init_fusion_model(FusionStrategy("concat"), 0), encoders),
+                   str(root / "model.json"))
+    save_cohort(generate_synthetic(40, seed=3, missing_rate=(0.0,) * 4), str(root / "test.csv"))
+    save_schema(DEFAULT_SCHEMA, str(root / "test.csv.schema"))
+    EVAL_INPUTS[:] = [root / "model.json", root / "test.csv"]
+
+
+def write_eval(path, seed):
+    model, data = EVAL_INPUTS
+    assert main(["eval", "--model", str(model), "--data", str(data), "--seed", str(seed),
+                 "--bootstrap", "5", "--out", path]) == 0
+
+
+def write_report(path, seed):
+    rows = [{"strategy": "mean", "stage1_data": "all", "stage2_data": "all", "dropout": False,
+             "recon": bool(k % 2), "scenario": "complete", "mode": "two-stage",
+             "cindex_mean": 0.6 + 0.01 * (seed + k), "cindex_std": 0.02, "n_test": 80,
+             "n_resamples": 10, "params": 1000 + k, "error": None} for k in range(4)]
+    AblationReport(rows, config={"seed": seed}, seed=seed).write(path)
+
+
 WRITERS = {"predictor": write_predictor, "stage1": write_stage1, "cohort": write_cohort,
-           "schema": write_schema}
+           "schema": write_schema, "trace": write_trace, "eval": write_eval,
+           "report": write_report}
+
+
+def files(root) -> dict:
+    """Every file under ``root``, by path relative to it, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class FailingFile:
-    """A text file whose ``write`` raises ``error`` once ``writes`` calls have gone through."""
+    """A text file whose ``write`` raises ``error`` once ``budget`` characters have gone through.
 
-    def __init__(self, fh, writes, error):
-        self.fh, self.left, self.error, self.calls = fh, writes, error, 0
+    The write that would cross the budget first puts out its text up to the
+    budget, as a write cut short would.
+    """
+
+    def __init__(self, fh, budget, error):
+        self.fh, self.left, self.error, self.chars = fh, budget, error, 0
 
     def write(self, text):
-        if self.left == 0:
+        if len(text) > self.left:
+            self.fh.write(text[:self.left])
             raise self.error
-        self.left -= 1
-        self.calls += 1
+        self.left -= len(text)
+        self.chars += len(text)
         return self.fh.write(text)
 
     def __enter__(self):
@@ -59,17 +115,18 @@ class FailingFile:
         return self.fh.__exit__(*exc)
 
 
-def count_writes(monkeypatch, writer, path) -> int:
+def count_chars(monkeypatch, writer, path) -> int:
+    """Characters ``writer`` puts into the first file it opens."""
     files = []
 
     def counting_open(*args, **kwargs):
-        files.append(FailingFile(open(*args, **kwargs), -1, None))
+        files.append(FailingFile(open(*args, **kwargs), math.inf, None))
         return files[-1]
 
     monkeypatch.setattr(atomic, "open", counting_open, raising=False)
     writer(path, 1)
     monkeypatch.undo()
-    return files[0].calls
+    return files[0].chars
 
 
 @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
@@ -78,33 +135,36 @@ def count_writes(monkeypatch, writer, path) -> int:
 def test_a_save_that_fails_part_way_leaves_the_target_as_it_was(tmp_path, monkeypatch, name,
                                                                 existing, error):
     writer, path = WRITERS[name], str(tmp_path / "out")
-    writes = count_writes(monkeypatch, writer, str(tmp_path / "probe"))
-    os.unlink(tmp_path / "probe")
-    assert writes >= 3   # the failure below comes after the first slice or row, before the end
+    (tmp_path / "probe").mkdir()
+    chars = count_chars(monkeypatch, writer, str(tmp_path / "probe" / "out"))
+    shutil.rmtree(tmp_path / "probe")
+    assert chars >= 2   # the failure below comes half-way through the first file, before its end
     if existing:
         writer(path, 2)
-        old = (tmp_path / "out").read_bytes()
-    monkeypatch.setattr(atomic, "open", lambda *a, **k: FailingFile(open(*a, **k), writes // 2, error()),
+    old = files(tmp_path)
+    assert bool(old) == existing
+    monkeypatch.setattr(atomic, "open", lambda *a, **k: FailingFile(open(*a, **k), chars // 2, error()),
                         raising=False)
     with pytest.raises(error):
         writer(path, 1)
     monkeypatch.undo()
-    assert os.listdir(tmp_path) == (["out"] if existing else [])
-    if existing:
-        assert (tmp_path / "out").read_bytes() == old
+    assert files(tmp_path) == old
 
 
 @pytest.mark.parametrize("name", sorted(WRITERS))
 def test_a_save_replaces_the_target_and_leaves_only_it(tmp_path, name):
     path = tmp_path / "out"
     WRITERS[name](str(path), 2)
-    first = path.read_bytes()
+    first = files(tmp_path)
     WRITERS[name](str(path), 3)
-    assert path.read_bytes() != first and os.listdir(tmp_path) == ["out"]
+    second = files(tmp_path)
+    expected = ["out/report.csv", "out/report.json", "out/report.md"] if name == "report" else ["out"]
+    assert sorted(first) == sorted(second) == expected
+    assert all(second[f] != first[f] for f in expected)
     # the mode is open()'s under the umask, as a direct write's would be
     plain = tmp_path / "plain"
     plain.write_text("")
-    assert os.stat(path).st_mode == os.stat(plain).st_mode
+    assert all(os.stat(tmp_path / f).st_mode == os.stat(plain).st_mode for f in expected)
 
 
 def test_a_save_into_a_missing_directory_names_the_target_and_leaves_nothing(tmp_path):

@@ -16,7 +16,8 @@ from mmsurv.fusion import (DropoutPolicy, FusionBatch, FusionStrategy, batch_los
                            SCORE_CHUNK, forward_loss, fuse, fusion_from_dict, fusion_to_dict,
                            init_fusion_model, modality_dropout, model_footprint, predict_hazard,
                            recon_loss, recon_loss_grad, tensor_product, total_loss)
-from mmsurv.nets import OptimizerState, optimizer_step, pack, split, write_json
+from mmsurv import fusion
+from mmsurv.nets import OptimizerState, init_net, optimizer_step, pack, split, write_json
 from mmsurv.pipeline import score_records
 
 SMALL = dict(embed_dim=4, extended_dim=8, reduced_dim=3,
@@ -158,7 +159,7 @@ def test_mean_single_modality_equals_extender_output():
     model = init_fusion_model(small_strategy("mean"), seed=1)
     x = np.random.default_rng(5).normal(size=4)
     h, _ = fuse(model, *one_row({ModalityId.PATHOLOGY: x}, [0, 1, 0, 0], 4))
-    y, _ = model.extenders[ModalityId.PATHOLOGY].forward(x[None, :])
+    y, _ = model.body[ModalityId.PATHOLOGY].forward(x[None, :])
     assert np.array_equal(h, y)
 
 
@@ -168,8 +169,8 @@ def test_mean_two_modalities_is_elementwise_average():
     xa, xb = rng.normal(size=4), rng.normal(size=4)
     h, _ = fuse(model, *one_row({ModalityId.RADIOLOGY: xa, ModalityId.DEMOGRAPHICS: xb},
                                 [1, 0, 0, 1], 4))
-    ya, _ = model.extenders[ModalityId.RADIOLOGY].forward(xa[None, :])
-    yb, _ = model.extenders[ModalityId.DEMOGRAPHICS].forward(xb[None, :])
+    ya, _ = model.body[ModalityId.RADIOLOGY].forward(xa[None, :])
+    yb, _ = model.body[ModalityId.DEMOGRAPHICS].forward(xb[None, :])
     assert np.allclose(h, (ya + yb) / 2.0, atol=0, rtol=0)
 
 
@@ -181,7 +182,7 @@ def test_mean_fuse_is_insertion_order_invariant_bitwise():
     h_rev, _ = fuse(model, *one_row(dict(sorted(vecs.items(), reverse=True)), np.ones(4), 4))
     assert np.array_equal(h_fwd, h_rev)
     # the sum runs in modality-id order, whatever order the rows were filled in
-    ys = [model.extenders[m].forward(vecs[m][None, :])[0] for m in MODALITIES]
+    ys = [model.body[m].forward(vecs[m][None, :])[0] for m in MODALITIES]
     assert np.array_equal(h_fwd, (((ys[0] + ys[1]) + ys[2]) + ys[3]) / 4)
 
 
@@ -195,7 +196,7 @@ def test_tensor_fuse_matches_bruteforce_product():
     factors = []
     for m in MODALITIES:
         if mask[m]:
-            y, _ = model.reducers[m].forward(vecs[m][None, :])
+            y, _ = model.body[m].forward(vecs[m][None, :])
             factors.append(np.append(y[0], 1.0))
         else:
             factors.append(np.append(np.zeros(3), 1.0))
@@ -239,7 +240,7 @@ def test_tensor_product_has_the_bits_of_the_four_operand_einsum(n, width, seed):
 def test_tensor_fuse_has_the_bits_of_the_four_operand_einsum(n, scale, seed):
     rng = np.random.default_rng(seed)
     model = init_fusion_model(FusionStrategy("tensor"), seed=seed % 1000)
-    for net in model.reducers.values():
+    for net in model.body.values():
         net.layers[-1].w[...] *= scale  # huge or tiny factors; 1e90 overflows the product
     mask = rng.random((n, 4)) < 0.6
     mask[~mask.any(axis=1), rng.integers(4)] = True
@@ -268,7 +269,7 @@ def test_tensor_scoring_over_many_chunks_equals_the_einsum_path():
 
 def test_tensor_all_zero_reducers_give_trailing_one_hot():
     model = init_fusion_model(FusionStrategy("tensor"), seed=5)
-    for net in model.reducers.values():
+    for net in model.body.values():
         for layer in net.layers:
             layer.w[...] = 0.0
             layer.b[...] = 0.0
@@ -489,11 +490,29 @@ def test_an_absent_modality_leaves_exact_zeros_in_its_slice_of_the_trainer_gradi
     grads = part_grads(model, grad)
     assert np.all(grads["extender_genomics"] == 0.0)
     assert all(np.any(grads[name] != 0.0) for name in grads if name != "extender_genomics")
-    genomics, before = model.extenders[ModalityId.GENOMICS], params.copy()
+    genomics, before = model.body[ModalityId.GENOMICS], params.copy()
     kept = genomics.params.copy()
     optimizer_step(params, grad, OptimizerState("adam", lr=0.01, params=params))
     assert np.array_equal(genomics.params, kept)  # a first Adam step on zeros moves nothing
     assert not np.array_equal(params, before)
+
+
+@pytest.mark.parametrize("kind", ["concat", "mean", "tensor"])
+@pytest.mark.parametrize("recon", [False, True])
+def test_parts_table_and_seed_streams(kind, recon):
+    model = init_fusion_model(small_strategy(kind), seed=3, recon=recon)
+    prefix = {"mean": "extender", "tensor": "reducer"}.get(kind)
+    body = [f"{prefix}_{m.label}" for m in MODALITIES] if prefix else []
+    names = body + ["hazard_head"] + (["recon_head"] if recon else [])
+    table = dict(model.parts())
+    assert list(table) == names
+    assert model.body == {m: table[name] for m, name in zip(MODALITIES, body)}
+    assert model.hazard_head is table["hazard_head"] and model.recon_head is table.get("recon_head")
+    # body net m draws from seed stream m, the hazard head from 4 and the decoder from 5
+    streams = np.random.SeedSequence([fusion._FUSION_SALT, 3]).spawn(6)
+    for name, slot in zip(names, [int(m) for m in model.body] + [4, 5]):
+        fresh = init_net(table[name].dims, "relu", streams[slot], output_activation="identity")
+        assert np.array_equal(table[name].params, fresh.params), name
 
 
 # ── footprint ────────────────────────────────────────────────────────────────

@@ -1,5 +1,16 @@
 """The finite-difference suite itself: coverage and pass behavior."""
-from mmsurv.gradcheck import run_gradient_checks
+from mmsurv.cohort import MODALITIES, generate_synthetic
+from mmsurv.config import TrainConfig
+from mmsurv.fusion import FUSION_KINDS
+from mmsurv.gradcheck import _net_configs, run_gradient_checks
+from mmsurv.nets import init_net
+from mmsurv.pipeline import ExperimentCell, train_cell
+from mmsurv.unimodal import train_unimodal
+
+
+def layout(net):
+    """A network's widths and per-layer activations."""
+    return net.dims, tuple(layer.activation for layer in net.layers)
 
 
 def test_suite_passes_at_reduced_size():
@@ -19,3 +30,19 @@ def test_suite_covers_losses_and_every_network_geometry():
                      "concat recon head (128->128)", "tensor recon head (6561->128)"):
         assert any(fragment in n for n in names), fragment
     assert len(names) == len(set(names))
+    # every net the trainers build has a checked geometry: stage 1's encoders
+    # and heads, and the encoders and fusion parts of joint training per strategy
+    checked = {layout(init_net(dims, act, 0, output_activation=out_act))
+               for _, dims, act, out_act in _net_configs()}
+    cohort = generate_synthetic(60, seed=4)
+    config = TrainConfig(seed=1, stage1_epochs=1, fusion_epochs=1)
+    built = []
+    for m in MODALITIES:
+        trained = train_unimodal(cohort, m, config)
+        built += [trained.encoder, trained.head]
+    for kind in FUSION_KINDS:
+        predictor = train_cell(cohort, config, ExperimentCell(kind, recon=True, mode="joint-scratch"))
+        built += list(predictor.encoders.values()) + [net for _, net in predictor.fusion.parts()]
+    # 4 x (encoder, head); 3 x 4 encoders; concat 2 heads, mean and tensor 4 body nets + 2 heads
+    assert len(built) == 8 + 12 + 2 + 6 + 6
+    assert {layout(net) for net in built} - checked == set()
