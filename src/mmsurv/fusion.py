@@ -378,10 +378,11 @@ class BatchForward:
     recon_tape: list | None = None
     decoded: np.ndarray | None = None   # (n, 4, embed)
 
-    def net_tapes(self) -> list:
-        """Every network tape of the pass, hazard head first."""
-        tapes = [self.head_tape] + [t for _, t in self.fuse_tape.net_tapes.values()]
-        return tapes + ([self.recon_tape] if self.recon_tape is not None else [])
+    def net_tapes(self, model: FusionModel) -> list:
+        """(network, tape) of every network of the pass through ``model``, hazard head first."""
+        runs = [(model.hazard_head, self.head_tape)]
+        runs += [(model.body[m], t) for m, (_, t) in self.fuse_tape.net_tapes.items()]
+        return runs + ([(model.recon_head, self.recon_tape)] if self.recon_tape is not None else [])
 
 
 def forward_loss(model: FusionModel, batch: FusionBatch) -> tuple[float, float, float, BatchForward]:

@@ -116,12 +116,13 @@ def _random_batch(rng, n: int, embed_dim: int) -> FusionBatch:
     return batch
 
 
-def _tape_kink_gap(tapes) -> float:
-    """Smallest |pre-activation| over the hidden layers of batched tapes."""
+def _tape_kink_gap(runs) -> float:
+    """Smallest |pre-activation| over the non-identity layers of (network, tape) runs."""
     gap = np.inf
-    for tape in tapes:
-        for _, z in tape[:-1]:  # hidden layers only; outputs are identity
-            gap = min(gap, float(np.min(np.abs(z))))
+    for net, tape in runs:
+        for layer, (_, z) in zip(net.layers, tape):
+            if layer.activation != "identity":  # an encoder's SELU output has a kink too
+                gap = min(gap, float(np.min(np.abs(z))))
     return gap
 
 
@@ -136,7 +137,7 @@ def _check_total(rng, instances: int, h: float) -> float:
             model = init_fusion_model(strategy, int(rng.integers(0, 2**31)),
                                       recon=bool(k % 2), lam=0.7)
             batch = _random_batch(rng, 4, dims["embed_dim"])
-            if _tape_kink_gap(forward_loss(model, batch)[3].net_tapes()) >= _KINK_GUARD:
+            if _tape_kink_gap(forward_loss(model, batch)[3].net_tapes(model)) >= _KINK_GUARD:
                 break
         p = pack([net for _, net in model.parts()])
         _, _, _, analytic, _ = batch_loss_and_grads(model, batch)
@@ -180,7 +181,7 @@ def _check_net(rng, dims, activation, output_activation, instances: int, h: floa
                            output_activation=output_activation)
             x = rng.normal(0, 1, (1, dims[0]))
             _, tape = net.forward(x)
-            if _tape_kink_gap([tape]) >= _KINK_GUARD:
+            if _tape_kink_gap([(net, tape)]) >= _KINK_GUARD:
                 break
         w = rng.normal(0, 1, (1, dims[-1]))
         analytic, _ = net.backward(tape, w)

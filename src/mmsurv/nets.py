@@ -68,11 +68,19 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "selu":
-        # LAMBDA * where(z > 0, z, ALPHA * expm1(z)) in one buffer: every
-        # element goes through the same operations, so the bits are the same
+        # LAMBDA * where(z > 0, z, ALPHA * expm1(z)) as a bitwise select on
+        # the int64 views of z and of e = ALPHA * expm1(z): ((e ^ z) * tail) ^ z
+        # is e's bits where tail = not(z > 0) is 1 and z's where it is 0. Each
+        # element keeps the exact bits of its branch (NaN payloads, signed
+        # zeros, infinities), with no masked copy and no temporary but the mask
         out = np.expm1(z)
         out *= SELU_ALPHA
-        np.copyto(out, z, where=z > 0.0)
+        bits, z_bits = out.view(np.int64), z.view(np.int64)
+        bits ^= z_bits
+        tail = np.greater(z, 0.0)
+        np.logical_not(tail, out=tail)
+        bits *= tail
+        bits ^= z_bits
         out *= SELU_LAMBDA
         return out
     if name == "tanh":

@@ -52,7 +52,7 @@ from .fusion import (SCORE_CHUNK, DropoutPolicy, FusionBatch, FusionModel,
                      model_footprint, predict_risk)
 from .nets import (OptimizerState, net_from_dict, net_to_dict, optimizer_step, pack,
                    read_json, split, write_json)
-from .survival import bootstrap_concordance, concordance_index
+from .survival import bootstrap_concordance, concordance_index, rank_plan
 from .unimodal import check_encoders, encode, export_embeddings, init_encoder, train_unimodal
 
 log = logging.getLogger(__name__)
@@ -276,9 +276,10 @@ def evaluate(predictor: SurvivalPredictor, test: Cohort, scenario: MissingnessSc
     n_dropped = len(test) - len(applied)
     risks = predictor.risk_scores(applied)
     times, events = applied.times, applied.events
-    ci = concordance_index(risks, times, events)
+    plan = rank_plan(risks, times, events)  # one plan for the point c-index and the resamples
+    ci = concordance_index(risks, times, events, plan)
     rng = np.random.default_rng(np.random.SeedSequence([_BOOT_SALT, seed]))
-    stats = bootstrap_concordance(risks, times, events, bootstrap, rng)
+    stats = bootstrap_concordance(risks, times, events, bootstrap, rng, plan)
     std = float(np.std(stats, ddof=1)) if stats.size >= 2 else None
     return EvalResult(float(ci), std, len(applied), n_dropped, int(stats.size))
 

@@ -35,7 +35,8 @@ the O(n log^2 n) of ranking it again, the counts stay exact integers, and
 every resample's c-index is the same float a call on the resampled rows
 returns. Resamples are drawn and counted BOOT_CHUNK at a time, in
 O(BOOT_CHUNK * n) memory. A single c-index is the same plan counted at unit
-weights, where each prefix sum is its position.
+weights, where each prefix sum is its position, so a c-index and a bootstrap
+of one set can share the plan that ``rank_plan`` builds.
 """
 from __future__ import annotations
 
@@ -219,29 +220,45 @@ class _RankPlan:
         return concordant, tied, comparable
 
 
-def concordance_index(risks: np.ndarray, times: np.ndarray, events: np.ndarray) -> float:
-    """Harrell's c-index of risk scores against observed outcomes."""
+def rank_plan(risks: np.ndarray, times: np.ndarray, events: np.ndarray) -> _RankPlan:
+    """The rank plan of one set of outcomes, for ``concordance_index`` and
+    ``bootstrap_concordance`` calls on that same set to share."""
+    return _RankPlan(*_outcomes(risks, times, events))
+
+
+def concordance_index(risks: np.ndarray, times: np.ndarray, events: np.ndarray,
+                      plan: _RankPlan | None = None) -> float:
+    """Harrell's c-index of risk scores against observed outcomes.
+
+    ``plan``, when given, is ``rank_plan`` of these outcomes, counted
+    instead of building it again.
+    """
     risks, times, events = _outcomes(risks, times, events)
     if not has_comparable_pair(times, events):
         raise DataError("no comparable pairs, c-index undefined")
-    concordant, tied, comparable = _RankPlan(risks, times, events).counts()
+    if plan is None:
+        plan = _RankPlan(risks, times, events)
+    concordant, tied, comparable = plan.counts()
     return float((concordant + 0.5 * tied) / comparable)
 
 
 def bootstrap_concordance(risks: np.ndarray, times: np.ndarray, events: np.ndarray,
-                          resamples: int, rng: np.random.Generator) -> np.ndarray:
+                          resamples: int, rng: np.random.Generator,
+                          plan: _RankPlan | None = None) -> np.ndarray:
     """c-index of each bootstrap resample that has a comparable pair, in draw order.
 
     Each resample is its own ``rng.integers(0, n, size=n)`` call, in order,
     so the stream is that of a loop over resamples by construction rather
     than through how numpy fills one (chunk, n) array. Each value equals
-    ``concordance_index`` on the resampled rows.
+    ``concordance_index`` on the resampled rows. ``plan`` is as for
+    ``concordance_index``.
     """
     risks, times, events = _outcomes(risks, times, events)
     if resamples <= 0:
         return np.empty(0)
     n = risks.size
-    plan = _RankPlan(risks, times, events)
+    if plan is None:
+        plan = _RankPlan(risks, times, events)
     stats = []
     for first in range(0, resamples, BOOT_CHUNK):
         chunk = min(BOOT_CHUNK, resamples - first)

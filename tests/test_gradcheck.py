@@ -1,11 +1,13 @@
 """The finite-difference suite itself: coverage and pass behavior."""
-from mmsurv.cohort import MODALITIES, generate_synthetic
+import numpy as np
+
+from mmsurv.cohort import DEFAULT_SCHEMA, MODALITIES, ModalityId, generate_synthetic
 from mmsurv.config import TrainConfig
 from mmsurv.fusion import FUSION_KINDS
-from mmsurv.gradcheck import _net_configs, run_gradient_checks
+from mmsurv.gradcheck import _KINK_GUARD, _net_configs, _tape_kink_gap, run_gradient_checks
 from mmsurv.nets import init_net
 from mmsurv.pipeline import ExperimentCell, train_cell
-from mmsurv.unimodal import train_unimodal
+from mmsurv.unimodal import init_encoder, train_unimodal
 
 
 def layout(net):
@@ -46,3 +48,17 @@ def test_suite_covers_losses_and_every_network_geometry():
     # 4 x (encoder, head); 3 x 4 encoders; concat 2 heads, mean and tensor 4 body nets + 2 heads
     assert len(built) == 8 + 12 + 2 + 6 + 6
     assert {layout(net) for net in built} - checked == set()
+
+
+def test_kink_guard_covers_an_encoders_selu_output_layer():
+    # an encoder's last layer is SELU: an output pre-activation within the
+    # guard band of its kink must be reported, so the instance is redrawn
+    encoder = init_encoder(DEFAULT_SCHEMA, ModalityId.GENOMICS, 3)
+    assert encoder.layers[-1].activation == "selu"
+    x = np.random.default_rng(3).normal(0, 1, (1, encoder.input_dim))
+    _, tape = encoder.forward(x)
+    assert _tape_kink_gap([(encoder, tape)]) >= _KINK_GUARD
+    encoder.layers[-1].b[5] -= tape[-1][1][0, 5] - 0.5 * _KINK_GUARD  # output 5 lands by the kink
+    _, tape = encoder.forward(x)
+    assert _tape_kink_gap([(encoder, tape[:-1])]) >= _KINK_GUARD  # the hidden layer is clear
+    assert _tape_kink_gap([(encoder, tape)]) < _KINK_GUARD

@@ -68,8 +68,16 @@ def test_selu_matches_published_constants():
 def test_selu_has_the_bits_of_the_textbook_formula():
     rng = np.random.default_rng(12)
     specials = np.array([0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, -800.0, 800.0])
-    blocks = [specials, rng.normal(size=(64, 33)), 30.0 * rng.normal(size=(7, 5)),
-              rng.normal(size=(2800, 64))[:, ::2]]
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000123, -0x0008000000000000,
+                     -0x0007FFFFFFFFFEDC], dtype=np.int64).view(np.float64)  # +-NaN, two payloads
+    assert np.isnan(nans).all() and len(set(nans.view(np.int64).tolist())) == 4
+    log_max = np.log(np.finfo(np.float64).max)  # 709.78...: expm1 overflows above it
+    edges = np.array([5e-324, -5e-324, 709.78, 709.79, -709.78, -709.79,
+                      log_max, np.nextafter(log_max, np.inf), -log_max, np.nextafter(-log_max, -np.inf)])
+    blocks = [specials, nans, edges, rng.normal(size=(64, 33)), 30.0 * rng.normal(size=(7, 5)),
+              rng.normal(size=(2800, 64))[:, ::2], rng.normal(size=(1, 64)),
+              rng.normal(size=(256, 64)), rng.normal(size=(64, 256)).T,
+              np.concatenate([specials, nans, edges, rng.normal(size=42)]).reshape(8, 8).T]
     with np.errstate(over="ignore"):
         for z in blocks:
             textbook = SELU_LAMBDA * np.where(z > 0, z, SELU_ALPHA * np.expm1(z))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mmsurv.pipeline
+import mmsurv.survival as survival
 import mmsurv.unimodal
 from conftest import (assert_layers_view_params, block_cohort, bootstrap_loop, cindex_pairwise,
                       cohort_from_rows)
@@ -19,8 +20,8 @@ from mmsurv.config import TrainConfig
 from mmsurv.errors import ConfigError, DataError
 from mmsurv.fusion import SCORE_CHUNK, FusionStrategy, fuse, init_fusion_model
 from mmsurv.nets import init_net
-from mmsurv.pipeline import (_BOOT_SALT, AblationReport, ExperimentCell, SurvivalPredictor,
-                             default_synthetic_pair, evaluate, load_predictor,
+from mmsurv.pipeline import (_BOOT_SALT, AblationReport, EvalResult, ExperimentCell,
+                             SurvivalPredictor, default_synthetic_pair, evaluate, load_predictor,
                              run_ablation_grid, save_predictor, table_cells,
                              train_cell, train_fusion_on_table, train_stage1_encoders)
 from mmsurv.unimodal import ENCODER_HIDDEN, UnimodalEncoder, export_embeddings
@@ -176,6 +177,36 @@ def test_evaluate_equals_the_per_resample_loop(mean_predictor_and_test, scenario
         result = evaluate(predictor, test, scenario_by_name(scenario), bootstrap, seed=11)
         expected = evaluate_by_loop(predictor, test, scenario_by_name(scenario), bootstrap, 11)
         assert (result.cindex, result.std, result.n_resamples) == expected
+
+
+@pytest.mark.parametrize("bootstrap", [0, 70])
+def test_evaluate_builds_one_rank_plan_and_equals_the_separate_calls(mean_predictor_and_test,
+                                                                     monkeypatch, bootstrap):
+    predictor, test = mean_predictor_and_test
+    built = []
+
+    class CountedPlan(survival._RankPlan):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(survival, "_RankPlan", CountedPlan)
+    scenario = scenario_by_name("pathology-missing")
+    result = evaluate(predictor, test, scenario, bootstrap, seed=11)
+    assert len(built) == 1
+    applied = apply_scenario(test, scenario)
+    risks = predictor.risk_scores(applied)
+    rng = np.random.default_rng(np.random.SeedSequence([_BOOT_SALT, 11]))
+    stats = survival.bootstrap_concordance(risks, applied.times, applied.events, bootstrap, rng)
+    expected = EvalResult(survival.concordance_index(risks, applied.times, applied.events),
+                          float(np.std(stats, ddof=1)) if stats.size >= 2 else None,
+                          len(applied), len(test) - len(applied), int(stats.size))
+    assert len(built) == (3 if bootstrap else 2)  # the separate calls build a plan each
+    assert result == expected
+    assert np.float64(result.cindex).view(np.int64) == np.float64(expected.cindex).view(np.int64)
+    assert (result.std is None) == (bootstrap == 0)
+    if bootstrap:
+        assert np.float64(result.std).view(np.int64) == np.float64(expected.std).view(np.int64)
 
 
 def test_evaluate_counts_only_resamples_with_a_comparable_pair(mean_predictor_and_test):
