@@ -195,7 +195,9 @@ def fuse(model: FusionModel, embeddings, mask) -> tuple[np.ndarray, FuseTape]:
     ``embeddings`` is an (n, 4, embed) block and ``mask`` its (n, 4) 0/1
     visibility; hidden slots are ignored whatever they hold. Returns the
     (n, fused_dim) block. Body nets run once each, on the rows where their
-    modality is visible, and accumulate in fixed modality-id order.
+    modality is visible, and accumulate in fixed modality-id order. A
+    modality visible in every row is read as a view of its embedding slot
+    and accumulated into the whole block in place.
     """
     s = model.strategy
     x, visible = _check_fuse_inputs(model, embeddings, mask)
@@ -207,7 +209,8 @@ def fuse(model: FusionModel, embeddings, mask) -> tuple[np.ndarray, FuseTape]:
         acc = np.zeros((n, s.extended_dim))
         for m, rows, y in _run_body_nets(model.body, x, visible, tape):
             acc[rows] += y
-        return acc / visible.sum(axis=1)[:, None], tape
+        acc /= visible.sum(axis=1)[:, None]
+        return acc, tape
     # tensor: reduce, append the constant slot, then the 4-way outer product
     factors = np.zeros((n, N_MODALITIES, s.reduced_dim + 1))
     factors[:, :, s.reduced_dim] = 1.0
@@ -232,13 +235,18 @@ def tensor_product(factors: np.ndarray) -> np.ndarray:
 
 
 def _run_body_nets(nets: dict, x: np.ndarray, visible: np.ndarray, tape: FuseTape):
-    """Forward each modality's net on its visible rows, in id order; yields (m, rows, output)."""
+    """Forward each modality's net on its visible rows, in id order; yields (m, rows, output).
+
+    ``rows`` is ``slice(None)`` for a modality visible in every row, whose
+    slot is read as a view; the tape keeps the row positions either way.
+    """
     for m in MODALITIES:
         rows = np.flatnonzero(visible[:, m])
         if rows.size:
-            y, net_tape = nets[m].forward(x[rows, m])
+            whole = rows.size == len(x)
+            y, net_tape = nets[m].forward(x[:, m] if whole else x[rows, m])
             tape.net_tapes[m] = (rows, net_tape)
-            yield m, rows, y
+            yield m, slice(None) if whole else rows, y
 
 
 def _tensor_factor_grads(dh: np.ndarray, factors: np.ndarray) -> np.ndarray:

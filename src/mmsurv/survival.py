@@ -22,7 +22,10 @@ upper halves of the blocks are sorted once by (block, risk rank) and each
 event row of a lower half counts, by binary search, the records of its
 block's upper half with a lower risk (concordant) or an equal one (tied).
 That is O(n log^2 n) time. Numerator and denominator are exact integers, so
-the result equals pair enumeration bit for bit.
+the result equals pair enumeration bit for bit, and the order in which a
+level's event rows are counted is free: each level keeps them sorted by
+search key, so each binary search starts where the previous one ended and
+the prefix sums are read in ascending positions.
 
 The ranks, the sort orders and the search positions form a rank plan that
 depends only on the set. A bootstrap resample differs from the full set only
@@ -154,9 +157,10 @@ class _RankPlan:
 
     Built once from the full set: the event rows, the rows in time order with
     the position of each event's first later time, and per bit level the
-    upper halves' rows in (block, risk rank) order plus the block-start, left
-    and right search positions of each lower-half event row. A prefix sum of
-    the multiplicities in a fixed order turns every position into a weight.
+    upper halves' rows in (block, risk rank) order plus the lower-half event
+    rows, sorted by search key, with their block-start, left and right search
+    positions. A prefix sum of the multiplicities in a fixed order turns every
+    position into a weight.
     """
 
     def __init__(self, risks: np.ndarray, times: np.ndarray, events: np.ndarray):
@@ -181,10 +185,12 @@ class _RankPlan:
             keys = z[high] & block
             order = keys.argsort()
             upper = keys[order]
-            low = z_event & bit == 0
+            low = (z_event & bit == 0).nonzero()[0]
             key = z_event[low] & block
+            by_key = key.argsort()
+            key = key[by_key]
             start = key & ~((bit << 1) - 1)  # first key of the row's block
-            self.levels.append((rows[high[order]], self.event_rows[low],
+            self.levels.append((rows[high[order]], self.event_rows[low[by_key]],
                                 upper.searchsorted(start, side="left"),
                                 upper.searchsorted(key, side="left"),
                                 upper.searchsorted(key, side="right")))
@@ -201,22 +207,24 @@ class _RankPlan:
             tied = sum((right - left).sum() for _, _, _, left, right in self.levels)
             return concordant, tied, comparable
 
+        # a.take(idx, axis=1) gathers columns faster than a[:, idx] on large sets
         def prefix(order):
             out = np.zeros((w.shape[0], order.size + 1), dtype=np.int64)
-            np.cumsum(w[:, order], axis=1, out=out[:, 1:])
+            np.cumsum(w.take(order, axis=1), axis=1, out=out[:, 1:])
             return out
 
         cum = prefix(self.by_time)
         # comparable pairs: each event row against the weight at later times
-        comparable = (w[:, self.event_rows] * (cum[:, -1:] - cum[:, self.later])).sum(axis=1)
+        comparable = (w.take(self.event_rows, axis=1)
+                      * (cum[:, -1:] - cum.take(self.later, axis=1))).sum(axis=1)
         concordant = np.zeros(w.shape[0], dtype=np.int64)
         tied = np.zeros(w.shape[0], dtype=np.int64)
         for order, low_rows, start, left, right in self.levels:
             cum = prefix(order)
-            w_low = w[:, low_rows]
-            at_left = cum[:, left]
-            concordant += (w_low * (at_left - cum[:, start])).sum(axis=1)
-            tied += (w_low * (cum[:, right] - at_left)).sum(axis=1)
+            w_low = w.take(low_rows, axis=1)
+            at_left = cum.take(left, axis=1)
+            concordant += (w_low * (at_left - cum.take(start, axis=1))).sum(axis=1)
+            tied += (w_low * (cum.take(right, axis=1) - at_left)).sum(axis=1)
         return concordant, tied, comparable
 
 

@@ -115,24 +115,41 @@ def check_encoders(nets, cohort: Cohort) -> None:
                             f"the schema declares {schema.embed_dim}")
 
 
+def _as_run(idx: np.ndarray):
+    """``idx`` as a slice when it counts up by exactly one at every step, else ``idx`` itself."""
+    n = len(idx)
+    if n and idx[0] >= 0 and idx[-1] - idx[0] == n - 1 and (np.diff(idx) == 1).all():
+        return slice(int(idx[0]), int(idx[0]) + n)
+    return idx
+
+
 def encode(nets, cohort: Cohort, idx: np.ndarray, tapes: dict | None = None) -> np.ndarray:
     """(len(idx), 4, embed) embeddings of the records ``idx``, zero where a modality is absent.
 
     Each modality's net runs once, on the rows of ``idx`` that carry it, in
     id order; with ``nets`` None the feature blocks are copied as they are.
-    Given a ``tapes`` dict, each forward leaves its (rows, tape) in
+    A modality present in every row is written as a whole slot of the
+    output, and read as a view of its feature block when ``idx`` is a run of
+    consecutive records; other modalities gather their rows and scatter the
+    result. Given a ``tapes`` dict, each forward leaves its (rows, tape) in
     ``tapes[modality]``, rows counted as positions in ``idx``.
     """
-    out = np.zeros((len(idx), N_MODALITIES, cohort.schema.embed_dim))
+    run = _as_run(idx)
+    present = cohort.availability[run]
+    out = np.empty((len(idx), N_MODALITIES, cohort.schema.embed_dim))
     for m in ModalityId:
-        rows = np.flatnonzero(cohort.availability[idx, m])
+        rows = np.flatnonzero(present[:, m])
+        whole = rows.size == len(idx)
+        if not whole:
+            out[:, m] = 0.0
         if not rows.size:
             continue
-        x = cohort.block(m)[idx[rows]]
+        x = cohort.block(m)[run if whole else idx[rows]]
+        at = slice(None) if whole else rows
         if nets is None:
-            out[rows, m] = x
+            out[at, m] = x
             continue
-        out[rows, m], tape = nets[m].forward(x)
+        out[at, m], tape = nets[m].forward(x)
         if tapes is not None:
             tapes[m] = (rows, tape)
     return out

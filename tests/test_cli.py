@@ -228,6 +228,26 @@ def test_output_files_never_use_the_locale_encoding(tmp_path):
     assert (tmp_path / "grid" / "report.md").stat().st_size > 0
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def test_import_pins_blas_threads_unless_the_caller_set_a_count():
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mmsurv.__file__))
+    code = ("import json, os, mmsurv; "
+            f"print(json.dumps({{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}}))")
+
+    def threads(**given):
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(env, **given),
+                              capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+
+    pinned = dict.fromkeys(BLAS_THREAD_VARS, "1")
+    assert threads() == pinned
+    assert threads(OPENBLAS_NUM_THREADS="2") == dict(pinned, OPENBLAS_NUM_THREADS="2")
+
+
 def test_stdout_is_utf8_under_an_ascii_locale(tmp_path):
     # eval prints "c-index X ± Y" and ablate prints its markdown table with "±"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mmsurv.__file__)))

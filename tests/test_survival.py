@@ -395,6 +395,78 @@ def test_bootstrap_of_20k_records_stays_in_chunk_memory():
     assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def unsorted_plan_counts(risks, times, events, w=None):
+    """Reference rank-plan counts: each bit level's event rows searched in time order, unsorted
+    keys, and every gather a fancy index ``w[:, idx]``; the plan as first written."""
+    rows = np.flatnonzero(~np.isnan(times))
+    t = np.unique(times[rows], return_inverse=True)[1].astype(np.int64, copy=False)
+    risk_values, r = np.unique(risks[rows], return_inverse=True)
+    risk_bits = int(risk_values.size).bit_length()
+    z = (t << risk_bits) | r
+    by_time = np.argsort(t, kind="stable")
+    event = by_time[events[rows][by_time] == 1.0]
+    z_event = z[event]
+    event_rows, later = rows[event], np.cumsum(np.bincount(t))[t[event]]
+    levels = []
+    for k in range(int(t.max()).bit_length() if t.size else 0):
+        bit = 1 << (risk_bits + k)
+        block = ~((bit << 1) - (1 << risk_bits))
+        high = (z & bit).nonzero()[0]
+        keys = z[high] & block
+        order = keys.argsort()
+        upper = keys[order]
+        low = z_event & bit == 0
+        key = z_event[low] & block
+        start = key & ~((bit << 1) - 1)
+        levels.append((rows[high[order]], event_rows[low], upper.searchsorted(start, side="left"),
+                       upper.searchsorted(key, side="left"), upper.searchsorted(key, side="right")))
+    if w is None:
+        return (sum((left - start).sum() for _, _, start, left, _ in levels),
+                sum((right - left).sum() for _, _, _, left, right in levels),
+                (rows.size - later).sum())
+
+    def prefix(order):
+        out = np.zeros((w.shape[0], order.size + 1), dtype=np.int64)
+        np.cumsum(w[:, order], axis=1, out=out[:, 1:])
+        return out
+
+    cum = prefix(rows[by_time])
+    comparable = (w[:, event_rows] * (cum[:, -1:] - cum[:, later])).sum(axis=1)
+    concordant, tied = np.zeros(w.shape[0], dtype=np.int64), np.zeros(w.shape[0], dtype=np.int64)
+    for order, low_rows, start, left, right in levels:
+        cum = prefix(order)
+        concordant += (w[:, low_rows] * (cum[:, left] - cum[:, start])).sum(axis=1)
+        tied += (w[:, low_rows] * (cum[:, right] - cum[:, left])).sum(axis=1)
+    return concordant, tied, comparable
+
+
+def assert_plan_counts_equal_the_unsorted_reference(risks, times, events, rng):
+    plan = survival.rank_plan(risks, times, events)
+    want = unsorted_plan_counts(risks, times, events)
+    assert [int(c) for c in plan.counts()] == [int(c) for c in want]
+    n = risks.size
+    w = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(5)])
+    w[0] = 1  # unit weights through the weighted path
+    for got, want in zip(plan.counts(w), unsorted_plan_counts(risks, times, events, w)):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(outcomes().filter(lambda case: case[0].size > 0), st.integers(min_value=0, max_value=2**32 - 1))
+@example((np.array([1.0, 0.5, 0.0]), np.array([1.0, np.nan, 3.0]), np.array([1.0, 1.0, 0.0])), 0)  # NaN time
+def test_sorted_key_plan_counts_equal_the_unsorted_reference(case, seed):
+    assert_plan_counts_equal_the_unsorted_reference(*case, np.random.default_rng(seed))
+
+
+def test_sorted_key_plan_counts_equal_the_unsorted_reference_on_larger_sets():
+    rng = np.random.default_rng(115)
+    for n, n_times, n_risks in ((2000, 1600, 10**9), (500, 7, 5), (333, 10**9, 12)):
+        times = rng.integers(1, n_times + 1, size=n).astype(float)
+        risks = np.round(rng.normal(size=n) * n_risks / 4) / 8
+        events = (rng.random(n) < 0.6).astype(float)
+        assert_plan_counts_equal_the_unsorted_reference(risks, times, events, rng)
+
+
 def test_batch_validation_rejects_bad_inputs():
     with pytest.raises(DataError):
         SurvivalBatch(np.array([1.0]), np.array([-1.0]), np.array([1.0]))
