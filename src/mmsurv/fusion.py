@@ -27,7 +27,9 @@ modalities and redraws whenever the draw would hide all of them. The
 reconstruction loss compares decoded embeddings against the originally
 available ones, dropout mask ignored, so the model is pushed to rebuild
 exactly what it was shown before hiding. Its normalizer is the total count
-of available modality instances in the batch.
+of available modality instances in the batch. Like the Cox loss, it returns
+its value and its gradient from one pass, and the forward half of a
+training step keeps both gradients for the backward half.
 
 All gradients are hand-derived, including the backward pass through the
 four-way outer product, which contracts the fused gradient against the
@@ -42,7 +44,7 @@ import numpy as np
 from .cohort import MODALITIES, N_MODALITIES
 from .errors import ConfigError, DataError, NumericalError
 from .nets import DenseNet, init_net, net_from_dict, net_to_dict, split
-from .survival import SurvivalBatch, cox_loss, cox_loss_grad
+from .survival import SurvivalBatch, cox_loss_and_grad
 
 FUSION_KINDS = ("concat", "mean", "tensor")
 CHECKPOINT_FORMAT = "fusion-v1"
@@ -87,8 +89,9 @@ class FusionStrategy:
 
 @dataclass
 class DropoutPolicy:
+    """How often training hides a present modality; rate 0 hides none."""
+
     rate: float = 0.5
-    enabled: bool = True
 
     def __post_init__(self):
         if not 0 <= self.rate < 1:
@@ -158,7 +161,7 @@ def modality_dropout(mask: np.ndarray, policy: DropoutPolicy, rng) -> np.ndarray
     present = mask.astype(bool)
     if not present.any():
         raise DataError("mask has no available modality")
-    if not policy.enabled or policy.rate == 0.0:
+    if policy.rate == 0.0:
         return mask.astype(np.int64).copy()
     while True:
         keep = (rng.random(N_MODALITIES) >= policy.rate) & present
@@ -303,8 +306,10 @@ def predict_risk(model: FusionModel, embeddings: np.ndarray, mask: np.ndarray) -
     return predict_hazard(model, h)
 
 
-def recon_loss(decoded: np.ndarray, targets: np.ndarray, alpha: np.ndarray) -> float:
-    """Availability-masked reconstruction loss over one batch.
+def recon_loss_and_grad(decoded: np.ndarray, targets: np.ndarray,
+                        alpha: np.ndarray) -> tuple[float, np.ndarray]:
+    """Availability-masked reconstruction loss over one batch and its gradient
+    with respect to ``decoded``, same shape.
 
     ``decoded`` and ``targets`` are (n, 4, embed); ``alpha`` is the (n, 4)
     original availability. Each available slot contributes the plain
@@ -321,32 +326,13 @@ def recon_loss(decoded: np.ndarray, targets: np.ndarray, alpha: np.ndarray) -> f
     denom = alpha.sum()
     if denom == 0:
         raise DataError("batch has no available modality instances")
-    norms = np.linalg.norm(decoded - targets, axis=2)
+    diff = decoded - targets
+    norms = np.linalg.norm(diff, axis=2)
     loss = float((alpha * norms).sum() / denom)
     if not np.isfinite(loss):
         raise NumericalError("non-finite reconstruction loss")
-    return loss
-
-
-def recon_loss_grad(decoded: np.ndarray, targets: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Gradient of ``recon_loss`` with respect to ``decoded``, same shape."""
-    decoded = np.asarray(decoded, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    denom = alpha.sum()
-    if denom == 0:
-        raise DataError("batch has no available modality instances")
-    diff = decoded - targets
-    norms = np.linalg.norm(diff, axis=2)
     scale = alpha / (norms + NORM_EPS) / denom
-    return diff * scale[:, :, None]
-
-
-def total_loss(cox: float, recon: float, lam: float) -> float:
-    out = cox + lam * recon
-    if not np.isfinite(out):
-        raise NumericalError("non-finite total loss")
-    return out
+    return loss, diff * scale[:, :, None]
 
 
 # ── batched training math ───────────────────────────────────────────────────
@@ -371,20 +357,24 @@ class FusionBatch:
 def dropout_masks(alpha: np.ndarray, policy: DropoutPolicy, rng) -> np.ndarray:
     """Training masks for a batch: one ``modality_dropout`` draw per row, in row order."""
     alpha = np.asarray(alpha, dtype=np.int64)
-    if not policy.enabled:
+    if policy.rate == 0.0:
         return alpha.copy()
     return np.stack([modality_dropout(a, policy, rng) for a in alpha])
 
 
 @dataclass
 class BatchForward:
-    """The forward half of a training step, kept for the backward half."""
+    """The forward half of a training step, kept for the backward half.
+
+    ``d_scores`` and ``d_decoded`` are the total loss's gradients with
+    respect to the hazard scores and the (n, 4, embed) decoded block.
+    """
 
     fuse_tape: FuseTape
     head_tape: list
-    survival: SurvivalBatch
+    d_scores: np.ndarray
     recon_tape: list | None = None
-    decoded: np.ndarray | None = None   # (n, 4, embed)
+    d_decoded: np.ndarray | None = None
 
     def net_tapes(self, model: FusionModel) -> list:
         """(network, tape) of every network of the pass through ``model``, hazard head first."""
@@ -399,14 +389,18 @@ def forward_loss(model: FusionModel, batch: FusionBatch) -> tuple[float, float, 
         raise DataError("training mask shows a modality the record does not have")
     h, fuse_tape = fuse(model, batch.embeddings, batch.mask)
     y, head_tape = model.hazard_head.forward(h)
-    fwd = BatchForward(fuse_tape, head_tape, SurvivalBatch(y[:, 0], batch.times, batch.events))
-    cox = cox_loss(fwd.survival)
+    cox, d_scores = cox_loss_and_grad(SurvivalBatch(y[:, 0], batch.times, batch.events))
+    fwd = BatchForward(fuse_tape, head_tape, d_scores)
     recon = 0.0
     if model.recon_head is not None:
         flat, fwd.recon_tape = model.recon_head.forward(h)
-        fwd.decoded = flat.reshape(len(h), N_MODALITIES, model.strategy.embed_dim)
-        recon = recon_loss(fwd.decoded, batch.embeddings, batch.alpha)
-    return total_loss(cox, recon, model.lam), cox, recon, fwd
+        decoded = flat.reshape(len(h), N_MODALITIES, model.strategy.embed_dim)
+        recon, d_decoded = recon_loss_and_grad(decoded, batch.embeddings, batch.alpha)
+        fwd.d_decoded = model.lam * d_decoded
+    total = cox + model.lam * recon
+    if not np.isfinite(total):
+        raise NumericalError("non-finite total loss")
+    return total, cox, recon, fwd
 
 
 def batch_loss_and_grads(model: FusionModel, batch: FusionBatch, grad: np.ndarray | None = None):
@@ -424,12 +418,10 @@ def batch_loss_and_grads(model: FusionModel, batch: FusionBatch, grad: np.ndarra
     if grad is None:
         grad = np.empty(sum(net.params.size for net in nets))
     grads, k = split(grad, nets), len(model.body)  # parts(): k body nets, hazard head, any decoder
-    d_scores = cox_loss_grad(fwd.survival)
-    _, dh = model.hazard_head.backward(fwd.head_tape, d_scores[:, None], grads[k])
+    _, dh = model.hazard_head.backward(fwd.head_tape, fwd.d_scores[:, None], grads[k])
     if fwd.recon_tape is not None:
-        d_decoded = model.lam * recon_loss_grad(fwd.decoded, batch.embeddings, batch.alpha)
         _, dh_recon = model.recon_head.backward(
-            fwd.recon_tape, d_decoded.reshape(len(dh), -1), grads[k + 1])
+            fwd.recon_tape, fwd.d_decoded.reshape(len(dh), -1), grads[k + 1])
         dh = dh + dh_recon
     dx = fuse_backward(model, fwd.fuse_tape, dh, grads[:k])
     return total, cox, recon, grad, dx

@@ -22,9 +22,9 @@ import numpy as np
 from .cohort import DEFAULT_SCHEMA, MODALITIES, ModalityId
 from .errors import ConfigError
 from .fusion import (FUSION_KINDS, FusionBatch, FusionStrategy, batch_loss_and_grads,
-                     forward_loss, init_fusion_model, recon_loss, recon_loss_grad)
+                     forward_loss, init_fusion_model, recon_loss_and_grad)
 from .nets import init_net, pack
-from .survival import SurvivalBatch, cox_loss, cox_loss_grad
+from .survival import SurvivalBatch, cox_loss_and_grad
 from .unimodal import init_encoder
 
 DEFAULT_TOLERANCE = 1e-4
@@ -75,8 +75,9 @@ def _check_cox(rng, instances: int, h: float) -> float:
         events = rng.integers(0, 2, n).astype(np.int64)
         if events.sum() == 0:
             events[int(rng.integers(0, n))] = 1
-        analytic = cox_loss_grad(SurvivalBatch(hz, times, events))
-        numeric = _fd_coords(lambda: cox_loss(SurvivalBatch(hz, times, events)), hz, np.arange(n), h)
+        analytic = cox_loss_and_grad(SurvivalBatch(hz, times, events))[1]
+        numeric = _fd_coords(lambda: cox_loss_and_grad(SurvivalBatch(hz, times, events))[0],
+                             hz, np.arange(n), h)
         worst = max(worst, _rel_err(analytic, numeric))
     return worst
 
@@ -90,10 +91,10 @@ def _check_recon(rng, instances: int, h: float) -> float:
         alpha = rng.integers(0, 2, (n, len(MODALITIES))).astype(float)
         if alpha.sum() == 0:
             alpha[0, 0] = 1.0
-        analytic = recon_loss_grad(decoded, targets, alpha)
+        analytic = recon_loss_and_grad(decoded, targets, alpha)[1]
         flat = decoded.reshape(-1)
         coords = rng.choice(flat.size, size=min(_COORDS_PER_INSTANCE, flat.size), replace=False)
-        numeric = _fd_coords(lambda: recon_loss(decoded, targets, alpha), flat, coords, h)
+        numeric = _fd_coords(lambda: recon_loss_and_grad(decoded, targets, alpha)[0], flat, coords, h)
         worst = max(worst, _rel_err(analytic.reshape(-1)[coords], numeric))
     return worst
 

@@ -213,7 +213,7 @@ def _fit_fusion(pool: Cohort, config: TrainConfig, cell: ExperimentCell, joint: 
     fusion_grad = grad[:sum(net.params.size for net in parts)]
     encoder_grads = dict(zip(learning_encoders, split(grad[fusion_grad.size:], encoder_nets)))
     opt = OptimizerState(config.optimizer, config.fusion_lr, params)
-    policy = DropoutPolicy(rate=config.dropout_rate, enabled=cell.dropout)
+    policy = DropoutPolicy(config.dropout_rate if cell.dropout else 0.0)
     dropout_rng = np.random.default_rng(dropout_seed)
     alpha, times, events = pool.availability, pool.times, pool.events
 

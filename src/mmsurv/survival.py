@@ -5,10 +5,13 @@ risk sets formed inside the batch: for an event at time t_i the risk set is
 every sample j with t_j >= t_i, ties included (Breslow handling, tied events
 share the full risk set). Log-sum-exp terms subtract the in-set maximum, so
 the loss is invariant to a constant shift of all hazards and safe for large
-scores. Risk sets are built COX_CHUNK event rows at a time, so a batch of n
-records needs O(COX_CHUNK * n) memory, not events x n; each row's terms are
-row-local and the gradient's column sums run on across blocks in one
-sequential order, so the result does not depend on the chunking.
+scores. ``cox_loss_and_grad`` returns the loss and its gradient from one
+pass: each risk set's exponentials give the log-sum-exp term and, divided
+by the same sums, the softmax weights of the gradient. Risk sets are built
+COX_CHUNK event rows at a time, so a batch of n records needs
+O(COX_CHUNK * n) memory, not events x n; each row's terms are row-local and
+the gradient's column sums run on across blocks in one sequential order, so
+the result does not depend on the chunking.
 
 The concordance index is Harrell's: a pair (i, j) is comparable when
 t_i < t_j and sample i had the event; it scores 1 when risk_i > risk_j and
@@ -81,56 +84,38 @@ class SurvivalBatch:
     def n(self) -> int:
         return self.hazards.shape[0]
 
-    @property
-    def n_events(self) -> int:
-        return int(self.events.sum())
 
-
-def _event_times(batch: SurvivalBatch) -> tuple[np.ndarray, np.ndarray]:
-    """The batch's event mask and the times of its event rows, in row order."""
+def cox_loss_and_grad(batch: SurvivalBatch) -> tuple[float, np.ndarray]:
+    """Negative Cox partial log-likelihood of one batch and its gradient
+    with respect to each hazard score, from one pass over the risk sets."""
     is_event = batch.events == 1.0
     if not is_event.any():
         raise DataError("batch has no events, Cox loss undefined")
-    return is_event, batch.times[is_event]
-
-
-def _risk_set_scores(batch: SurvivalBatch, event_times: np.ndarray) -> np.ndarray:
-    """(events, n) hazards over each event's risk set {j : t_j >= t_event}, -inf elsewhere."""
-    return np.where(batch.times[None, :] >= event_times[:, None], batch.hazards[None, :], -np.inf)
-
-
-def cox_loss(batch: SurvivalBatch) -> float:
-    """Negative Cox partial log-likelihood of one batch."""
-    is_event, event_times = _event_times(batch)
+    event_times = batch.times[is_event]
     lse = np.empty(event_times.size)
-    for start in range(0, event_times.size, COX_CHUNK):
-        scores = _risk_set_scores(batch, event_times[start:start + COX_CHUNK])
-        mx = scores.max(axis=1)
-        lse[start:start + COX_CHUNK] = mx + np.log(np.exp(scores - mx[:, None]).sum(axis=1))
-    loss = float(-(batch.hazards[is_event] - lse).sum())
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite Cox loss")
-    return loss
-
-
-def cox_loss_grad(batch: SurvivalBatch) -> np.ndarray:
-    """Gradient of ``cox_loss`` with respect to each hazard score."""
-    _, event_times = _event_times(batch)
     total = None
     for start in range(0, event_times.size, COX_CHUNK):
-        scores = _risk_set_scores(batch, event_times[start:start + COX_CHUNK])
+        rows = slice(start, start + COX_CHUNK)
+        # hazards over each event's risk set {j : t_j >= t_event}, -inf elsewhere
+        scores = np.where(batch.times[None, :] >= event_times[rows, None],
+                          batch.hazards[None, :], -np.inf)
         mx = scores.max(axis=1)
         expd = np.exp(scores - mx[:, None])
-        weights = expd / expd.sum(axis=1, keepdims=True)  # softmax within each risk set
+        sums = expd.sum(axis=1)
+        lse[rows] = mx + np.log(sums)
+        weights = expd / sums[:, None]  # softmax within each risk set
         if total is None:
             total = weights.sum(axis=0)
         else:
             # the running sum heads the block, so rows keep adding in one sequential order
             total = np.add.reduce(np.concatenate([total[None], weights]), axis=0)
+    loss = float(-(batch.hazards[is_event] - lse).sum())
+    if not np.isfinite(loss):
+        raise NumericalError("non-finite Cox loss")
     grad = -batch.events + total
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite Cox gradient")
-    return grad
+    return loss, grad
 
 
 def has_comparable_pair(times: np.ndarray, events: np.ndarray) -> bool:

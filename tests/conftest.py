@@ -1,7 +1,8 @@
 """Shared pytest wiring: one summary line per acceptance criterion, the
-tests' finite-difference, c-index, bootstrap, Cox, tensor-product,
-cohort round-trip, file-writer and synthetic-generator oracles, and test
-cohorts made from rows or drawn at random around the scoring blocks.
+tests' finite-difference, c-index, bootstrap, Cox, reconstruction,
+tensor-product, cohort round-trip, file-writer and synthetic-generator
+oracles, and test cohorts made from rows or drawn at random around the
+scoring blocks.
 
 Acceptance tests are named test_criterion_<number><subtag>_<slug>; every
 phase outcome is collected here and folded into a single PASS/FAIL line
@@ -18,7 +19,7 @@ import numpy as np
 
 from mmsurv import cohort as cohort_module
 from mmsurv.cohort import MODALITIES, N_MODALITIES, Cohort, ModalityId, ModalitySchema
-from mmsurv.fusion import SCORE_CHUNK
+from mmsurv.fusion import NORM_EPS, SCORE_CHUNK
 from mmsurv.errors import NumericalError
 from mmsurv.nets import OptimizerState, optimizer_step
 
@@ -185,7 +186,7 @@ def bootstrap_loop(risks, times, events, resamples: int, rng) -> list:
 def cox_loss_unchunked(batch) -> float:
     """Reference Cox loss: every event row's risk set in one (events x n) matrix.
 
-    The arithmetic ``cox_loss`` ran before it built risk sets a chunk of
+    The arithmetic of the Cox loss before it built risk sets a chunk of
     event rows at a time.
     """
     f = batch.hazards
@@ -207,6 +208,24 @@ def cox_loss_grad_unchunked(batch) -> np.ndarray:
     expd = np.exp(scores - mx[:, None])
     weights = expd / expd.sum(axis=1, keepdims=True)
     return -batch.events + weights.sum(axis=0)
+
+
+def recon_loss_two_pass(decoded, targets, alpha) -> float:
+    """Reference reconstruction loss, computed apart from its gradient.
+
+    The arithmetic of the separate loss and gradient functions that
+    ``recon_loss_and_grad`` replaced.
+    """
+    norms = np.linalg.norm(decoded - targets, axis=2)
+    return float((alpha * norms).sum() / alpha.sum())
+
+
+def recon_loss_grad_two_pass(decoded, targets, alpha) -> np.ndarray:
+    """Reference reconstruction gradient with respect to ``decoded``, as ``recon_loss_two_pass``."""
+    diff = decoded - targets
+    norms = np.linalg.norm(diff, axis=2)
+    scale = alpha / (norms + NORM_EPS) / alpha.sum()
+    return diff * scale[:, :, None]
 
 
 def tensor_product_einsum(factors: np.ndarray) -> np.ndarray:

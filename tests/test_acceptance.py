@@ -21,11 +21,11 @@ from mmsurv.cli import main
 from mmsurv.cohort import scenario_by_name
 from mmsurv.config import TrainConfig
 from mmsurv.fusion import (DropoutPolicy, FusionStrategy, init_fusion_model,
-                           modality_dropout, model_footprint, recon_loss)
+                           modality_dropout, model_footprint, recon_loss_and_grad)
 from mmsurv.gradcheck import run_gradient_checks
 from mmsurv.pipeline import (ExperimentCell, default_synthetic_pair, evaluate,
                              train_cell, train_stage1_encoders)
-from mmsurv.survival import SurvivalBatch, concordance_index, cox_loss
+from mmsurv.survival import SurvivalBatch, concordance_index, cox_loss_and_grad
 
 
 # ── criterion 1: analytic gradients vs central finite differences ────────────
@@ -66,11 +66,11 @@ def test_criterion_2_cox_loss_matches_enumeration():
         if events.sum() == 0:
             events[int(rng.integers(n))] = 1.0
         hazards = rng.uniform(-3.0, 3.0, size=n)
-        ours = cox_loss(SurvivalBatch(hazards, times, events))
+        ours = cox_loss_and_grad(SurvivalBatch(hazards, times, events))[0]
         direct = _cox_by_enumeration(hazards, times, events)
         assert abs(ours - direct) <= 1e-9, f"trial {trial}: {ours} vs {direct}"
         shift = float(rng.uniform(-20.0, 20.0))
-        shifted = cox_loss(SurvivalBatch(hazards + shift, times, events))
+        shifted = cox_loss_and_grad(SurvivalBatch(hazards + shift, times, events))[0]
         assert abs(shifted - ours) <= 1e-10, f"trial {trial}: shift {shift}"
 
 
@@ -121,9 +121,9 @@ def test_criterion_4_recon_loss_masking_and_hand_example():
         alpha = (rng.random((n, 4)) < 0.6).astype(np.float64)
         if alpha.sum() == 0:
             alpha[0, 0] = 1.0
-        base = recon_loss(decoded, targets, alpha)
+        base = recon_loss_and_grad(decoded, targets, alpha)[0]
         noised = decoded + (1.0 - alpha[:, :, None]) * rng.normal(size=decoded.shape) * 100.0
-        assert recon_loss(noised, targets, alpha) == base  # absent slots contribute nothing
+        assert recon_loss_and_grad(noised, targets, alpha)[0] == base  # absent slots contribute nothing
 
     # hand-built batch: available distances 3, 4, 1, 2, 0 over 5 slots
     decoded = np.zeros((2, 4, 4))
@@ -135,14 +135,14 @@ def test_criterion_4_recon_loss_masking_and_hand_example():
     decoded[1, 0] = targets[1, 0] = 7.0          # present, distance 0
     decoded[1, 2] = 55.0                         # absent, ignored
     alpha = np.array([[1, 1, 1, 1], [1, 0, 0, 0]], dtype=np.float64)
-    assert abs(recon_loss(decoded, targets, alpha) - 2.0) <= 1e-12
+    assert abs(recon_loss_and_grad(decoded, targets, alpha)[0] - 2.0) <= 1e-12
 
     # second hand example with non-integer distances
     decoded = np.zeros((1, 4, 2))
     targets = np.array([[[1.0, 1.0], [0.3, 0.4], [5.0, 12.0], [9.0, 9.0]]])
     alpha = np.array([[1.0, 1.0, 1.0, 0.0]])
     by_hand = (math.sqrt(2.0) + 0.5 + 13.0) / 3.0
-    assert abs(recon_loss(decoded, targets, alpha) - by_hand) <= 1e-12
+    assert abs(recon_loss_and_grad(decoded, targets, alpha)[0] - by_hand) <= 1e-12
 
 
 # ── criterion 5: dropout retention law ───────────────────────────────────────
@@ -162,7 +162,7 @@ def test_criterion_5_dropout_marginals_match_exact_law():
                       for m in range(4)])
 
     rng = np.random.default_rng(505)
-    policy = DropoutPolicy(rate=rate, enabled=True)
+    policy = DropoutPolicy(rate=rate)
     full = np.ones(4, dtype=np.int64)
     draws = 1_000_000
     counts = np.zeros(4)

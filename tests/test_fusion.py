@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff_grad, tensor_product_einsum
+from conftest import (finite_diff_grad, recon_loss_grad_two_pass, recon_loss_two_pass,
+                      tensor_product_einsum)
 from mmsurv.cohort import DEFAULT_SCHEMA, MODALITIES, Cohort, ModalityId, embedding_schema
-from mmsurv.errors import ConfigError, DataError
+from mmsurv.errors import ConfigError, DataError, NumericalError
 from mmsurv.fusion import (DropoutPolicy, FusionBatch, FusionStrategy, batch_loss_and_grads,
-                           SCORE_CHUNK, forward_loss, fuse, fusion_from_dict, fusion_to_dict,
+                           SCORE_CHUNK, dropout_masks, forward_loss, fuse, fusion_from_dict, fusion_to_dict,
                            init_fusion_model, modality_dropout, model_footprint, predict_hazard,
-                           recon_loss, recon_loss_grad, tensor_product, total_loss)
+                           recon_loss_and_grad, tensor_product)
 from mmsurv import fusion
 from mmsurv.nets import OptimizerState, init_net, optimizer_step, pack, split, write_json
 from mmsurv.pipeline import score_records
@@ -93,11 +94,14 @@ def dropout_marginals_oracle(mask, rate):
 
 # ── modality dropout ─────────────────────────────────────────────────────────
 
-def test_dropout_disabled_or_zero_rate_is_identity():
+def test_dropout_at_zero_rate_is_identity():
     mask = np.array([1, 0, 1, 1])
     rng = np.random.default_rng(0)
-    assert modality_dropout(mask, DropoutPolicy(0.5, enabled=False), rng).tolist() == [1, 0, 1, 1]
+    state = rng.bit_generator.state
     assert modality_dropout(mask, DropoutPolicy(0.0), rng).tolist() == [1, 0, 1, 1]
+    assert dropout_masks(np.array([mask, [0, 1, 0, 0]]), DropoutPolicy(0.0), rng).tolist() == [
+        [1, 0, 1, 1], [0, 1, 0, 0]]
+    assert rng.bit_generator.state == state
 
 
 def test_dropout_single_present_modality_always_survives():
@@ -358,7 +362,7 @@ def test_recon_loss_zero_when_decoded_matches_targets():
     rng = np.random.default_rng(10)
     targets = rng.normal(size=(3, 4, 5))
     alpha = np.ones((3, 4))
-    assert recon_loss(targets.copy(), targets, alpha) == 0.0
+    assert recon_loss_and_grad(targets.copy(), targets, alpha)[0] == 0.0
 
 
 def test_recon_loss_single_sample_single_modality():
@@ -367,7 +371,7 @@ def test_recon_loss_single_sample_single_modality():
     decoded[0, 0] = [3.0, 0.0, 0.0, 0.0]  # distance 3 on the only available slot
     alpha = np.zeros((1, 4))
     alpha[0, 0] = 1.0
-    assert recon_loss(decoded, targets, alpha) == pytest.approx(3.0, abs=1e-15)
+    assert recon_loss_and_grad(decoded, targets, alpha)[0] == pytest.approx(3.0, abs=1e-15)
 
 
 def test_recon_loss_batch_normalizer_counts_available_slots():
@@ -380,7 +384,7 @@ def test_recon_loss_batch_normalizer_counts_available_slots():
     decoded[0, 1, 1] = 4.0
     decoded[1, 0, 2] = 1.0
     decoded[1, 1, 3] = 2.0
-    assert recon_loss(decoded, targets, alpha) == pytest.approx(2.0, abs=1e-12)
+    assert recon_loss_and_grad(decoded, targets, alpha)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_recon_loss_ignores_unavailable_slots_exactly():
@@ -389,10 +393,10 @@ def test_recon_loss_ignores_unavailable_slots_exactly():
     decoded = rng.normal(size=(4, 4, 6))
     alpha = (rng.random((4, 4)) < 0.5).astype(float)
     alpha[:, 0] = 1.0  # keep at least one slot per sample
-    base = recon_loss(decoded, targets, alpha)
+    base = recon_loss_and_grad(decoded, targets, alpha)[0]
     noisy = decoded.copy()
     noisy[alpha == 0.0] = rng.normal(size=noisy[alpha == 0.0].shape) * 1e6
-    assert recon_loss(noisy, targets, alpha) == base
+    assert recon_loss_and_grad(noisy, targets, alpha)[0] == base
 
 
 def test_recon_loss_grad_matches_finite_differences():
@@ -402,23 +406,47 @@ def test_recon_loss_grad_matches_finite_differences():
     decoded = rng.normal(size=shape)
     alpha = np.ones((3, 4))
     alpha[1, 2] = 0.0
-    analytic = recon_loss_grad(decoded, targets, alpha).ravel()
+    analytic = recon_loss_and_grad(decoded, targets, alpha)[1].ravel()
     numeric = finite_diff_grad(
-        lambda p: recon_loss(p.reshape(shape), targets, alpha), decoded.ravel(), h=1e-6)
+        lambda p: recon_loss_and_grad(p.reshape(shape), targets, alpha)[0], decoded.ravel(),
+        h=1e-6)
     scale = max(np.abs(numeric).max(), 1e-8)
     assert np.abs(analytic - numeric).max() / scale < 1e-4
 
 
 def test_recon_loss_shape_mismatch_and_empty_batch():
     with pytest.raises(DataError):
-        recon_loss(np.zeros((2, 4, 3)), np.zeros((2, 4, 4)), np.ones((2, 4)))
+        recon_loss_and_grad(np.zeros((2, 4, 3)), np.zeros((2, 4, 4)), np.ones((2, 4)))
     with pytest.raises(DataError):
-        recon_loss(np.zeros((1, 4, 3)), np.zeros((1, 4, 3)), np.zeros((1, 4)))
+        recon_loss_and_grad(np.zeros((1, 4, 3)), np.zeros((1, 4, 3)), np.zeros((1, 4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=0, max_value=2**32))
+@example(1, 1, 0)
+def test_recon_loss_and_grad_equal_the_two_pass_reference(n, width, seed):
+    rng = np.random.default_rng(seed)
+    decoded = rng.normal(size=(n, 4, width))
+    targets = rng.normal(size=(n, 4, width))
+    exact = rng.random((n, 4)) < 0.2  # slots decoded exactly, distance 0
+    targets[exact] = decoded[exact]
+    alpha = (rng.random((n, 4)) < 0.7).astype(float)
+    alpha[0, 0] = 1.0
+    loss, grad = recon_loss_and_grad(decoded, targets, alpha)
+    assert loss == recon_loss_two_pass(decoded, targets, alpha)
+    assert np.array_equal(grad, recon_loss_grad_two_pass(decoded, targets, alpha))
 
 
 def test_total_loss_combination():
-    assert total_loss(0.7, 0.3, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert total_loss(0.7, 123.0, 0.0) == pytest.approx(0.7, abs=1e-15)
+    batch = make_batch(np.random.default_rng(19), 6, embed_dim=4, with_dropout=True)
+    for lam in (0.7, 0.0):
+        model = init_fusion_model(small_strategy("mean"), seed=20, recon=True, lam=lam)
+        total, cox, recon, _ = forward_loss(model, batch)
+        assert recon > 1.0 and total == cox + lam * recon
+    model = init_fusion_model(small_strategy("mean"), seed=20, recon=True, lam=np.finfo(float).max)
+    with pytest.raises(NumericalError, match="non-finite total loss"):
+        forward_loss(model, batch)
 
 
 # ── end-to-end gradients through each strategy ───────────────────────────────

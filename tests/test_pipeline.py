@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mmsurv.fusion
 import mmsurv.pipeline
 import mmsurv.survival as survival
 import mmsurv.unimodal
@@ -448,3 +449,26 @@ def test_default_pair_shares_the_generative_family():
     ci_tr = concordance_index(train.ground_truth_risk, train.times, train.events)
     ci_te = concordance_index(test.ground_truth_risk, test.times, test.events)
     assert abs(ci_tr - ci_te) < 0.08  # same population, different draws
+
+
+def test_each_training_step_makes_one_cox_call(monkeypatch):
+    counts = {}
+
+    def counted(module, name, key):
+        f = getattr(module, name)
+
+        def wrapper(*args):
+            counts[key] = counts.get(key, 0) + 1
+            return f(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(mmsurv.unimodal, "cox_loss_and_grad", "stage-1 cox")
+    counted(mmsurv.unimodal, "optimizer_step", "stage-1 steps")
+    counted(mmsurv.fusion, "cox_loss_and_grad", "fusion cox")
+    counted(mmsurv.pipeline, "optimizer_step", "fusion steps")
+    train, _ = fast_pair(n_train=120, n_test=40)
+    train_cell(train, TrainConfig(seed=5, stage1_epochs=2, fusion_epochs=2),
+               ExperimentCell("mean", recon=True))
+    assert counts["stage-1 steps"] > 0 and counts["fusion steps"] > 0
+    assert counts["stage-1 cox"] == counts["stage-1 steps"]
+    assert counts["fusion cox"] == counts["fusion steps"]

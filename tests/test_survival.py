@@ -13,7 +13,7 @@ from conftest import (bootstrap_loop, cindex_pairwise, cox_loss_grad_unchunked, 
 from mmsurv import survival
 from mmsurv.errors import DataError, NumericalError
 from mmsurv.survival import (BOOT_CHUNK, COX_CHUNK, SurvivalBatch, bootstrap_concordance,
-                             concordance_index, cox_loss, cox_loss_grad, has_comparable_pair)
+                             concordance_index, cox_loss_and_grad, has_comparable_pair)
 
 
 def cox_loss_enumerated(hazards, times, events) -> float:
@@ -59,13 +59,13 @@ def random_batch(rng, n, with_ties=False):
 
 def test_cox_loss_single_event_is_exactly_zero():
     b = SurvivalBatch(np.array([123.456]), np.array([1.0]), np.array([1.0]))
-    assert cox_loss(b) == 0.0
+    assert cox_loss_and_grad(b)[0] == 0.0
 
 
 def test_cox_loss_matches_hand_enumeration_on_worked_example():
     b = SurvivalBatch(np.array([0.5, -0.2, 0.3]), np.array([2.0, 5.0, 9.0]),
                       np.array([1.0, 1.0, 0.0]))
-    assert cox_loss(b) == pytest.approx(1.813623188045052, abs=1e-12)
+    assert cox_loss_and_grad(b)[0] == pytest.approx(1.813623188045052, abs=1e-12)
 
 
 def test_cox_loss_matches_enumeration_on_random_batches():
@@ -75,7 +75,7 @@ def test_cox_loss_matches_enumeration_on_random_batches():
         hazards, times, events = random_batch(rng, n, with_ties=bool(rng.integers(2)))
         batch = SurvivalBatch(hazards, times, events)
         expected = cox_loss_enumerated(hazards, times, events)
-        assert abs(cox_loss(batch) - expected) < 1e-9
+        assert abs(cox_loss_and_grad(batch)[0] - expected) < 1e-9
 
 
 def test_cox_loss_shift_invariant():
@@ -84,15 +84,15 @@ def test_cox_loss_shift_invariant():
         n = int(rng.integers(2, 21))
         hazards, times, events = random_batch(rng, n)
         c = rng.uniform(-20.0, 20.0)
-        base = cox_loss(SurvivalBatch(hazards, times, events))
-        shifted = cox_loss(SurvivalBatch(hazards + c, times, events))
+        base = cox_loss_and_grad(SurvivalBatch(hazards, times, events))[0]
+        shifted = cox_loss_and_grad(SurvivalBatch(hazards + c, times, events))[0]
         assert abs(base - shifted) < 1e-10
 
 
 def test_cox_loss_survives_large_scores():
     b = SurvivalBatch(np.array([500.0, 480.0, 490.0]), np.array([1.0, 2.0, 3.0]),
                       np.array([1.0, 1.0, 1.0]))
-    assert np.isfinite(cox_loss(b))
+    assert np.isfinite(cox_loss_and_grad(b)[0])
 
 
 def test_cox_loss_event_terms_are_nonnegative():
@@ -107,12 +107,14 @@ def test_cox_loss_event_terms_are_nonnegative():
             single = cox_loss_enumerated(hazards, times, only_i)
             assert single >= -1e-12
             loss_total += single
-        assert abs(loss_total - cox_loss(SurvivalBatch(hazards, times, events))) < 1e-9
+        loss = cox_loss_and_grad(SurvivalBatch(hazards, times, events))[0]
+        assert abs(loss_total - loss) < 1e-9
 
 
 def test_cox_loss_requires_an_event():
     with pytest.raises(DataError):
-        cox_loss(SurvivalBatch(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.0, 0.0])))
+        cox_loss_and_grad(SurvivalBatch(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
+                                        np.array([0.0, 0.0])))
 
 
 def test_cox_grad_matches_finite_differences():
@@ -120,22 +122,22 @@ def test_cox_grad_matches_finite_differences():
     for _ in range(50):
         n = int(rng.integers(2, 16))
         hazards, times, events = random_batch(rng, n, with_ties=bool(rng.integers(2)))
-        analytic = cox_loss_grad(SurvivalBatch(hazards, times, events))
+        analytic = cox_loss_and_grad(SurvivalBatch(hazards, times, events))[1]
         numeric = finite_diff_grad(
-            lambda f: cox_loss(SurvivalBatch(f, times, events)), hazards, h=1e-5)
+            lambda f: cox_loss_and_grad(SurvivalBatch(f, times, events))[0], hazards, h=1e-5)
         scale = max(np.abs(numeric).max(), 1e-8)
         assert np.abs(analytic - numeric).max() / scale < 1e-6
 
 
 def test_cox_grad_single_uncensored_sample_is_zero():
-    g = cox_loss_grad(SurvivalBatch(np.array([3.3]), np.array([2.0]), np.array([1.0])))
+    g = cox_loss_and_grad(SurvivalBatch(np.array([3.3]), np.array([2.0]), np.array([1.0])))[1]
     assert np.allclose(g, 0.0, atol=1e-15)
 
 
 def test_cox_grad_sums_to_zero_when_all_tied_events():
     rng = np.random.default_rng(104)
     hazards = rng.normal(size=7)
-    g = cox_loss_grad(SurvivalBatch(hazards, np.full(7, 4.0), np.ones(7)))
+    g = cox_loss_and_grad(SurvivalBatch(hazards, np.full(7, 4.0), np.ones(7)))[1]
     assert abs(g.sum()) < 1e-12
 
 
@@ -158,7 +160,7 @@ def test_chunked_cox_equals_the_unchunked_matrices(n, chunk, n_times, scale, see
     batch = random_cox_batch(np.random.default_rng(seed), n, n_times, scale)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(survival, "COX_CHUNK", chunk)
-        loss, grad = cox_loss(batch), cox_loss_grad(batch)
+        loss, grad = cox_loss_and_grad(batch)
     assert loss == cox_loss_unchunked(batch)
     assert np.array_equal(grad, cox_loss_grad_unchunked(batch))
 
@@ -169,8 +171,9 @@ def test_cox_at_the_default_chunk_equals_the_unchunked_matrices():
         events = rng.permutation(np.r_[np.ones(n_events), np.zeros(20)])
         batch = SurvivalBatch(rng.normal(size=events.size),
                               rng.integers(1, 50, size=events.size).astype(float), events)
-        assert cox_loss(batch) == cox_loss_unchunked(batch)
-        assert np.array_equal(cox_loss_grad(batch), cox_loss_grad_unchunked(batch))
+        loss, grad = cox_loss_and_grad(batch)
+        assert loss == cox_loss_unchunked(batch)
+        assert np.array_equal(grad, cox_loss_grad_unchunked(batch))
 
 
 def test_cox_of_10k_records_stays_in_chunk_memory():
@@ -181,7 +184,7 @@ def test_cox_of_10k_records_stays_in_chunk_memory():
                           (rng.random(n) < 0.5).astype(float))
     tracemalloc.start()
     try:
-        loss, grad = cox_loss(batch), cox_loss_grad(batch)
+        loss, grad = cox_loss_and_grad(batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
