@@ -24,16 +24,15 @@ from .cohort import (Cohort, MissingnessScenario, ModalityId, ModalitySchema,
                      scenario_by_name)
 from .config import TrainConfig, fit
 from .errors import ConfigError, DataError, MmsurvError, NumericalError
-from .fusion import (DropoutPolicy, FusionModel, FusionStrategy, fuse,
-                     init_fusion_model, modality_dropout, model_footprint,
-                     recon_loss_and_grad)
+from .fusion import (FusionModel, FusionStrategy, fuse, init_fusion_model,
+                     modality_dropout, model_footprint, recon_loss_and_grad)
 from .gradcheck import run_gradient_checks
 from .nets import DenseNet, OptimizerState, init_net
 from .pipeline import (AblationReport, ExperimentCell, SurvivalPredictor,
                        default_synthetic_pair, evaluate, load_predictor,
                        run_ablation_grid, save_predictor, table_cells,
                        train_cell, train_fusion_on_table)
-from .survival import SurvivalBatch, concordance_index, cox_loss_and_grad
+from .survival import concordance_index, cox_loss_and_grad
 from .unimodal import (UnimodalEncoder, export_embeddings, load_unimodal,
                        save_unimodal, train_unimodal)
 

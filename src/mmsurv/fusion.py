@@ -44,7 +44,7 @@ import numpy as np
 from .cohort import MODALITIES, N_MODALITIES
 from .errors import ConfigError, DataError, NumericalError
 from .nets import DenseNet, init_net, net_from_dict, net_to_dict, split
-from .survival import SurvivalBatch, cox_loss_and_grad
+from .survival import cox_loss_and_grad
 
 FUSION_KINDS = ("concat", "mean", "tensor")
 CHECKPOINT_FORMAT = "fusion-v1"
@@ -85,17 +85,6 @@ class FusionStrategy:
         if self.kind == "mean":
             return self.extended_dim
         return (self.reduced_dim + 1) ** N_MODALITIES
-
-
-@dataclass
-class DropoutPolicy:
-    """How often training hides a present modality; rate 0 hides none."""
-
-    rate: float = 0.5
-
-    def __post_init__(self):
-        if not 0 <= self.rate < 1:
-            raise ConfigError("dropout rate must lie in [0, 1)")
 
 
 class FusionModel:
@@ -148,23 +137,26 @@ def init_fusion_model(strategy: FusionStrategy, seed, recon: bool = False, lam: 
     return FusionModel(strategy, parts, lam)
 
 
-def modality_dropout(mask: np.ndarray, policy: DropoutPolicy, rng) -> np.ndarray:
+def modality_dropout(mask: np.ndarray, rate: float, rng) -> np.ndarray:
     """Randomly hide present modalities, never all of them.
 
     Each present modality survives independently with probability 1 - rate;
     a draw that hides everything is rejected and redrawn, so the result is
-    the subset distribution conditioned on being non-empty.
+    the subset distribution conditioned on being non-empty. Rate 0 hides
+    none; rate 1 would redraw forever, so the rate must lie in [0, 1).
     """
+    if not 0 <= rate < 1:
+        raise ConfigError("dropout rate must lie in [0, 1)")
     mask = np.asarray(mask)
     if mask.shape != (N_MODALITIES,):
         raise DataError(f"mask must have {N_MODALITIES} entries")
     present = mask.astype(bool)
     if not present.any():
         raise DataError("mask has no available modality")
-    if policy.rate == 0.0:
+    if rate == 0.0:
         return mask.astype(np.int64).copy()
     while True:
-        keep = (rng.random(N_MODALITIES) >= policy.rate) & present
+        keep = (rng.random(N_MODALITIES) >= rate) & present
         if keep.any():
             return keep.astype(np.int64)
 
@@ -354,12 +346,12 @@ class FusionBatch:
     events: np.ndarray
 
 
-def dropout_masks(alpha: np.ndarray, policy: DropoutPolicy, rng) -> np.ndarray:
+def dropout_masks(alpha: np.ndarray, rate: float, rng) -> np.ndarray:
     """Training masks for a batch: one ``modality_dropout`` draw per row, in row order."""
     alpha = np.asarray(alpha, dtype=np.int64)
-    if policy.rate == 0.0:
+    if rate == 0.0:
         return alpha.copy()
-    return np.stack([modality_dropout(a, policy, rng) for a in alpha])
+    return np.stack([modality_dropout(a, rate, rng) for a in alpha])
 
 
 @dataclass
@@ -389,7 +381,7 @@ def forward_loss(model: FusionModel, batch: FusionBatch) -> tuple[float, float, 
         raise DataError("training mask shows a modality the record does not have")
     h, fuse_tape = fuse(model, batch.embeddings, batch.mask)
     y, head_tape = model.hazard_head.forward(h)
-    cox, d_scores = cox_loss_and_grad(SurvivalBatch(y[:, 0], batch.times, batch.events))
+    cox, d_scores = cox_loss_and_grad(y[:, 0], batch.times, batch.events)
     fwd = BatchForward(fuse_tape, head_tape, d_scores)
     recon = 0.0
     if model.recon_head is not None:
@@ -465,6 +457,8 @@ def fusion_from_dict(payload: dict, origin: str = "payload") -> FusionModel:
     except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise DataError(f"{origin}: missing or malformed strategy, lam or parts "
                         f"({type(e).__name__}: {e})") from e
+    if not (np.isfinite(lam) and lam >= 0):
+        raise DataError(f"{origin}: lam must be finite and non-negative, not {lam!r}")
     expected = _part_dims(strategy, recon="recon_head" in blobs)
     if set(blobs) != set(expected):
         raise DataError(f"{origin}: parts {sorted(blobs)} do not make a {strategy.kind} model")

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .fusion import (FUSION_KINDS, FusionBatch, FusionStrategy, batch_loss_and_grads,
                      forward_loss, init_fusion_model, recon_loss_and_grad)
 from .nets import init_net, pack
-from .survival import SurvivalBatch, cox_loss_and_grad
+from .survival import cox_loss_and_grad
 from .unimodal import init_encoder
 
 DEFAULT_TOLERANCE = 1e-4
@@ -75,8 +75,8 @@ def _check_cox(rng, instances: int, h: float) -> float:
         events = rng.integers(0, 2, n).astype(np.int64)
         if events.sum() == 0:
             events[int(rng.integers(0, n))] = 1
-        analytic = cox_loss_and_grad(SurvivalBatch(hz, times, events))[1]
-        numeric = _fd_coords(lambda: cox_loss_and_grad(SurvivalBatch(hz, times, events))[0],
+        analytic = cox_loss_and_grad(hz, times, events)[1]
+        numeric = _fd_coords(lambda: cox_loss_and_grad(hz, times, events)[0],
                              hz, np.arange(n), h)
         worst = max(worst, _rel_err(analytic, numeric))
     return worst

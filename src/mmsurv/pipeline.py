@@ -46,7 +46,7 @@ from .cohort import (MODALITIES, N_MODALITIES, Cohort, MissingnessScenario,
                      generate_synthetic, scenario_by_name)
 from .config import TrainConfig, TrainingTrace, fit
 from .errors import ConfigError, DataError, MmsurvError, NumericalError
-from .fusion import (SCORE_CHUNK, DropoutPolicy, FusionBatch, FusionModel,
+from .fusion import (SCORE_CHUNK, FusionBatch, FusionModel,
                      FusionStrategy, batch_loss_and_grads, dropout_masks,
                      fusion_from_dict, fusion_to_dict, init_fusion_model,
                      model_footprint, predict_risk)
@@ -213,14 +213,14 @@ def _fit_fusion(pool: Cohort, config: TrainConfig, cell: ExperimentCell, joint: 
     fusion_grad = grad[:sum(net.params.size for net in parts)]
     encoder_grads = dict(zip(learning_encoders, split(grad[fusion_grad.size:], encoder_nets)))
     opt = OptimizerState(config.optimizer, config.fusion_lr, params)
-    policy = DropoutPolicy(config.dropout_rate if cell.dropout else 0.0)
+    rate = config.dropout_rate if cell.dropout else 0.0
     dropout_rng = np.random.default_rng(dropout_seed)
     alpha, times, events = pool.availability, pool.times, pool.events
 
     def step(idx):
         tapes = {}
         emb = encode(encoders, pool, idx, tapes)
-        mask = dropout_masks(alpha[idx], policy, dropout_rng)
+        mask = dropout_masks(alpha[idx], rate, dropout_rng)
         batch = FusionBatch(emb, alpha[idx], mask, times[idx], events[idx])
         total, _, _, _, dx = batch_loss_and_grads(model, batch, fusion_grad)
         for m, net in learning_encoders.items():
@@ -279,7 +279,7 @@ def evaluate(predictor: SurvivalPredictor, test: Cohort, scenario: MissingnessSc
     plan = rank_plan(risks, times, events)  # one plan for the point c-index and the resamples
     ci = concordance_index(risks, times, events, plan)
     rng = np.random.default_rng(np.random.SeedSequence([_BOOT_SALT, seed]))
-    stats = bootstrap_concordance(risks, times, events, bootstrap, rng, plan)
+    stats = bootstrap_concordance(plan, bootstrap, rng)
     std = float(np.std(stats, ddof=1)) if stats.size >= 2 else None
     return EvalResult(float(ci), std, len(applied), n_dropped, int(stats.size))
 

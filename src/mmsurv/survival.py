@@ -1,5 +1,10 @@
 """Cox partial-likelihood loss and concordance evaluation.
 
+Every entry point takes outcomes as three aligned 1-d arrays, scores, times
+and events, under one rule: the scores must be finite (else a
+NumericalError), the times finite and positive and the events 0 or 1 (else
+a DataError), the same rule a cohort applies to its records.
+
 The loss is the negative Cox partial log-likelihood over one batch, with
 risk sets formed inside the batch: for an event at time t_i the risk set is
 every sample j with t_j >= t_i, ties included (Breslow handling, tied events
@@ -33,20 +38,18 @@ the prefix sums are read in ascending positions.
 The ranks, the sort orders and the search positions form a rank plan that
 depends only on the set. A bootstrap resample differs from the full set only
 in how many times each row occurs, its multiplicity vector w. So the
-bootstrap builds the plan once and counts each resample from w: per bit level
-one prefix sum of w in the plan's sort order, read at the search positions,
-gives weighted concordant and tied counts, and one prefix sum in time order
-gives the comparable pairs. A resample then costs O(n log n) time instead of
+bootstrap takes the plan of the set and counts each resample from w: per
+bit level one prefix sum of w in the plan's sort order, read at the search
+positions, gives weighted concordant and tied counts, and one prefix sum in
+time order gives the comparable pairs. A resample then costs O(n log n) time instead of
 the O(n log^2 n) of ranking it again, the counts stay exact integers, and
 every resample's c-index is the same float a call on the resampled rows
 returns. Resamples are drawn and counted BOOT_CHUNK at a time, in
 O(BOOT_CHUNK * n) memory. A single c-index is the same plan counted at unit
 weights, where each prefix sum is its position, so a c-index and a bootstrap
-of one set can share the plan that ``rank_plan`` builds.
+of one set share the plan that ``rank_plan`` builds.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,49 +59,37 @@ BOOT_CHUNK = 64  # bootstrap resamples drawn and counted together; memory O(BOOT
 COX_CHUNK = 256  # event rows whose risk sets are built together; memory O(COX_CHUNK * n)
 
 
-@dataclass
-class SurvivalBatch:
-    """Aligned hazards, times, and event indicators for one batch."""
-
-    hazards: np.ndarray
-    times: np.ndarray
-    events: np.ndarray
-
-    def __post_init__(self):
-        self.hazards = np.asarray(self.hazards, dtype=np.float64)
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.events = np.asarray(self.events, dtype=np.float64)
-        n = self.hazards.shape[0]
-        if self.hazards.ndim != 1 or self.times.shape != (n,) or self.events.shape != (n,):
-            raise DataError("hazards, times, and events must be aligned 1-d arrays")
-        if n == 0:
-            raise DataError("empty batch")
-        if not np.isfinite(self.hazards).all():
-            raise NumericalError("non-finite hazard scores")
-        if not np.isfinite(self.times).all() or (self.times <= 0).any():
-            raise DataError("survival times must be finite and positive")
-        if not np.isin(self.events, (0.0, 1.0)).all():
-            raise DataError("event indicators must be 0 or 1")
-
-    @property
-    def n(self) -> int:
-        return self.hazards.shape[0]
+def _outcomes(scores, times, events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one input check of the survival math, as float64 arrays."""
+    scores = np.asarray(scores, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=np.float64)
+    if scores.ndim != 1 or times.shape != scores.shape or events.shape != scores.shape:
+        raise DataError("scores, times, and events must be aligned 1-d arrays")
+    if not np.isfinite(scores).all():
+        raise NumericalError("non-finite scores")
+    if not np.isfinite(times).all() or (times <= 0).any():
+        raise DataError("survival times must be finite and positive")
+    if not np.isin(events, (0.0, 1.0)).all():
+        raise DataError("event indicators must be 0 or 1")
+    return scores, times, events
 
 
-def cox_loss_and_grad(batch: SurvivalBatch) -> tuple[float, np.ndarray]:
+def cox_loss_and_grad(hazards: np.ndarray, times: np.ndarray,
+                      events: np.ndarray) -> tuple[float, np.ndarray]:
     """Negative Cox partial log-likelihood of one batch and its gradient
     with respect to each hazard score, from one pass over the risk sets."""
-    is_event = batch.events == 1.0
+    hazards, times, events = _outcomes(hazards, times, events)
+    is_event = events == 1.0
     if not is_event.any():
         raise DataError("batch has no events, Cox loss undefined")
-    event_times = batch.times[is_event]
+    event_times = times[is_event]
     lse = np.empty(event_times.size)
     total = None
     for start in range(0, event_times.size, COX_CHUNK):
         rows = slice(start, start + COX_CHUNK)
         # hazards over each event's risk set {j : t_j >= t_event}, -inf elsewhere
-        scores = np.where(batch.times[None, :] >= event_times[rows, None],
-                          batch.hazards[None, :], -np.inf)
+        scores = np.where(times[None, :] >= event_times[rows, None], hazards[None, :], -np.inf)
         mx = scores.max(axis=1)
         expd = np.exp(scores - mx[:, None])
         sums = expd.sum(axis=1)
@@ -109,10 +100,10 @@ def cox_loss_and_grad(batch: SurvivalBatch) -> tuple[float, np.ndarray]:
         else:
             # the running sum heads the block, so rows keep adding in one sequential order
             total = np.add.reduce(np.concatenate([total[None], weights]), axis=0)
-    loss = float(-(batch.hazards[is_event] - lse).sum())
+    loss = float(-(hazards[is_event] - lse).sum())
     if not np.isfinite(loss):
         raise NumericalError("non-finite Cox loss")
-    grad = -batch.events + total
+    grad = -events + total
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite Cox gradient")
     return loss, grad
@@ -121,20 +112,8 @@ def cox_loss_and_grad(batch: SurvivalBatch) -> tuple[float, np.ndarray]:
 def has_comparable_pair(times: np.ndarray, events: np.ndarray) -> bool:
     """Whether a c-index is defined for these outcomes: some event precedes some time."""
     times = np.asarray(times, dtype=np.float64)
-    known = ~np.isnan(times)
-    event_times = times[known & (np.asarray(events) == 1.0)]
-    return event_times.size > 0 and bool(times[known].max() > event_times.min())
-
-
-def _outcomes(risks, times, events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    risks = np.asarray(risks, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=np.float64)
-    if risks.ndim != 1 or times.shape != risks.shape or events.shape != risks.shape:
-        raise DataError("risks, times, and events must be aligned 1-d arrays")
-    if not np.isfinite(risks).all():
-        raise NumericalError("non-finite risk scores")
-    return risks, times, events
+    event_times = times[np.asarray(events) == 1.0]
+    return event_times.size > 0 and bool(times.max() > event_times.min())
 
 
 class _RankPlan:
@@ -149,19 +128,16 @@ class _RankPlan:
     """
 
     def __init__(self, risks: np.ndarray, times: np.ndarray, events: np.ndarray):
-        rows = np.flatnonzero(~np.isnan(times))  # a NaN time compares false with everything
-        t = np.unique(times[rows], return_inverse=True)[1].astype(np.int64, copy=False)
-        risk_values, r = np.unique(risks[rows], return_inverse=True)
+        t = np.unique(times, return_inverse=True)[1].astype(np.int64, copy=False)
+        risk_values, r = np.unique(risks, return_inverse=True)
         # one key per row: the time rank above the risk rank's bits, so clearing
         # a level's low time bits leaves a key that sorts by (block, risk rank)
         risk_bits = int(risk_values.size).bit_length()
         z = (t << risk_bits) | r
-        by_time = np.argsort(t, kind="stable")
-        event = by_time[events[rows][by_time] == 1.0]  # in time order, so searches run ahead
-        z_event = z[event]
-        self.by_time = rows[by_time]
-        self.event_rows = rows[event]
-        self.later = np.cumsum(np.bincount(t))[t[event]]  # time-order position of the next time
+        self.by_time = np.argsort(t, kind="stable")
+        self.event_rows = self.by_time[events[self.by_time] == 1.0]  # in time order, so searches run ahead
+        z_event = z[self.event_rows]
+        self.later = np.cumsum(np.bincount(t))[t[self.event_rows]]  # time-order position of the next time
         self.levels = []
         for k in range(int(t.max()).bit_length() if t.size else 0):
             bit = 1 << (risk_bits + k)
@@ -175,7 +151,7 @@ class _RankPlan:
             by_key = key.argsort()
             key = key[by_key]
             start = key & ~((bit << 1) - 1)  # first key of the row's block
-            self.levels.append((rows[high[order]], self.event_rows[low[by_key]],
+            self.levels.append((high[order], self.event_rows[low[by_key]],
                                 upper.searchsorted(start, side="left"),
                                 upper.searchsorted(key, side="left"),
                                 upper.searchsorted(key, side="right")))
@@ -214,8 +190,8 @@ class _RankPlan:
 
 
 def rank_plan(risks: np.ndarray, times: np.ndarray, events: np.ndarray) -> _RankPlan:
-    """The rank plan of one set of outcomes, for ``concordance_index`` and
-    ``bootstrap_concordance`` calls on that same set to share."""
+    """The rank plan of one set of outcomes, for ``concordance_index`` on
+    that same set to share with ``bootstrap_concordance``."""
     return _RankPlan(*_outcomes(risks, times, events))
 
 
@@ -235,23 +211,17 @@ def concordance_index(risks: np.ndarray, times: np.ndarray, events: np.ndarray,
     return float((concordant + 0.5 * tied) / comparable)
 
 
-def bootstrap_concordance(risks: np.ndarray, times: np.ndarray, events: np.ndarray,
-                          resamples: int, rng: np.random.Generator,
-                          plan: _RankPlan | None = None) -> np.ndarray:
-    """c-index of each bootstrap resample that has a comparable pair, in draw order.
+def bootstrap_concordance(plan: _RankPlan, resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """c-index of each bootstrap resample of ``plan``'s set that has a comparable pair, in draw order.
 
     Each resample is its own ``rng.integers(0, n, size=n)`` call, in order,
     so the stream is that of a loop over resamples by construction rather
     than through how numpy fills one (chunk, n) array. Each value equals
-    ``concordance_index`` on the resampled rows. ``plan`` is as for
-    ``concordance_index``.
+    ``concordance_index`` on the resampled rows.
     """
-    risks, times, events = _outcomes(risks, times, events)
     if resamples <= 0:
         return np.empty(0)
-    n = risks.size
-    if plan is None:
-        plan = _RankPlan(risks, times, events)
+    n = plan.by_time.size
     stats = []
     for first in range(0, resamples, BOOT_CHUNK):
         chunk = min(BOOT_CHUNK, resamples - first)

@@ -28,7 +28,7 @@ from .errors import DataError
 from .fusion import SCORE_CHUNK
 from .nets import (DenseNet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step,
                    pack, read_json, split, write_json)
-from .survival import SurvivalBatch, cox_loss_and_grad
+from .survival import cox_loss_and_grad
 
 ENCODER_HIDDEN = 64
 CHECKPOINT_FORMAT = "unimodal-v1"
@@ -71,7 +71,7 @@ def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) ->
     def step(idx):
         emb, tape_e = encoder.forward(x[idx])
         f, tape_h = head.forward(emb)
-        loss, d_scores = cox_loss_and_grad(SurvivalBatch(f[:, 0], times[idx], events[idx]))
+        loss, d_scores = cox_loss_and_grad(f[:, 0], times[idx], events[idx])
         _, d_emb = head.backward(tape_h, d_scores[:, None], g_head)
         encoder.backward(tape_e, d_emb, g_enc)
         optimizer_step(params, grad, opt)

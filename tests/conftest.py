@@ -183,31 +183,31 @@ def bootstrap_loop(risks, times, events, resamples: int, rng) -> list:
     return stats
 
 
-def cox_loss_unchunked(batch) -> float:
+def cox_loss_unchunked(hazards, times, events) -> float:
     """Reference Cox loss: every event row's risk set in one (events x n) matrix.
 
     The arithmetic of the Cox loss before it built risk sets a chunk of
     event rows at a time.
     """
-    f = batch.hazards
-    at_risk = batch.times[None, :] >= batch.times[:, None]
-    event_rows = batch.events == 1.0
+    f = hazards
+    at_risk = times[None, :] >= times[:, None]
+    event_rows = events == 1.0
     scores = np.where(at_risk[event_rows], f[None, :], -np.inf)
     mx = scores.max(axis=1)
     lse = mx + np.log(np.exp(scores - mx[:, None]).sum(axis=1))
     return float(-(f[event_rows] - lse).sum())
 
 
-def cox_loss_grad_unchunked(batch) -> np.ndarray:
+def cox_loss_grad_unchunked(hazards, times, events) -> np.ndarray:
     """Reference Cox gradient over one (events x n) matrix, as ``cox_loss_unchunked``."""
-    f = batch.hazards
-    at_risk = batch.times[None, :] >= batch.times[:, None]
-    event_rows = batch.events == 1.0
+    f = hazards
+    at_risk = times[None, :] >= times[:, None]
+    event_rows = events == 1.0
     scores = np.where(at_risk[event_rows], f[None, :], -np.inf)
     mx = scores.max(axis=1)
     expd = np.exp(scores - mx[:, None])
     weights = expd / expd.sum(axis=1, keepdims=True)
-    return -batch.events + weights.sum(axis=0)
+    return -events + weights.sum(axis=0)
 
 
 def recon_loss_two_pass(decoded, targets, alpha) -> float:

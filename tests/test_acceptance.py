@@ -20,12 +20,12 @@ import pytest
 from mmsurv.cli import main
 from mmsurv.cohort import scenario_by_name
 from mmsurv.config import TrainConfig
-from mmsurv.fusion import (DropoutPolicy, FusionStrategy, init_fusion_model,
-                           modality_dropout, model_footprint, recon_loss_and_grad)
+from mmsurv.fusion import (FusionStrategy, init_fusion_model, modality_dropout, model_footprint,
+                           recon_loss_and_grad)
 from mmsurv.gradcheck import run_gradient_checks
 from mmsurv.pipeline import (ExperimentCell, default_synthetic_pair, evaluate,
                              train_cell, train_stage1_encoders)
-from mmsurv.survival import SurvivalBatch, concordance_index, cox_loss_and_grad
+from mmsurv.survival import concordance_index, cox_loss_and_grad
 
 
 # ── criterion 1: analytic gradients vs central finite differences ────────────
@@ -66,11 +66,11 @@ def test_criterion_2_cox_loss_matches_enumeration():
         if events.sum() == 0:
             events[int(rng.integers(n))] = 1.0
         hazards = rng.uniform(-3.0, 3.0, size=n)
-        ours = cox_loss_and_grad(SurvivalBatch(hazards, times, events))[0]
+        ours = cox_loss_and_grad(hazards, times, events)[0]
         direct = _cox_by_enumeration(hazards, times, events)
         assert abs(ours - direct) <= 1e-9, f"trial {trial}: {ours} vs {direct}"
         shift = float(rng.uniform(-20.0, 20.0))
-        shifted = cox_loss_and_grad(SurvivalBatch(hazards + shift, times, events))[0]
+        shifted = cox_loss_and_grad(hazards + shift, times, events)[0]
         assert abs(shifted - ours) <= 1e-10, f"trial {trial}: shift {shift}"
 
 
@@ -162,13 +162,12 @@ def test_criterion_5_dropout_marginals_match_exact_law():
                       for m in range(4)])
 
     rng = np.random.default_rng(505)
-    policy = DropoutPolicy(rate=rate)
     full = np.ones(4, dtype=np.int64)
     draws = 1_000_000
     counts = np.zeros(4)
     all_dropped = 0
     for _ in range(draws):
-        keep = modality_dropout(full, policy, rng)
+        keep = modality_dropout(full, rate, rng)
         if not keep.any():
             all_dropped += 1
         counts += keep

@@ -56,7 +56,7 @@ def fill(nets, values) -> None:
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(FUSION_KINDS), recon=st.booleans(), with_encoders=st.booleans(),
-       seed=st.integers(0, 2**31 - 1), lam=finite,
+       seed=st.integers(0, 2**31 - 1), lam=st.floats(min_value=0.0, allow_infinity=False),
        values=st.lists(finite, min_size=1, max_size=40))
 def test_predictor_checkpoints_round_trip_bit_exactly(tmp_path_factory, kind, recon, with_encoders,
                                                       seed, lam, values):

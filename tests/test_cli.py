@@ -309,12 +309,16 @@ def test_eval_rejects_a_damaged_checkpoint_with_exit_two(tmp_path, capsys):
     del no_strategy["fusion"]["strategy"]
     wrong_width = json.loads(json.dumps(good))
     wrong_width["fusion"]["strategy"]["embed_dim"] = 16  # fused width 64, the head takes 128
-    for payload in (no_strategy, wrong_width):
+    # json reads NaN and Infinity literals; no trainer writes them, nor a negative lam
+    bad_lams = [json.loads(json.dumps(good)) for _ in range(3)]
+    for payload, lam in zip(bad_lams, (float("nan"), float("inf"), -5.0)):
+        payload["fusion"]["lam"] = lam
+    for payload in (no_strategy, wrong_width, *bad_lams):
         path = tmp_path / "damaged.json"
         path.write_text(json.dumps(payload))
         assert run("eval", "--model", path, "--data", test, "--seed", 1, "--bootstrap", 0) == 2
         err = capsys.readouterr().err
-        assert "data error" in err and "Traceback" not in err
+        assert "data error" in err and "damaged.json" in err and "Traceback" not in err
 
 
 def _stage1_dir(path, schema):

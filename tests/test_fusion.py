@@ -13,7 +13,7 @@ from conftest import (finite_diff_grad, recon_loss_grad_two_pass, recon_loss_two
                       tensor_product_einsum)
 from mmsurv.cohort import DEFAULT_SCHEMA, MODALITIES, Cohort, ModalityId, embedding_schema
 from mmsurv.errors import ConfigError, DataError, NumericalError
-from mmsurv.fusion import (DropoutPolicy, FusionBatch, FusionStrategy, batch_loss_and_grads,
+from mmsurv.fusion import (FusionBatch, FusionStrategy, batch_loss_and_grads,
                            SCORE_CHUNK, dropout_masks, forward_loss, fuse, fusion_from_dict, fusion_to_dict,
                            init_fusion_model, modality_dropout, model_footprint, predict_hazard,
                            recon_loss_and_grad, tensor_product)
@@ -41,7 +41,7 @@ def make_batch(rng, n, embed_dim, full_mask=False, with_dropout=False):
                 break
         mask = alpha.copy()
         if with_dropout:
-            mask = modality_dropout(alpha, DropoutPolicy(0.4), rng)
+            mask = modality_dropout(alpha, 0.4, rng)
         for m in MODALITIES:
             if alpha[m]:
                 embeddings[i, m] = rng.normal(size=embed_dim)
@@ -98,8 +98,8 @@ def test_dropout_at_zero_rate_is_identity():
     mask = np.array([1, 0, 1, 1])
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    assert modality_dropout(mask, DropoutPolicy(0.0), rng).tolist() == [1, 0, 1, 1]
-    assert dropout_masks(np.array([mask, [0, 1, 0, 0]]), DropoutPolicy(0.0), rng).tolist() == [
+    assert modality_dropout(mask, 0.0, rng).tolist() == [1, 0, 1, 1]
+    assert dropout_masks(np.array([mask, [0, 1, 0, 0]]), 0.0, rng).tolist() == [
         [1, 0, 1, 1], [0, 1, 0, 0]]
     assert rng.bit_generator.state == state
 
@@ -108,19 +108,29 @@ def test_dropout_single_present_modality_always_survives():
     mask = np.array([0, 0, 1, 0])
     rng = np.random.default_rng(1)
     for _ in range(200):
-        assert modality_dropout(mask, DropoutPolicy(0.9), rng).tolist() == [0, 0, 1, 0]
+        assert modality_dropout(mask, 0.9, rng).tolist() == [0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+def test_dropout_rejects_a_rate_outside_zero_to_one(rate):
+    # rate 1 would hide every modality on every draw and redraw forever
+    mask = np.array([1, 0, 1, 1])
+    with pytest.raises(ConfigError):
+        modality_dropout(mask, rate, np.random.default_rng(0))
+    with pytest.raises(ConfigError):
+        dropout_masks(np.array([mask]), rate, np.random.default_rng(0))
 
 
 def test_dropout_rejects_empty_mask():
     with pytest.raises(DataError):
-        modality_dropout(np.zeros(4), DropoutPolicy(0.5), np.random.default_rng(0))
+        modality_dropout(np.zeros(4), 0.5, np.random.default_rng(0))
 
 
 def test_dropout_never_returns_empty_and_never_revives():
     rng = np.random.default_rng(2)
     mask = np.array([1, 0, 1, 1])
     for _ in range(5000):
-        out = modality_dropout(mask, DropoutPolicy(0.6), rng)
+        out = modality_dropout(mask, 0.6, rng)
         assert out.sum() >= 1
         assert out[1] == 0
         assert np.all(out <= mask)
@@ -130,16 +140,16 @@ def test_dropout_marginals_match_exact_enumeration():
     rng = np.random.default_rng(3)
     for mask in (np.array([1, 1, 1, 1]), np.array([1, 0, 1, 1])):
         expected = dropout_marginals_oracle(mask, 0.5)
-        draws = np.stack([modality_dropout(mask, DropoutPolicy(0.5), rng) for _ in range(100_000)])
+        draws = np.stack([modality_dropout(mask, 0.5, rng) for _ in range(100_000)])
         observed = draws.mean(axis=0)
         assert np.abs(observed - expected).max() < 0.01
 
 
 def test_dropout_deterministic_given_rng_state():
     mask = np.array([1, 1, 1, 1])
-    a = [modality_dropout(mask, DropoutPolicy(0.5), np.random.default_rng(7)).tolist()
+    a = [modality_dropout(mask, 0.5, np.random.default_rng(7)).tolist()
          for _ in range(1)]
-    b = [modality_dropout(mask, DropoutPolicy(0.5), np.random.default_rng(7)).tolist()
+    b = [modality_dropout(mask, 0.5, np.random.default_rng(7)).tolist()
          for _ in range(1)]
     assert a == b
 
@@ -594,7 +604,8 @@ def test_fusion_checkpoint_round_trip_bit_exact(tmp_path, kind, recon):
 
 
 @pytest.mark.parametrize("damage", ["no strategy", "bad kind", "no hazard head", "extra part",
-                                    "narrow head", "widths disagree", "bad lam"])
+                                    "narrow head", "widths disagree", "bad lam", "nan lam",
+                                    "infinite lam", "negative lam"])
 def test_fusion_checkpoint_rejects_missing_keys_and_wrong_widths(damage):
     payload = fusion_to_dict(init_fusion_model(small_strategy("tensor"), seed=27, recon=True))
     parts, spec = payload["parts"], payload["strategy"]
@@ -610,10 +621,12 @@ def test_fusion_checkpoint_rejects_missing_keys_and_wrong_widths(damage):
         parts["hazard_head"] = fusion_to_dict(init_fusion_model(small_strategy("mean"), seed=27))["parts"]["hazard_head"]
     elif damage == "widths disagree":
         spec["reduced_dim"] = 4  # fused width 625, the heads were saved for 256
-    else:
+    elif damage == "bad lam":
         payload["lam"] = "one"
-    with pytest.raises(DataError):
-        fusion_from_dict(payload)
+    else:  # values json reads but no trainer writes
+        payload["lam"] = {"nan lam": float("nan"), "infinite lam": float("inf"), "negative lam": -5.0}[damage]
+    with pytest.raises(DataError, match="^checkpoint: "):
+        fusion_from_dict(payload, origin="checkpoint")
 
 
 def test_fusion_strategy_rejects_unknown_kind():

@@ -198,11 +198,12 @@ def test_evaluate_builds_one_rank_plan_and_equals_the_separate_calls(mean_predic
     applied = apply_scenario(test, scenario)
     risks = predictor.risk_scores(applied)
     rng = np.random.default_rng(np.random.SeedSequence([_BOOT_SALT, 11]))
-    stats = survival.bootstrap_concordance(risks, applied.times, applied.events, bootstrap, rng)
+    stats = survival.bootstrap_concordance(survival.rank_plan(risks, applied.times, applied.events),
+                                           bootstrap, rng)
     expected = EvalResult(survival.concordance_index(risks, applied.times, applied.events),
                           float(np.std(stats, ddof=1)) if stats.size >= 2 else None,
                           len(applied), len(test) - len(applied), int(stats.size))
-    assert len(built) == (3 if bootstrap else 2)  # the separate calls build a plan each
+    assert len(built) == 3  # the separate calls build a plan each
     assert result == expected
     assert np.float64(result.cindex).view(np.int64) == np.float64(expected.cindex).view(np.int64)
     assert (result.std is None) == (bootstrap == 0)

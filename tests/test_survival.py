@@ -12,8 +12,8 @@ from conftest import (bootstrap_loop, cindex_pairwise, cox_loss_grad_unchunked, 
                       finite_diff_grad)
 from mmsurv import survival
 from mmsurv.errors import DataError, NumericalError
-from mmsurv.survival import (BOOT_CHUNK, COX_CHUNK, SurvivalBatch, bootstrap_concordance,
-                             concordance_index, cox_loss_and_grad, has_comparable_pair)
+from mmsurv.survival import (BOOT_CHUNK, COX_CHUNK, bootstrap_concordance, concordance_index,
+                             cox_loss_and_grad, has_comparable_pair, rank_plan)
 
 
 def cox_loss_enumerated(hazards, times, events) -> float:
@@ -58,14 +58,13 @@ def random_batch(rng, n, with_ties=False):
 
 
 def test_cox_loss_single_event_is_exactly_zero():
-    b = SurvivalBatch(np.array([123.456]), np.array([1.0]), np.array([1.0]))
-    assert cox_loss_and_grad(b)[0] == 0.0
+    assert cox_loss_and_grad(np.array([123.456]), np.array([1.0]), np.array([1.0]))[0] == 0.0
 
 
 def test_cox_loss_matches_hand_enumeration_on_worked_example():
-    b = SurvivalBatch(np.array([0.5, -0.2, 0.3]), np.array([2.0, 5.0, 9.0]),
-                      np.array([1.0, 1.0, 0.0]))
-    assert cox_loss_and_grad(b)[0] == pytest.approx(1.813623188045052, abs=1e-12)
+    loss = cox_loss_and_grad(np.array([0.5, -0.2, 0.3]), np.array([2.0, 5.0, 9.0]),
+                             np.array([1.0, 1.0, 0.0]))[0]
+    assert loss == pytest.approx(1.813623188045052, abs=1e-12)
 
 
 def test_cox_loss_matches_enumeration_on_random_batches():
@@ -73,9 +72,8 @@ def test_cox_loss_matches_enumeration_on_random_batches():
     for _ in range(100):
         n = int(rng.integers(1, 21))
         hazards, times, events = random_batch(rng, n, with_ties=bool(rng.integers(2)))
-        batch = SurvivalBatch(hazards, times, events)
         expected = cox_loss_enumerated(hazards, times, events)
-        assert abs(cox_loss_and_grad(batch)[0] - expected) < 1e-9
+        assert abs(cox_loss_and_grad(hazards, times, events)[0] - expected) < 1e-9
 
 
 def test_cox_loss_shift_invariant():
@@ -84,15 +82,15 @@ def test_cox_loss_shift_invariant():
         n = int(rng.integers(2, 21))
         hazards, times, events = random_batch(rng, n)
         c = rng.uniform(-20.0, 20.0)
-        base = cox_loss_and_grad(SurvivalBatch(hazards, times, events))[0]
-        shifted = cox_loss_and_grad(SurvivalBatch(hazards + c, times, events))[0]
+        base = cox_loss_and_grad(hazards, times, events)[0]
+        shifted = cox_loss_and_grad(hazards + c, times, events)[0]
         assert abs(base - shifted) < 1e-10
 
 
 def test_cox_loss_survives_large_scores():
-    b = SurvivalBatch(np.array([500.0, 480.0, 490.0]), np.array([1.0, 2.0, 3.0]),
-                      np.array([1.0, 1.0, 1.0]))
-    assert np.isfinite(cox_loss_and_grad(b)[0])
+    loss = cox_loss_and_grad(np.array([500.0, 480.0, 490.0]), np.array([1.0, 2.0, 3.0]),
+                             np.array([1.0, 1.0, 1.0]))[0]
+    assert np.isfinite(loss)
 
 
 def test_cox_loss_event_terms_are_nonnegative():
@@ -107,14 +105,15 @@ def test_cox_loss_event_terms_are_nonnegative():
             single = cox_loss_enumerated(hazards, times, only_i)
             assert single >= -1e-12
             loss_total += single
-        loss = cox_loss_and_grad(SurvivalBatch(hazards, times, events))[0]
+        loss = cox_loss_and_grad(hazards, times, events)[0]
         assert abs(loss_total - loss) < 1e-9
 
 
 def test_cox_loss_requires_an_event():
     with pytest.raises(DataError):
-        cox_loss_and_grad(SurvivalBatch(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
-                                        np.array([0.0, 0.0])))
+        cox_loss_and_grad(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.0, 0.0]))
+    with pytest.raises(DataError):
+        cox_loss_and_grad(np.array([]), np.array([]), np.array([]))
 
 
 def test_cox_grad_matches_finite_differences():
@@ -122,22 +121,22 @@ def test_cox_grad_matches_finite_differences():
     for _ in range(50):
         n = int(rng.integers(2, 16))
         hazards, times, events = random_batch(rng, n, with_ties=bool(rng.integers(2)))
-        analytic = cox_loss_and_grad(SurvivalBatch(hazards, times, events))[1]
+        analytic = cox_loss_and_grad(hazards, times, events)[1]
         numeric = finite_diff_grad(
-            lambda f: cox_loss_and_grad(SurvivalBatch(f, times, events))[0], hazards, h=1e-5)
+            lambda f: cox_loss_and_grad(f, times, events)[0], hazards, h=1e-5)
         scale = max(np.abs(numeric).max(), 1e-8)
         assert np.abs(analytic - numeric).max() / scale < 1e-6
 
 
 def test_cox_grad_single_uncensored_sample_is_zero():
-    g = cox_loss_and_grad(SurvivalBatch(np.array([3.3]), np.array([2.0]), np.array([1.0])))[1]
+    g = cox_loss_and_grad(np.array([3.3]), np.array([2.0]), np.array([1.0]))[1]
     assert np.allclose(g, 0.0, atol=1e-15)
 
 
 def test_cox_grad_sums_to_zero_when_all_tied_events():
     rng = np.random.default_rng(104)
     hazards = rng.normal(size=7)
-    g = cox_loss_and_grad(SurvivalBatch(hazards, np.full(7, 4.0), np.ones(7)))[1]
+    g = cox_loss_and_grad(hazards, np.full(7, 4.0), np.ones(7))[1]
     assert abs(g.sum()) < 1e-12
 
 
@@ -146,7 +145,7 @@ def random_cox_batch(rng, n, n_times, scale):
     times = rng.integers(1, n_times + 1, size=n).astype(float)
     events = (rng.random(n) < 0.6).astype(float)
     events[rng.integers(n)] = 1.0
-    return SurvivalBatch(rng.normal(size=n) * scale, times, events)
+    return rng.normal(size=n) * scale, times, events
 
 
 @settings(max_examples=150, deadline=None)
@@ -160,31 +159,31 @@ def test_chunked_cox_equals_the_unchunked_matrices(n, chunk, n_times, scale, see
     batch = random_cox_batch(np.random.default_rng(seed), n, n_times, scale)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(survival, "COX_CHUNK", chunk)
-        loss, grad = cox_loss_and_grad(batch)
-    assert loss == cox_loss_unchunked(batch)
-    assert np.array_equal(grad, cox_loss_grad_unchunked(batch))
+        loss, grad = cox_loss_and_grad(*batch)
+    assert loss == cox_loss_unchunked(*batch)
+    assert np.array_equal(grad, cox_loss_grad_unchunked(*batch))
 
 
 def test_cox_at_the_default_chunk_equals_the_unchunked_matrices():
     rng = np.random.default_rng(105)
     for n_events in (COX_CHUNK, COX_CHUNK + 1, 2 * COX_CHUNK + 1):
         events = rng.permutation(np.r_[np.ones(n_events), np.zeros(20)])
-        batch = SurvivalBatch(rng.normal(size=events.size),
-                              rng.integers(1, 50, size=events.size).astype(float), events)
-        loss, grad = cox_loss_and_grad(batch)
-        assert loss == cox_loss_unchunked(batch)
-        assert np.array_equal(grad, cox_loss_grad_unchunked(batch))
+        batch = (rng.normal(size=events.size), rng.integers(1, 50, size=events.size).astype(float),
+                 events)
+        loss, grad = cox_loss_and_grad(*batch)
+        assert loss == cox_loss_unchunked(*batch)
+        assert np.array_equal(grad, cox_loss_grad_unchunked(*batch))
 
 
 def test_cox_of_10k_records_stays_in_chunk_memory():
     # one (events x n) float matrix alone would take about 380 MiB here
     rng = np.random.default_rng(106)
     n = 10_000
-    batch = SurvivalBatch(rng.normal(size=n), rng.uniform(1.0, 5000.0, size=n),
-                          (rng.random(n) < 0.5).astype(float))
+    hazards, times = rng.normal(size=n), rng.uniform(1.0, 5000.0, size=n)
+    events = (rng.random(n) < 0.5).astype(float)
     tracemalloc.start()
     try:
-        loss, grad = cox_loss_and_grad(batch)
+        loss, grad = cox_loss_and_grad(hazards, times, events)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -340,11 +339,10 @@ chunk_edges = st.sampled_from([1, BOOT_CHUNK - 1, BOOT_CHUNK, BOOT_CHUNK + 1, 2 
 @example((np.array([1.0, 0.0, 0.0]), np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0])), 129, 5)  # n = 3
 @example((np.array([1.0, 1.0, 0.0, 0.0]), np.array([1.0, 1.0, 3.0, 3.0]),
           np.array([1.0, 1.0, 0.0, 0.0])), 65, 6)  # every row twice
-@example((np.array([1.0, 0.5, 0.0]), np.array([1.0, np.nan, 3.0]), np.array([1.0, 1.0, 0.0])), 64, 7)
 def test_bootstrap_equals_the_per_resample_loop(case, resamples, seed):
     risks, times, events = case
     expected = bootstrap_loop(risks, times, events, resamples, np.random.default_rng(seed))
-    got = bootstrap_concordance(risks, times, events, resamples, np.random.default_rng(seed))
+    got = bootstrap_concordance(rank_plan(risks, times, events), resamples, np.random.default_rng(seed))
     assert got.tolist() == expected
     if len(expected) >= 2:
         assert np.std(got, ddof=1) == np.std(expected, ddof=1)
@@ -355,7 +353,7 @@ def test_bootstrap_leaves_the_rng_where_the_loop_leaves_it():
     risks, times, events = rng.normal(size=37), rng.uniform(1, 9, size=37), np.ones(37)
     loop_rng, counted_rng = np.random.default_rng(5), np.random.default_rng(5)
     bootstrap_loop(risks, times, events, 2 * BOOT_CHUNK + 3, loop_rng)
-    bootstrap_concordance(risks, times, events, 2 * BOOT_CHUNK + 3, counted_rng)
+    bootstrap_concordance(rank_plan(risks, times, events), 2 * BOOT_CHUNK + 3, counted_rng)
     assert loop_rng.integers(0, 2**62) == counted_rng.integers(0, 2**62)
 
 
@@ -366,18 +364,16 @@ def test_bootstrap_equals_the_loop_on_larger_tied_sets():
         risks = np.round(rng.normal(size=n) * n_risks / 4) / 8
         events = (rng.random(n) < 0.6).astype(float)
         expected = bootstrap_loop(risks, times, events, resamples, np.random.default_rng(n))
-        got = bootstrap_concordance(risks, times, events, resamples, np.random.default_rng(n))
+        got = bootstrap_concordance(rank_plan(risks, times, events), resamples, np.random.default_rng(n))
         assert got.tolist() == expected
 
 
-def test_bootstrap_checks_its_inputs_and_draws_nothing_for_zero_resamples():
+def test_bootstrap_of_zero_resamples_draws_nothing():
+    # a plan's inputs are checked where it is built, by rank_plan
     rng = np.random.default_rng(113)
-    with pytest.raises(DataError):
-        bootstrap_concordance(np.zeros((3, 1)), np.ones(3), np.ones(3), 5, rng)
-    with pytest.raises(NumericalError):
-        bootstrap_concordance(np.array([0.0, np.inf]), np.array([1.0, 2.0]), np.ones(2), 5, rng)
     state = rng.bit_generator.state
-    assert bootstrap_concordance(np.zeros(3), np.array([1.0, 2.0, 3.0]), np.ones(3), 0, rng).size == 0
+    plan = rank_plan(np.zeros(3), np.array([1.0, 2.0, 3.0]), np.ones(3))
+    assert bootstrap_concordance(plan, 0, rng).size == 0
     assert rng.bit_generator.state == state
 
 
@@ -390,7 +386,7 @@ def test_bootstrap_of_20k_records_stays_in_chunk_memory():
     events = (rng.random(n) < 0.7).astype(float)
     tracemalloc.start()
     try:
-        stats = bootstrap_concordance(risks, times, events, 1000, np.random.default_rng(0))
+        stats = bootstrap_concordance(rank_plan(risks, times, events), 1000, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -456,7 +452,6 @@ def assert_plan_counts_equal_the_unsorted_reference(risks, times, events, rng):
 
 @settings(max_examples=200, deadline=None)
 @given(outcomes().filter(lambda case: case[0].size > 0), st.integers(min_value=0, max_value=2**32 - 1))
-@example((np.array([1.0, 0.5, 0.0]), np.array([1.0, np.nan, 3.0]), np.array([1.0, 1.0, 0.0])), 0)  # NaN time
 def test_sorted_key_plan_counts_equal_the_unsorted_reference(case, seed):
     assert_plan_counts_equal_the_unsorted_reference(*case, np.random.default_rng(seed))
 
@@ -470,10 +465,27 @@ def test_sorted_key_plan_counts_equal_the_unsorted_reference_on_larger_sets():
         assert_plan_counts_equal_the_unsorted_reference(risks, times, events, rng)
 
 
-def test_batch_validation_rejects_bad_inputs():
-    with pytest.raises(DataError):
-        SurvivalBatch(np.array([1.0]), np.array([-1.0]), np.array([1.0]))
-    with pytest.raises(DataError):
-        SurvivalBatch(np.array([1.0]), np.array([1.0]), np.array([2.0]))
-    with pytest.raises(DataError):
-        SurvivalBatch(np.array([]), np.array([]), np.array([]))
+# one valid set, then each defect of the outcome contract applied to it
+OUTCOMES = (np.array([1.0, 0.5, 0.0]), np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 0.0]))
+DEFECTS = {
+    "nan time": (DataError, lambda r, t, e: (r, np.array([1.0, np.nan, 3.0]), e)),
+    "infinite time": (DataError, lambda r, t, e: (r, np.array([1.0, np.inf, 3.0]), e)),
+    "zero time": (DataError, lambda r, t, e: (r, np.array([0.0, 2.0, 3.0]), e)),
+    "negative time": (DataError, lambda r, t, e: (r, np.array([1.0, -2.0, 3.0]), e)),
+    "event code 2": (DataError, lambda r, t, e: (r, t, np.array([1.0, 2.0, 0.0]))),
+    "event code 0.5": (DataError, lambda r, t, e: (r, t, np.array([1.0, 0.5, 0.0]))),
+    "misaligned": (DataError, lambda r, t, e: (r, t[:2], e)),
+    "2-d": (DataError, lambda r, t, e: (r[:, None], t[:, None], e[:, None])),
+    "nan score": (NumericalError, lambda r, t, e: (np.array([1.0, np.nan, 0.0]), t, e)),
+    "infinite score": (NumericalError, lambda r, t, e: (np.array([1.0, -np.inf, 0.0]), t, e)),
+}
+
+
+@pytest.mark.parametrize("entry", [cox_loss_and_grad, concordance_index, rank_plan],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_every_entry_point_applies_the_one_outcome_contract(entry, defect):
+    entry(*OUTCOMES)  # the valid set passes, with a comparable pair and an event
+    error, damage = DEFECTS[defect]
+    with pytest.raises(error):
+        entry(*damage(*OUTCOMES))
