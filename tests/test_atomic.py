@@ -1,14 +1,17 @@
 """Interrupted writes: a save that fails part-way leaves the target as it was.
 
-Every file writer (predictor and stage-1 checkpoints, cohort CSV, schema
-sidecar, training trace, ``eval --out`` JSON and the three ablation report
-files) writes through ``atomic.atomic_write``. The tests here make the file
-object raise half-way through the characters of a save, once the first half
-is written, and check that every file under the test directory still holds
-its old bytes, or is still absent if it was new, and that no temporary file
-is left beside it. The report writer's target is a directory holding
-``report.csv``, ``report.json`` and ``report.md``; its failure comes while
-the CSV is written, so none of the three changes.
+Every file writer (predictor and stage-1 checkpoints, cohort CSV and its
+column cache, schema sidecar, training trace, ``eval --out`` JSON and the
+three ablation report files) writes through ``atomic.atomic_write``. The
+tests here make the file object raise half-way through the characters (or
+bytes) of a save, once the first half is written, and check that every file
+under the test directory still holds its old bytes, or is still absent if it
+was new, and that no temporary file is left beside it. The report writer's
+target is a directory holding ``report.csv``, ``report.json`` and
+``report.md``; its failure comes while the CSV is written, so none of the
+three changes. A cohort save writes the CSV and then its cache; a failure in
+the cache leaves the new CSV beside the old cache, which the next load must
+ignore.
 """
 import math
 import os
@@ -16,10 +19,11 @@ import shutil
 
 import pytest
 
+from conftest import cohorts_equal
 from mmsurv import atomic
 from mmsurv.cli import _write_trace, main
 from mmsurv.cohort import (DEFAULT_SCHEMA, ModalityId, ModalitySchema, generate_synthetic,
-                           save_cohort, save_schema)
+                           load_cohort, save_cohort, save_schema)
 from mmsurv.config import TrainingTrace
 from mmsurv.fusion import FusionStrategy, init_fusion_model
 from mmsurv.nets import init_net
@@ -91,7 +95,7 @@ def files(root) -> dict:
 
 
 class FailingFile:
-    """A text file whose ``write`` raises ``error`` once ``budget`` characters have gone through.
+    """A text or binary file whose ``write`` raises ``error`` once ``budget`` characters have gone through.
 
     The write that would cross the budget first puts out its text up to the
     budget, as a write cut short would.
@@ -158,13 +162,36 @@ def test_a_save_replaces_the_target_and_leaves_only_it(tmp_path, name):
     first = files(tmp_path)
     WRITERS[name](str(path), 3)
     second = files(tmp_path)
-    expected = ["out/report.csv", "out/report.json", "out/report.md"] if name == "report" else ["out"]
+    expected = {"report": ["out/report.csv", "out/report.json", "out/report.md"],
+                "cohort": ["out", "out.cache"]}.get(name, ["out"])   # a cohort CSV and its column cache
     assert sorted(first) == sorted(second) == expected
     assert all(second[f] != first[f] for f in expected)
     # the mode is open()'s under the umask, as a direct write's would be
     plain = tmp_path / "plain"
     plain.write_text("")
     assert all(os.stat(tmp_path / f).st_mode == os.stat(plain).st_mode for f in expected)
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_a_cache_write_that_fails_part_way_leaves_a_stale_cache_the_next_load_ignores(tmp_path, monkeypatch,
+                                                                                      error):
+    path = str(tmp_path / "out")
+    write_cohort(path, 2)
+    old_cache = (tmp_path / "out.cache").read_bytes()
+
+    def failing_cache_open(name, *args, **kwargs):
+        fh = open(name, *args, **kwargs)
+        return FailingFile(fh, len(old_cache) // 2, error()) if ".cache." in name else fh
+
+    monkeypatch.setattr(atomic, "open", failing_cache_open, raising=False)
+    with pytest.raises(error):
+        write_cohort(path, 1)
+    monkeypatch.undo()
+    assert sorted(files(tmp_path)) == ["out", "out.cache"]
+    assert (tmp_path / "out.cache").read_bytes() == old_cache   # the old cache beside the new CSV
+    new = generate_synthetic(30, seed=1)
+    assert cohorts_equal(load_cohort(path, DEFAULT_SCHEMA), new)
+    assert (tmp_path / "out.cache").read_bytes() == old_cache   # loading never writes
 
 
 def test_a_save_into_a_missing_directory_names_the_target_and_leaves_nothing(tmp_path):

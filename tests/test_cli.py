@@ -460,7 +460,7 @@ def test_non_finite_learning_rates_and_lam_are_usage_errors(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert re.search(r"^error: .*must be finite", err, re.MULTILINE)
     assert "Traceback" not in err and "RuntimeWarning" not in err
-    assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.csv.schema"]
+    assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.csv.cache", "c.csv.schema"]
 
 
 def test_optimizer_state_rejects_a_non_finite_learning_rate():

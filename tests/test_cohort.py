@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import pickle
 import re
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import Row, cohort_csv_text, cohort_from_rows, cohorts_equal, generate_synthetic_where
+from mmsurv import cohort as cohort_module
 from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, N_MODALITIES, SCENARIOS, Cohort,
                            MissingnessScenario, ModalityId, ModalitySchema, apply_scenario,
                            complete_subset, embedding_schema, generate_synthetic, load_cohort,
@@ -59,6 +61,20 @@ def test_record_validation():
     assert len(complete_subset(c)) == 0
 
 
+def test_absent_rows_must_hold_zeros(tmp_path):
+    cohort = make_cohort(3, presents=[(1, 1, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1)])
+    blocks = [cohort.block(m).copy() for m in MODALITIES]
+    for stray in (5.0, np.nan, -np.inf):
+        blocks[ModalityId.RADIOLOGY][1, 2] = stray
+        with pytest.raises(DataError, match="^record 'r1': radiology marked absent but has feature values$"):
+            Cohort(SMALL_SCHEMA, cohort.ids, cohort.times, cohort.events, cohort.availability, blocks)
+    blocks[ModalityId.RADIOLOGY][1] = -0.0   # a signed zero is still no value: it saves as empty cells
+    signed = Cohort(SMALL_SCHEMA, cohort.ids, cohort.times, cohort.events, cohort.availability, blocks)
+    save_cohort(signed, str(tmp_path / "c.csv"))
+    again = load_cohort(str(tmp_path / "c.csv"), SMALL_SCHEMA)
+    assert cohorts_equal(again, signed) and not np.signbit(again.block(ModalityId.RADIOLOGY)).any()
+
+
 def test_cohort_rejects_duplicate_ids_and_bad_dims():
     records = [make_record("a"), make_record("a")]
     with pytest.raises(DataError):
@@ -99,10 +115,11 @@ def test_save_load_round_trip_exact(tmp_path):
     save_cohort(cohort, str(path))
     again = load_cohort(str(path), SMALL_SCHEMA)
     assert cohorts_equal(cohort, again)
-    # and the reload serializes to identical bytes
+    # and the reload serializes to identical bytes, the column cache too
     path2 = tmp_path / "c2.csv"
     save_cohort(again, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+    assert (tmp_path / "c.csv.cache").read_bytes() == (tmp_path / "c2.csv.cache").read_bytes()
 
 
 # Ids the csv module must quote (a comma, a quote, line breaks), non-ASCII
@@ -588,3 +605,212 @@ def test_byte_edits_of_a_saved_cohort_load_or_raise_data_error(tmp_path, saved_c
         return
     assert len(cohort) >= 1 and cohort.n_events >= 1
     assert np.isfinite(cohort.times).all() and (cohort.times > 0).all()
+
+
+# ── the column cache beside a saved CSV ─────────────────────────────────────
+
+def column_bits(cohort):
+    """Every column of a cohort as dtype, shape and raw bytes: equal only when bit-identical."""
+    columns = [cohort.times, cohort.events, cohort.availability, cohort.ground_truth_risk]
+    columns += [cohort.block(m) for m in MODALITIES]
+    return (cohort.schema, cohort.ids.dtype, cohort.ids.tolist(),
+            [None if c is None else (c.dtype.str, c.shape, c.tobytes()) for c in columns])
+
+
+def load_outcome(path, schema):
+    """The column bits ``load_cohort`` gives, or the message of the ``DataError`` it raises."""
+    try:
+        return column_bits(load_cohort(str(path), schema))
+    except DataError as e:
+        return str(e)
+
+
+def parse_outcome(path, schema):
+    """``load_outcome`` with the cache moved aside for the call."""
+    cache = f"{path}.cache"
+    os.rename(cache, cache + ".aside")
+    try:
+        return load_outcome(path, schema)
+    finally:
+        os.rename(cache + ".aside", cache)
+
+
+def cached_outcome(path, schema, monkeypatch):
+    """``load_outcome`` with the CSV parser made to fail, so only the cache can answer."""
+    def no_parse(*args):
+        raise AssertionError("the cache was not used")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cohort_module, "_read_columns", no_parse)
+        return load_outcome(path, schema)
+
+
+# ids the csv module must quote, alongside any other text
+CACHE_IDS = st.text(st.sampled_from('"\',\r\n x\u00e9\U0001F600')
+                    | st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)
+NANS = [float("nan"), -float("nan"), np.frombuffer(bytes.fromhex("0100000000f0ff7f"), "<f8")[0]]
+
+
+@st.composite
+def cache_cohorts(draw):
+    schema = ModalitySchema(raw_dims=tuple(draw(st.integers(1, 3)) for _ in MODALITIES), embed_dim=2)
+    n = draw(st.integers(1, 8))
+    never = draw(st.none() | st.sampled_from(MODALITIES))   # a modality absent in every row
+    patterns = [p for p in PATTERNS if never is None or not p[never]]
+    availability = np.array([draw(st.sampled_from(patterns)) for _ in range(n)], dtype=np.int64)
+    cell = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+    blocks = []
+    for m in MODALITIES:
+        present = np.array(draw(st.lists(cell, min_size=n * schema.dim(m), max_size=n * schema.dim(m))))
+        absent = draw(st.sampled_from([0.0, -0.0]))   # both are "no value"; the CSV has empty cells
+        blocks.append(np.where(availability[:, m, None] == 1, present.reshape(n, schema.dim(m)), absent))
+    risk = draw(st.none() | st.lists(st.floats() | st.sampled_from(NANS), min_size=n, max_size=n))
+    ids = draw(st.lists(CACHE_IDS, min_size=n, max_size=n, unique=True))
+    times = draw(st.lists(st.floats(1e-3, 1e6) | st.just(5e-324), min_size=n, max_size=n))
+    events = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=n, max_size=n))
+    return Cohort(schema, ids, times, events, availability, blocks, None if risk is None else np.array(risk))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cohort=cache_cohorts())
+def test_a_cached_load_gives_the_bits_of_the_parse(tmp_path, monkeypatch, cohort):
+    path = tmp_path / "c.csv"
+    save_cohort(cohort, str(path))
+    cached = cached_outcome(path, cohort.schema, monkeypatch)
+    assert cached == parse_outcome(path, cohort.schema)
+    assert isinstance(cached, tuple) or cohort.n_events == 0
+
+
+@pytest.fixture(scope="module")
+def cached_pair(tmp_path_factory):
+    """A saved cohort's CSV and cache bytes, and the column bits of its parse."""
+    path = tmp_path_factory.mktemp("cache") / "c.csv"
+    cohort = generate_synthetic(5, seed=8, schema=SMALL_SCHEMA)
+    save_cohort(cohort, str(path))
+    return path.read_bytes(), path.with_name("c.csv.cache").read_bytes(), column_bits(cohort)
+
+
+def write_pair(tmp_path, csv_bytes, cache_bytes):
+    (tmp_path / "c.csv").write_bytes(csv_bytes)
+    (tmp_path / "c.csv.cache").write_bytes(cache_bytes)
+    return tmp_path / "c.csv"
+
+
+def test_the_fixture_cache_is_used(tmp_path, monkeypatch, cached_pair):
+    csv_bytes, cache_bytes, bits = cached_pair
+    assert cached_outcome(write_pair(tmp_path, csv_bytes, cache_bytes), SMALL_SCHEMA, monkeypatch) == bits
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pos=st.integers(0, 10**6), byte=st.integers(0, 255))
+def test_a_one_byte_edit_of_the_cache_never_changes_the_load(tmp_path, cached_pair, pos, byte):
+    csv_bytes, cache_bytes, bits = cached_pair
+    edited = bytearray(cache_bytes)
+    edited[pos % len(edited)] = byte
+    assert load_outcome(write_pair(tmp_path, csv_bytes, bytes(edited)), SMALL_SCHEMA) == bits
+
+
+def test_a_truncated_cache_never_changes_the_load(tmp_path, cached_pair):
+    csv_bytes, cache_bytes, bits = cached_pair
+    for end in range(len(cache_bytes)):
+        assert load_outcome(write_pair(tmp_path, csv_bytes, cache_bytes[:end]), SMALL_SCHEMA) == bits
+    assert load_outcome(write_pair(tmp_path, csv_bytes, cache_bytes + b"\0"), SMALL_SCHEMA) == bits
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pos=st.integers(0, 10**6), byte=st.integers(0, 255))
+def test_a_one_byte_edit_of_the_csv_loads_as_its_parse(tmp_path, cached_pair, pos, byte):
+    csv_bytes, cache_bytes, _ = cached_pair
+    edited = bytearray(csv_bytes)
+    edited[pos % len(edited)] = byte
+    path = write_pair(tmp_path, bytes(edited), cache_bytes)
+    assert load_outcome(path, SMALL_SCHEMA) == parse_outcome(path, SMALL_SCHEMA)
+
+
+def test_a_truncated_csv_loads_as_its_parse(tmp_path, cached_pair):
+    csv_bytes, cache_bytes, _ = cached_pair
+    for end in range(len(csv_bytes)):
+        path = write_pair(tmp_path, csv_bytes[:end], cache_bytes)
+        assert load_outcome(path, SMALL_SCHEMA) == parse_outcome(path, SMALL_SCHEMA)
+
+
+def test_a_cache_for_other_widths_gives_way_to_the_parse(tmp_path):
+    cohort = make_cohort()
+    path = tmp_path / "c.csv"
+    save_cohort(cohort, str(path))
+    with pytest.raises(DataError, match="header does not match schema"):
+        load_cohort(str(path), ModalitySchema(raw_dims=(3, 2, 4, 3), embed_dim=5))
+    # the CSV does not record the embedding width, so the parse accepts another one
+    other = ModalitySchema(raw_dims=SMALL_SCHEMA.raw_dims, embed_dim=7)
+    assert load_outcome(path, other) == parse_outcome(path, other)
+
+
+def test_a_cache_that_is_not_a_regular_file_is_passed_over(tmp_path):
+    cohort = make_cohort()
+    path = tmp_path / "c.csv"
+    save_cohort(cohort, str(path))
+    os.unlink(f"{path}.cache")
+    os.mkfifo(f"{path}.cache")   # opening a FIFO for reading would wait for a writer
+    assert cohorts_equal(load_cohort(str(path), SMALL_SCHEMA), cohort)
+    os.unlink(f"{path}.cache")
+    os.mkdir(f"{path}.cache")
+    assert cohorts_equal(load_cohort(str(path), SMALL_SCHEMA), cohort)
+
+
+def test_ids_that_are_not_strings_get_no_cache(tmp_path):
+    cohort = make_cohort(3)
+    numbered = Cohort(SMALL_SCHEMA, np.array([np.int64(7), 8, 9.5], dtype=object), cohort.times,
+                      cohort.events, cohort.availability, [cohort.block(m) for m in MODALITIES])
+    path = tmp_path / "c.csv"
+    save_cohort(cohort, str(path))
+    cache = (tmp_path / "c.csv.cache").read_bytes()
+    save_cohort(numbered, str(path))   # the CSV holds the ids' text, which a JSON header cannot give back
+    assert (tmp_path / "c.csv.cache").read_bytes() == cache
+    assert load_cohort(str(path), SMALL_SCHEMA).ids.tolist() == ["7", "8", "9.5"]
+
+
+def listing(root):
+    return {name: (root / name).read_bytes() if (root / name).is_file() else None
+            for name in sorted(os.listdir(root))}
+
+
+def test_a_load_never_writes(tmp_path):
+    path = tmp_path / "c.csv"
+    save_cohort(make_cohort(), str(path))
+    before = listing(tmp_path)
+    load_cohort(str(path), SMALL_SCHEMA)   # through the cache
+    assert listing(tmp_path) == before
+    with pytest.raises(DataError):
+        load_cohort(str(path), ModalitySchema(raw_dims=(1, 1, 1, 1)))
+    assert listing(tmp_path) == before
+    path.write_bytes(path.read_bytes().replace(b"r1,2.0", b"r1,0.0"))   # the cache no longer matches
+    before = listing(tmp_path)
+    with pytest.raises(DataError, match="record 'r1': survival time"):
+        load_cohort(str(path), SMALL_SCHEMA)
+    assert listing(tmp_path) == before
+    os.unlink(f"{path}.cache")
+    with pytest.raises(DataError, match="record 'r1': survival time"):
+        load_cohort(str(path), SMALL_SCHEMA)
+    assert sorted(os.listdir(tmp_path)) == ["c.csv"]
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_cached_load_hold_no_payload_wide_buffer(tmp_path):
+    cohort = generate_synthetic(4000, seed=1, missing_rate=(0.0,) * 4)
+    path = str(tmp_path / "c.csv")
+    columns = sum(cohort.block(m).nbytes for m in MODALITIES) + 3 * cohort.times.nbytes  # times, events, risk
+    save_peak, _ = traced_peak(save_cohort, cohort, path)
+    assert os.path.getsize(path + ".cache") > columns > 3 * 2**20
+    assert save_peak < 1.5 * 2**20   # the CSV writer's row lists; the cache goes out in 64 KiB chunks
+    load_peak, loaded = traced_peak(load_cohort, path, cohort.schema)
+    assert cohorts_equal(loaded, cohort)
+    # the columns themselves, the int64 availability and ids, one 1 MiB CSV chunk and small change
+    assert load_peak < columns + cohort.availability.nbytes + 2 * 2**20
