@@ -124,11 +124,15 @@ def _row_error(ids, times, events, availability, blocks) -> str | None:
     """The message of the first record, in row order, that fails the record checks."""
     if not len(ids):
         return None
-    checks = [(ids == "", lambda rid: "record id must be non-empty"),
+    checks = [(np.array([not isinstance(rid, str) for rid in ids.tolist()]),
+               lambda rid: f"record id {rid!r} must be a str"),
+              (ids == "", lambda rid: "record id must be non-empty"),
               (~np.isfinite(times) | (times <= 0),
                lambda rid: f"record {rid!r}: survival time must be finite and positive"),
               ((events != 0) & (events != 1), lambda rid: f"record {rid!r}: event must be 0 or 1")]
+    bad_flag = (availability != 0) & (availability != 1)
     for m in MODALITIES:
+        checks.append((bad_flag[:, m], lambda rid, m=m: f"record {rid!r}: {m.label}_present must be 0 or 1"))
         absent = availability[:, m] == 0
         if absent.any():   # one reduction over the block; gathering the absent rows would copy them
             checks.append((absent & blocks[m].any(axis=1), lambda rid, m=m:
@@ -147,12 +151,12 @@ def _row_error(ids, times, events, availability, blocks) -> str | None:
 class Cohort:
     """A schema, one read-only column per field, and (for synthetic data) the true risks.
 
-    ``ids`` (object), ``times`` and ``events`` (float64) are (n,) arrays,
-    ``availability`` is the (n, 4) int64 matrix of 0/1 flags, ``blocks``
-    lists one (n, width) float64 block per modality, zero in the rows where
-    ``availability`` is 0, and ``ground_truth_risk`` is an (n,) array or
-    None. Arrays of the right dtype are kept, not copied, and made
-    read-only. Every record is checked, vectorized, by ``_row_error``, and
+    ``ids`` (object, each a ``str``), ``times`` and ``events`` (float64)
+    are (n,) arrays, ``availability`` is the (n, 4) int64 matrix of 0/1
+    flags, ``blocks`` lists one (n, width) float64 block per modality, zero
+    in the rows where ``availability`` is 0, and ``ground_truth_risk`` is an
+    (n,) array or None. Arrays of the right dtype are kept, not copied, and
+    made read-only. Every record is checked, vectorized, by ``_row_error``, and
     duplicate ids are rejected.
     """
 
@@ -162,21 +166,22 @@ class Cohort:
         n = len(ids)
         times = np.asarray(times, dtype=np.float64)
         events = np.asarray(events, dtype=np.float64)
-        availability = np.asarray(availability, dtype=np.int64)
+        flags = np.asarray(availability)
         blocks = tuple(np.asarray(b, dtype=np.float64) for b in blocks)
         if (ids.shape != (n,) or times.shape != (n,) or events.shape != (n,)
-                or availability.shape != (n, N_MODALITIES) or len(blocks) != N_MODALITIES
+                or flags.shape != (n, N_MODALITIES) or len(blocks) != N_MODALITIES
                 or any(b.shape != (n, schema.dim(m)) for m, b in zip(MODALITIES, blocks))):
             raise DataError(f"cohort columns must align with {n} records and the schema widths")
-        columns = [ids, times, events, availability, *blocks]
         if ground_truth_risk is not None:
             ground_truth_risk = np.asarray(ground_truth_risk, dtype=np.float64)
             if ground_truth_risk.shape != (n,):
                 raise DataError("ground_truth_risk must align with records")
-            columns.append(ground_truth_risk)
-        error = _row_error(ids, times, events, availability, blocks)
+        error = _row_error(ids, times, events, flags, blocks)   # as given: the cast makes 1.5 a 1
         if error:
             raise DataError(error)
+        availability = flags.astype(np.int64, copy=False)
+        columns = [ids, times, events, availability, *blocks]
+        columns += [ground_truth_risk] if ground_truth_risk is not None else []
         if len(set(ids.tolist())) < n:
             _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
             repeat = np.flatnonzero(first[inverse] != np.arange(n))[0]
@@ -419,13 +424,9 @@ def _write_cache(cohort: Cohort, path: str, csv_bytes: int, csv_crc: int) -> Non
     and the risk column (``<f8``), each as the parse reads it: absent rows
     +0.0, flags and events 0/1, and every NaN risk the one ``float("nan")``
     gives. It is streamed twice, for the CRC and then into the file, with
-    blocks in row chunks, so no payload-wide buffer is built. A cohort with
-    an id that is not a ``str`` gets no cache, as its parse gives the id's
-    text; an older cache beside the CSV then no longer matches it.
+    blocks in row chunks, so no payload-wide buffer is built.
     """
     ids = cohort.ids.tolist()
-    if not all(isinstance(rid, str) for rid in ids):
-        return
     head = {"format": _CACHE_FORMAT, "csv_bytes": csv_bytes, "csv_crc32": csv_crc,
             "raw_dims": list(cohort.schema.raw_dims), "embed_dim": cohort.schema.embed_dim,
             "n": len(ids), "with_risk": cohort.ground_truth_risk is not None, "ids": ids}

@@ -28,8 +28,9 @@ reconstruction loss compares decoded embeddings against the originally
 available ones, dropout mask ignored, so the model is pushed to rebuild
 exactly what it was shown before hiding. Its normalizer is the total count
 of available modality instances in the batch. Like the Cox loss, it returns
-its value and its gradient from one pass, and the forward half of a
-training step keeps both gradients for the backward half.
+its value and its gradient from one pass, and one training step,
+``batch_loss_and_grads``, runs the forward pass, both losses and the
+backward pass in one body.
 
 All gradients are hand-derived, including the backward pass through the
 four-way outer product, which contracts the fused gradient against the
@@ -282,22 +283,6 @@ def fuse_backward(model: FusionModel, tape: FuseTape, dh: np.ndarray, body_grads
     return dx
 
 
-def predict_hazard(model: FusionModel, h: np.ndarray) -> np.ndarray:
-    """Hazard score of each row of an (n, fused_dim) block."""
-    y, _ = model.hazard_head.forward(h)
-    return y[:, 0]
-
-
-def predict_risk(model: FusionModel, embeddings: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Hazard score per row of an (n, 4, embed) block: ``fuse``, then the hazard head.
-
-    Runs on all the rows it is given; the scoring loop hands it one block
-    of at most SCORE_CHUNK rows at a time.
-    """
-    h, _ = fuse(model, embeddings, mask)
-    return predict_hazard(model, h)
-
-
 def recon_loss_and_grad(decoded: np.ndarray, targets: np.ndarray,
                         alpha: np.ndarray) -> tuple[float, np.ndarray]:
     """Availability-masked reconstruction loss over one batch and its gradient
@@ -354,49 +339,9 @@ def dropout_masks(alpha: np.ndarray, rate: float, rng) -> np.ndarray:
     return np.stack([modality_dropout(a, rate, rng) for a in alpha])
 
 
-@dataclass
-class BatchForward:
-    """The forward half of a training step, kept for the backward half.
-
-    ``d_scores`` and ``d_decoded`` are the total loss's gradients with
-    respect to the hazard scores and the (n, 4, embed) decoded block.
-    """
-
-    fuse_tape: FuseTape
-    head_tape: list
-    d_scores: np.ndarray
-    recon_tape: list | None = None
-    d_decoded: np.ndarray | None = None
-
-    def net_tapes(self, model: FusionModel) -> list:
-        """(network, tape) of every network of the pass through ``model``, hazard head first."""
-        runs = [(model.hazard_head, self.head_tape)]
-        runs += [(model.body[m], t) for m, (_, t) in self.fuse_tape.net_tapes.items()]
-        return runs + ([(model.recon_head, self.recon_tape)] if self.recon_tape is not None else [])
-
-
-def forward_loss(model: FusionModel, batch: FusionBatch) -> tuple[float, float, float, BatchForward]:
-    """Forward a batch; returns (total, cox, recon, forward record)."""
-    if (batch.mask > batch.alpha).any():
-        raise DataError("training mask shows a modality the record does not have")
-    h, fuse_tape = fuse(model, batch.embeddings, batch.mask)
-    y, head_tape = model.hazard_head.forward(h)
-    cox, d_scores = cox_loss_and_grad(y[:, 0], batch.times, batch.events)
-    fwd = BatchForward(fuse_tape, head_tape, d_scores)
-    recon = 0.0
-    if model.recon_head is not None:
-        flat, fwd.recon_tape = model.recon_head.forward(h)
-        decoded = flat.reshape(len(h), N_MODALITIES, model.strategy.embed_dim)
-        recon, d_decoded = recon_loss_and_grad(decoded, batch.embeddings, batch.alpha)
-        fwd.d_decoded = model.lam * d_decoded
-    total = cox + model.lam * recon
-    if not np.isfinite(total):
-        raise NumericalError("non-finite total loss")
-    return total, cox, recon, fwd
-
-
 def batch_loss_and_grads(model: FusionModel, batch: FusionBatch, grad: np.ndarray | None = None):
-    """One full training step's worth of math, no parameter updates.
+    """One training step's math, no parameter updates: the mask check, ``fuse``,
+    the hazard head and any decoder, both losses and the backward pass.
 
     Returns (total, cox, recon, parameter gradient, (n, 4, embed) input
     gradient). The parameter gradient is written into ``grad``, a vector in
@@ -405,17 +350,29 @@ def batch_loss_and_grads(model: FusionModel, batch: FusionBatch, grad: np.ndarra
     treated as constants, gradients flow into the decoder and the fused
     representation but not through the target side.
     """
-    total, cox, recon, fwd = forward_loss(model, batch)
+    if (batch.mask > batch.alpha).any():
+        raise DataError("training mask shows a modality the record does not have")
+    h, fuse_tape = fuse(model, batch.embeddings, batch.mask)
+    y, head_tape = model.hazard_head.forward(h)
+    cox, d_scores = cox_loss_and_grad(y[:, 0], batch.times, batch.events)
+    recon = 0.0
+    if model.recon_head is not None:
+        flat, recon_tape = model.recon_head.forward(h)
+        decoded = flat.reshape(len(h), N_MODALITIES, model.strategy.embed_dim)
+        recon, d_decoded = recon_loss_and_grad(decoded, batch.embeddings, batch.alpha)
+        d_decoded = model.lam * d_decoded
+    total = cox + model.lam * recon
+    if not np.isfinite(total):
+        raise NumericalError("non-finite total loss")
     nets = [net for _, net in model.parts()]
     if grad is None:
         grad = np.empty(sum(net.params.size for net in nets))
     grads, k = split(grad, nets), len(model.body)  # parts(): k body nets, hazard head, any decoder
-    _, dh = model.hazard_head.backward(fwd.head_tape, fwd.d_scores[:, None], grads[k])
-    if fwd.recon_tape is not None:
-        _, dh_recon = model.recon_head.backward(
-            fwd.recon_tape, fwd.d_decoded.reshape(len(dh), -1), grads[k + 1])
+    _, dh = model.hazard_head.backward(head_tape, d_scores[:, None], grads[k])
+    if model.recon_head is not None:
+        _, dh_recon = model.recon_head.backward(recon_tape, d_decoded.reshape(len(dh), -1), grads[k + 1])
         dh = dh + dh_recon
-    dx = fuse_backward(model, fwd.fuse_tape, dh, grads[:k])
+    dx = fuse_backward(model, fuse_tape, dh, grads[:k])
     return total, cox, recon, grad, dx
 
 

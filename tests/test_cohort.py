@@ -75,6 +75,22 @@ def test_absent_rows_must_hold_zeros(tmp_path):
     assert cohorts_equal(again, signed) and not np.signbit(again.block(ModalityId.RADIOLOGY)).any()
 
 
+def test_availability_flags_must_be_zero_or_one(tmp_path):
+    cohort = make_cohort(2)
+    blocks = [cohort.block(m) for m in MODALITIES]
+    with pytest.raises(DataError, match="^record 'r0': radiology_present must be 0 or 1$"):
+        Cohort(SMALL_SCHEMA, cohort.ids, cohort.times, cohort.events, [[2, 1, 1, 1], [1, -1, 1, 1]], blocks)
+    with pytest.raises(DataError, match="^record 'r1': pathology_present must be 0 or 1$"):
+        Cohort(SMALL_SCHEMA, cohort.ids, cohort.times, cohort.events, [[1, 1, 1, 1], [1, -1, 1, 1]], blocks)
+    with pytest.raises(DataError, match="^record 'r1': genomics_present must be 0 or 1$"):
+        Cohort(SMALL_SCHEMA, cohort.ids, cohort.times, cohort.events, [[1, 1, 1, 1], [1, 1, 1.5, 1]], blocks)
+    path = tmp_path / "c.csv"
+    save_cohort(cohort, str(path))
+    path.write_text(path.read_text().replace("r1,2.0,1,1,", "r1,2.0,1,2,"))
+    with pytest.raises(DataError, match="record 'r1': radiology_present must be 0 or 1$"):
+        load_cohort(str(path), SMALL_SCHEMA)   # the loader's wording
+
+
 def test_cohort_rejects_duplicate_ids_and_bad_dims():
     records = [make_record("a"), make_record("a")]
     with pytest.raises(DataError):
@@ -757,16 +773,12 @@ def test_a_cache_that_is_not_a_regular_file_is_passed_over(tmp_path):
     assert cohorts_equal(load_cohort(str(path), SMALL_SCHEMA), cohort)
 
 
-def test_ids_that_are_not_strings_get_no_cache(tmp_path):
+@pytest.mark.parametrize("bad", [np.int64(7), 9.5, None])
+def test_ids_that_are_not_strings_are_rejected(bad):
     cohort = make_cohort(3)
-    numbered = Cohort(SMALL_SCHEMA, np.array([np.int64(7), 8, 9.5], dtype=object), cohort.times,
-                      cohort.events, cohort.availability, [cohort.block(m) for m in MODALITIES])
-    path = tmp_path / "c.csv"
-    save_cohort(cohort, str(path))
-    cache = (tmp_path / "c.csv.cache").read_bytes()
-    save_cohort(numbered, str(path))   # the CSV holds the ids' text, which a JSON header cannot give back
-    assert (tmp_path / "c.csv.cache").read_bytes() == cache
-    assert load_cohort(str(path), SMALL_SCHEMA).ids.tolist() == ["7", "8", "9.5"]
+    with pytest.raises(DataError, match=f"^{re.escape(f'record id {bad!r} must be a str')}$"):
+        Cohort(SMALL_SCHEMA, np.array(["r0", bad, "r2"], dtype=object), cohort.times, cohort.events,
+               cohort.availability, [cohort.block(m) for m in MODALITIES])
 
 
 def listing(root):

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import (finite_diff_grad, recon_loss_grad_two_pass, recon_loss_two_pass,
                       tensor_product_einsum)
-from mmsurv.cohort import DEFAULT_SCHEMA, MODALITIES, Cohort, ModalityId, embedding_schema
+from mmsurv.cohort import DEFAULT_SCHEMA, MODALITIES, Cohort, ModalityId, ModalitySchema, embedding_schema
 from mmsurv.errors import ConfigError, DataError, NumericalError
 from mmsurv.fusion import (FusionBatch, FusionStrategy, batch_loss_and_grads,
-                           SCORE_CHUNK, dropout_masks, forward_loss, fuse, fusion_from_dict, fusion_to_dict,
-                           init_fusion_model, modality_dropout, model_footprint, predict_hazard,
+                           SCORE_CHUNK, dropout_masks, fuse, fusion_from_dict, fusion_to_dict,
+                           init_fusion_model, modality_dropout, model_footprint,
                            recon_loss_and_grad, tensor_product)
 from mmsurv import fusion
 from mmsurv.nets import OptimizerState, init_net, optimizer_step, pack, split, write_json
@@ -275,8 +275,8 @@ def test_tensor_scoring_over_many_chunks_equals_the_einsum_path():
     table = Cohort(embedding_schema(DEFAULT_SCHEMA), [f"r{i}" for i in range(n)], np.ones(n),
                    np.ones(n), mask.astype(np.int64), [x[:, m] for m in MODALITIES])
     expected = np.concatenate([
-        predict_hazard(model, tensor_product_einsum(fuse(model, x[s:s + SCORE_CHUNK],
-                                                         mask[s:s + SCORE_CHUNK])[1].factors))
+        model.hazard_head.forward(tensor_product_einsum(fuse(model, x[s:s + SCORE_CHUNK],
+                                                             mask[s:s + SCORE_CHUNK])[1].factors))[0][:, 0]
         for s in range(0, n, SCORE_CHUNK)])
     assert np.array_equal(score_records(model, None, table, np.arange(n)), expected)
 
@@ -307,7 +307,7 @@ def test_fuse_rejects_inconsistent_inputs():
     batch = FusionBatch(x, np.array([[1, 0, 0, 0]] * 2), np.array([[1, 1, 0, 0]] * 2),
                         np.array([1.0, 2.0]), np.array([1.0, 0.0]))
     with pytest.raises(DataError):
-        forward_loss(model, batch)  # training mask wider than the availability
+        batch_loss_and_grads(model, batch)  # training mask wider than the availability
 
 
 def rel_close(a, b, tol=1e-12):
@@ -357,12 +357,15 @@ def test_batch_loss_and_grads_is_invariant_to_row_order(kind, recon):
     assert rel_close(p_dx, dx[perm])
 
 
-def test_predict_hazard_zero_head_outputs_zero():
+def test_a_zero_hazard_head_scores_zero():
     model = init_fusion_model(small_strategy("mean"), seed=7)
     for layer in model.hazard_head.layers:
         layer.w[...] = 0.0
         layer.b[...] = 0.0
-    scores = predict_hazard(model, np.ones((3, 8)))
+    x = np.ones((3, 4, 4))
+    table = Cohort(ModalitySchema(raw_dims=(4, 4, 4, 4), embed_dim=4), ["a", "b", "c"], np.ones(3),
+                   np.ones(3), np.ones((3, 4)), [x[:, m] for m in MODALITIES])
+    scores = score_records(model, None, table, np.arange(3))
     assert scores.shape == (3,) and np.all(scores == 0.0)
 
 
@@ -452,11 +455,11 @@ def test_total_loss_combination():
     batch = make_batch(np.random.default_rng(19), 6, embed_dim=4, with_dropout=True)
     for lam in (0.7, 0.0):
         model = init_fusion_model(small_strategy("mean"), seed=20, recon=True, lam=lam)
-        total, cox, recon, _ = forward_loss(model, batch)
+        total, cox, recon, _, _ = batch_loss_and_grads(model, batch)
         assert recon > 1.0 and total == cox + lam * recon
     model = init_fusion_model(small_strategy("mean"), seed=20, recon=True, lam=np.finfo(float).max)
     with pytest.raises(NumericalError, match="non-finite total loss"):
-        forward_loss(model, batch)
+        batch_loss_and_grads(model, batch)
 
 
 # ── end-to-end gradients through each strategy ───────────────────────────────
@@ -473,7 +476,7 @@ def test_fusion_parameter_gradients_match_finite_differences(kind, recon):
 
     def loss_of(p):
         params[...] = p
-        total, _, _, _ = forward_loss(model, batch)
+        total, _, _, _, _ = batch_loss_and_grads(model, batch)
         return total
 
     numeric = finite_diff_grad(loss_of, params.copy(), h=1e-5)
@@ -494,7 +497,7 @@ def test_fusion_embedding_gradients_match_finite_differences(kind):
     def loss_of(vec):
         embeddings = batch.embeddings.copy()
         embeddings[target_sample, target_mod] = vec
-        total, _, _, _ = forward_loss(model, dataclasses.replace(batch, embeddings=embeddings))
+        total, _, _, _, _ = batch_loss_and_grads(model, dataclasses.replace(batch, embeddings=embeddings))
         return total
 
     numeric = finite_diff_grad(loss_of, batch.embeddings[target_sample, target_mod], h=1e-5)

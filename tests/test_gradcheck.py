@@ -1,10 +1,11 @@
 """The finite-difference suite itself: coverage and pass behavior."""
 import numpy as np
+import pytest
 
 from mmsurv.cohort import DEFAULT_SCHEMA, MODALITIES, ModalityId, generate_synthetic
 from mmsurv.config import TrainConfig
-from mmsurv.fusion import FUSION_KINDS
-from mmsurv.gradcheck import _KINK_GUARD, _net_configs, _tape_kink_gap, run_gradient_checks
+from mmsurv.fusion import FUSION_KINDS, FusionBatch, FusionStrategy, init_fusion_model
+from mmsurv.gradcheck import _KINK_GUARD, _net_configs, _pass_tapes, _tape_kink_gap, run_gradient_checks
 from mmsurv.nets import init_net
 from mmsurv.pipeline import ExperimentCell, train_cell
 from mmsurv.unimodal import init_encoder, train_unimodal
@@ -62,3 +63,27 @@ def test_kink_guard_covers_an_encoders_selu_output_layer():
     _, tape = encoder.forward(x)
     assert _tape_kink_gap([(encoder, tape[:-1])]) >= _KINK_GUARD  # the hidden layer is clear
     assert _tape_kink_gap([(encoder, tape)]) < _KINK_GUARD
+
+
+@pytest.mark.parametrize("kind", FUSION_KINDS)
+@pytest.mark.parametrize("recon", [False, True])
+def test_kink_guard_lists_every_network_the_training_pass_runs(kind, recon):
+    # the body nets that saw rows (genomics is hidden everywhere, radiology in
+    # two rows), the hazard head and any decoder, each with its tape
+    rng = np.random.default_rng(8)
+    strategy = FusionStrategy(kind, embed_dim=4, extended_dim=8, reduced_dim=3, extender_hidden=6,
+                              reducer_hidden=5, head_hidden=5, recon_hidden=6)
+    model = init_fusion_model(strategy, 9, recon=recon, lam=0.7)
+    n = 5
+    alpha = np.ones((n, len(MODALITIES)), dtype=np.int64)
+    mask = alpha.copy()
+    mask[:, ModalityId.GENOMICS] = 0
+    mask[:2, ModalityId.RADIOLOGY] = 0
+    batch = FusionBatch(rng.normal(size=(n, len(MODALITIES), 4)), alpha, mask,
+                        rng.exponential(100.0, n) + 1e-3, np.ones(n))
+    expected = [(model.body[m], int(mask[:, m].sum())) for m in model.body if mask[:, m].any()]
+    expected += [(model.hazard_head, n)] + ([(model.recon_head, n)] if recon else [])
+    runs = _pass_tapes(model, batch)
+    assert [id(net) for net, _ in runs] == [id(net) for net, _ in expected]
+    for (net, tape), (_, rows) in zip(runs, expected):
+        assert len(tape) == len(net.layers) and all(z.shape[0] == rows for _, z in tape)

@@ -15,8 +15,7 @@ from conftest import block_cohort
 from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, N_MODALITIES, Cohort, ModalityId,
                            apply_scenario, embedding_schema, generate_synthetic,
                            scenario_by_name)
-from mmsurv.fusion import (SCORE_CHUNK, FusionStrategy, fuse, init_fusion_model,
-                           predict_hazard, tensor_product)
+from mmsurv.fusion import SCORE_CHUNK, FusionStrategy, fuse, init_fusion_model, tensor_product
 from mmsurv import pipeline
 from mmsurv.pipeline import score_records
 from mmsurv.unimodal import _as_run, encode, init_encoder
@@ -61,7 +60,7 @@ def score_scattered(model, nets, cohort, idx, chunk):
     for start in range(0, len(idx), chunk):
         rows = idx[start:start + chunk]
         h = fuse_scattered(model, encode_gathered(nets, cohort, rows), cohort.availability[rows])
-        out[start:start + len(rows)] = predict_hazard(model, h)
+        out[start:start + len(rows)] = model.hazard_head.forward(h)[0][:, 0]
     return out
 
 
