@@ -12,20 +12,21 @@ cohort derived from them (a subset, a scenario view, an embedding table) is
 an array operation.
 
 Columns are the only way in: ``Cohort(schema, ids, times, events,
-availability, blocks)`` is the one constructor, so its vectorized checks are
-the one definition of a valid record. ``Cohort.records`` builds read-only
-``PatientRecord`` rows from the checked columns, on demand, for callers that
-want them one at a time.
+availability, blocks)`` is the one public constructor, so its vectorized
+checks are the one definition of a valid record. Only ``apply_scenario``,
+whose views are valid by construction, builds a cohort without running them
+again. ``Cohort.records`` builds read-only ``PatientRecord`` rows from the
+checked columns, on demand, for callers that want them one at a time.
 
 Files are plain CSV with one row per patient and a presence flag ahead of
 each modality block, plus a small key=value sidecar declaring the block
 widths. Floats are written with repr so a save/load cycle reproduces the
 cohort exactly; absent blocks are empty cells, so a record must hold zeros
-where a modality is absent. Each save also writes ``<csv>.cache``: the
-columns parsing that CSV gives, in binary, with the CSV's length and
-CRC-32. A load uses it only when it provably belongs to the CSV and the
-schema asked for, and parses the CSV otherwise; the CSV stays the data,
-and the cache is safe to delete.
+where a modality is absent. Each save also writes ``<csv>.cache`` through
+``sidecar``: the columns parsing that CSV gives, in binary, with the CSV's
+length and CRC-32. A load uses it only when it provably belongs to the CSV
+and the schema asked for, and parses the CSV otherwise; the CSV stays the
+data, and the cache is safe to delete.
 
 The synthetic generator draws a shared low-dimensional latent state per
 patient, exposes a different noisy linear view of it to each modality, and
@@ -38,12 +39,8 @@ cohorts.
 from __future__ import annotations
 
 import csv
-import functools
 import io
-import json
 import logging
-import os
-import stat
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -52,6 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import sidecar
 from .atomic import atomic_write
 from .errors import ConfigError, DataError
 
@@ -179,14 +177,27 @@ class Cohort:
         error = _row_error(ids, times, events, flags, blocks)   # as given: the cast makes 1.5 a 1
         if error:
             raise DataError(error)
-        availability = flags.astype(np.int64, copy=False)
-        columns = [ids, times, events, availability, *blocks]
-        columns += [ground_truth_risk] if ground_truth_risk is not None else []
         if len(set(ids.tolist())) < n:
             _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
             repeat = np.flatnonzero(first[inverse] != np.arange(n))[0]
             raise DataError(f"duplicate record id {ids[repeat]!r}")
-        for column in columns:
+        self._keep(schema, ids, times, events, flags.astype(np.int64, copy=False), blocks, ground_truth_risk)
+
+    @classmethod
+    def _unchecked(cls, schema, ids, times, events, availability, blocks, ground_truth_risk) -> "Cohort":
+        """A cohort over columns that already have the kept dtypes and shapes and pass the checks.
+
+        Nothing is checked: only derivations that are valid by construction
+        (``apply_scenario``'s views) come this way.
+        """
+        cohort = object.__new__(cls)
+        cohort._keep(schema, ids, times, events, availability, tuple(blocks), ground_truth_risk)
+        return cohort
+
+    def _keep(self, schema, ids, times, events, availability, blocks, ground_truth_risk) -> None:
+        """Make the columns read-only and hold them."""
+        for column in [ids, times, events, availability, *blocks] + [ground_truth_risk] * (
+                ground_truth_risk is not None):
             column.flags.writeable = False
         self.schema, self.ids, self.times, self.events = schema, ids, times, events
         self.availability, self.ground_truth_risk, self._blocks = availability, ground_truth_risk, blocks
@@ -223,15 +234,16 @@ class Cohort:
             raise DataError(f"{context}: cohort has zero observed events")
 
     def subset(self, indices) -> "Cohort":
-        return self._take(np.asarray(indices, dtype=np.intp))
+        """The records at ``indices``, checked again: an index may repeat."""
+        return Cohort(*self._columns(np.asarray(indices, dtype=np.intp)))
 
-    def _take(self, rows, availability=None, blocks=None) -> "Cohort":
-        """The records at ``rows``, optionally over replacement availability and blocks."""
+    def _columns(self, rows, availability=None, blocks=None) -> tuple:
+        """The ``Cohort`` arguments of the records at ``rows``, over any replacement availability and blocks."""
         availability = self.availability if availability is None else availability
         blocks = self._blocks if blocks is None else blocks
         gt = None if self.ground_truth_risk is None else self.ground_truth_risk[rows]
-        return Cohort(self.schema, self.ids[rows], self.times[rows], self.events[rows],
-                      availability[rows], [b[rows] for b in blocks], gt)
+        return (self.schema, self.ids[rows], self.times[rows], self.events[rows],
+                availability[rows], [b[rows] for b in blocks], gt)
 
 
 def complete_subset(cohort: Cohort) -> Cohort:
@@ -272,7 +284,10 @@ def apply_scenario(cohort: Cohort, scenario: MissingnessScenario) -> Cohort:
     """Hide the scenario's modalities; drop records left with none.
 
     Already-absent modalities stay absent, so applying a scenario twice is
-    the same as applying it once.
+    the same as applying it once. The result is not checked again: its ids
+    are a subset of unique ids, the hidden blocks are zeroed whole, and
+    every record kept has a modality left, so it passes ``Cohort``'s checks
+    by construction.
     """
     availability = cohort.availability.copy()
     availability[:, sorted(scenario.drop)] = 0
@@ -282,7 +297,7 @@ def apply_scenario(cohort: Cohort, scenario: MissingnessScenario) -> Cohort:
         log.info("scenario %s removed %d record(s) with no remaining modality", scenario.name, dropped)
     blocks = [np.zeros_like(cohort.block(m)) if m in scenario.drop else cohort.block(m)
               for m in MODALITIES]
-    out = cohort._take(kept if dropped else slice(None), availability, blocks)
+    out = Cohort._unchecked(*cohort._columns(kept if dropped else slice(None), availability, blocks))
     out.require_events(f"scenario {scenario.name!r}")
     return out
 
@@ -354,7 +369,7 @@ def save_cohort(cohort: Cohort, path: str) -> None:
             data = line.encode("utf-8")
             crc, size = zlib.crc32(data, crc), size + len(data)
             fh.write(data)
-    _write_cache(cohort, path + ".cache", size, crc)
+    _write_cache(cohort, path, size, crc)
 
 
 def _csv_lines(cohort: Cohort):
@@ -409,40 +424,32 @@ def load_cohort(path: str, schema: ModalitySchema) -> Cohort:
 
 
 _CACHE_FORMAT = "mmsurv-cohort-columns/1"
-_READ_CHUNK = 1 << 20    # bytes per read of the CSV
 _WRITE_CHUNK = 1 << 16   # about the bytes per block write; 1 MiB chunks raised eval-large peak RSS 0.6 MB
 
 
 def _write_cache(cohort: Cohort, path: str, csv_bytes: int, csv_crc: int) -> None:
-    """Write the columns a parse of the cohort's CSV gives, as one JSON line and raw bytes.
+    """Write the columns a parse of the cohort's CSV at ``path`` gives, as its ``sidecar``.
 
-    The header line holds the format tag, the CSV's byte length and CRC-32,
-    the schema widths, the record count, whether a risk column follows, the
-    ids, and ``crc32``: the CRC-32 of the other fields (as ``json.dumps``
-    with sorted keys writes them) followed by the payload. The payload is
-    times and events (``<f8``), availability (``uint8``), the four blocks
-    and the risk column (``<f8``), each as the parse reads it: absent rows
-    +0.0, flags and events 0/1, and every NaN risk the one ``float("nan")``
-    gives. It is streamed twice, for the CRC and then into the file, with
-    blocks in row chunks, so no payload-wide buffer is built.
+    The header holds the format tag, the CSV's byte length and CRC-32, the
+    schema widths, the record count, whether a risk column follows and the
+    ids, in sorted key order (``crc32`` first), as the format's first writer
+    laid them out. The payload is times and events (``<f8``), availability
+    (``uint8``), the four blocks and the risk column (``<f8``), each as the
+    parse reads it: absent rows +0.0, flags and events 0/1, and every NaN
+    risk the one ``float("nan")`` gives. Blocks go out in row chunks.
     """
     ids = cohort.ids.tolist()
-    head = {"format": _CACHE_FORMAT, "csv_bytes": csv_bytes, "csv_crc32": csv_crc,
-            "raw_dims": list(cohort.schema.raw_dims), "embed_dim": cohort.schema.embed_dim,
-            "n": len(ids), "with_risk": cohort.ground_truth_risk is not None, "ids": ids}
-    crc = zlib.crc32(json.dumps(head, sort_keys=True).encode())
-    for chunk in _cache_payload(cohort):
-        crc = zlib.crc32(chunk, crc)
-    with atomic_write(path, binary=True) as fh:
-        fh.write(json.dumps({**head, "crc32": crc}, sort_keys=True).encode() + b"\n")
-        for chunk in _cache_payload(cohort):
-            fh.write(chunk)
+    sidecar.write(path, {"csv_bytes": csv_bytes, "csv_crc32": csv_crc, "embed_dim": cohort.schema.embed_dim,
+                         "format": _CACHE_FORMAT, "ids": ids, "n": len(ids),
+                         "raw_dims": list(cohort.schema.raw_dims),
+                         "with_risk": cohort.ground_truth_risk is not None},
+                  lambda: _cache_payload(cohort))
 
 
 def _cache_payload(cohort: Cohort):
     """The cache payload in file order, as byte views."""
     def raw(column, dtype="<f8"):
-        return memoryview(np.ascontiguousarray(column, dtype=dtype)).cast("B")
+        return np.ascontiguousarray(column, dtype=dtype).reshape(-1).view(np.uint8)
 
     present = cohort.availability != 0
     yield raw(cohort.times)
@@ -458,63 +465,27 @@ def _cache_payload(cohort: Cohort):
         yield raw(np.where(np.isnan(risk), np.nan, risk))
 
 
-def _nonblocking(path: str, flags: int) -> int:
-    """``open``'s opener for the cache: a FIFO in its place opens without waiting for a writer."""
-    return os.open(path, flags | os.O_NONBLOCK)
-
-
 def _cached_columns(path: str, schema: ModalitySchema) -> tuple | None:
     """The ``Cohort`` arguments in the cache beside ``path``, or None unless it provably matches.
 
-    The cache is used only if it is a regular file (a FIFO in its place
-    never blocks the load), its tag and widths match ``schema``, the CSV's
-    length and CRC-32, read in 1 MiB chunks, are the recorded ones, and
-    the payload has the recorded length and CRC-32 with nothing after it.
-    The arrays are read straight into the columns. Any failed check or
-    read error returns None, so the caller parses the CSV: a bad cache
-    never raises. Threat model: the CRCs catch edits and truncation of
-    either file and a CSV copied over the one the cache was written for;
-    they do not stop someone who can write the cache file anyway.
+    ``sidecar.read`` checks the cache against the CSV; its widths must also
+    be ``schema``'s and its ids one ``str`` per record.
     """
-    try:
-        with open(path + ".cache", "rb", opener=_nonblocking) as fh, open(path, "rb") as csv_fh:
-            info = os.fstat(fh.fileno())
-            csv_bytes = os.fstat(csv_fh.fileno()).st_size
-            if not stat.S_ISREG(info.st_mode):
-                return None
-            line = fh.readline(_READ_CHUNK + 6 * csv_bytes)   # a CSV byte of an id is at most 6 JSON bytes
-            head = json.loads(line) if line.endswith(b"\n") else None
-            if not isinstance(head, dict) or [head.get(k) for k in (
-                    "format", "raw_dims", "embed_dim", "csv_bytes")] != [
-                    _CACHE_FORMAT, list(schema.raw_dims), schema.embed_dim, csv_bytes]:
-                return None
-            crc32 = head.pop("crc32", None)
-            n, with_risk, ids = head.get("n"), head.get("with_risk"), head.get("ids")
-            if (type(n) is not int or type(with_risk) is not bool or type(ids) is not list
-                    or len(ids) != n or not all(type(rid) is str for rid in ids)
-                    or info.st_size != len(line) + n * (16 + N_MODALITIES + 8 * sum(schema.raw_dims)
-                                                        + 8 * with_risk)):
-                return None
-            crc = size = 0
-            for chunk in iter(functools.partial(csv_fh.read, _READ_CHUNK), b""):
-                crc, size = zlib.crc32(chunk, crc), size + len(chunk)
-            if (size, crc) != (csv_bytes, head.get("csv_crc32")):
-                return None
-            crc = zlib.crc32(json.dumps(head, sort_keys=True).encode())
-            times, events = np.empty(n, "<f8"), np.empty(n, "<f8")
-            present = np.empty((n, N_MODALITIES), np.uint8)
-            blocks = [np.empty((n, schema.dim(m)), "<f8") for m in MODALITIES]
-            risk = np.empty(n, "<f8") if with_risk else None
-            for column in [times, events, present, *blocks] + [risk] * with_risk:
-                view = memoryview(column).cast("B")
-                if fh.readinto(view) != len(view):
-                    return None
-                crc = zlib.crc32(view, crc)
-            if crc != crc32 or fh.read(1):
-                return None
-    except (OSError, ValueError, RecursionError):
+    def layout(head):
+        n, with_risk, ids = head.get("n"), head.get("with_risk"), head.get("ids")
+        if ([head.get("raw_dims"), head.get("embed_dim")] != [list(schema.raw_dims), schema.embed_dim]
+                or type(n) is not int or type(with_risk) is not bool or type(ids) is not list
+                or len(ids) != n or not all(type(rid) is str for rid in ids)):
+            return None
+        return ([("<f8", (n,))] * 2 + [(np.uint8, (n, N_MODALITIES))]
+                + [("<f8", (n, d)) for d in schema.raw_dims] + [("<f8", (n,))] * with_risk)
+
+    cached = sidecar.read(path, _CACHE_FORMAT, "csv", layout)
+    if cached is None:
         return None
-    return np.array(ids, dtype=object), times, events, present.astype(np.int64), blocks, risk
+    head, (times, events, present, *rest) = cached
+    risk = rest.pop() if head["with_risk"] else None
+    return np.array(head["ids"], dtype=object), times, events, present.astype(np.int64), rest, risk
 
 
 def _read_columns(path: str, reader, schema: ModalitySchema) -> tuple:

@@ -26,25 +26,38 @@ as array views, and ``write_json`` writes a payload with the bytes of
 ``json.dumps`` while it converts each array ``WRITE_CHUNK`` floats at a time,
 so a save holds one slice's Python floats and text, not the whole
 checkpoint's. It writes through ``atomic.atomic_write``, so an interrupted
-save leaves the previous file in place.
+save leaves the previous file in place. Each save also writes
+``<json>.cache`` (see ``sidecar``): the payload with every array replaced by
+a marker, then the arrays as raw ``<f8``, with the JSON's length and CRC-32.
+``read_json`` answers from it only when it provably belongs to the JSON,
+with the parse's bits, and parses the JSON otherwise; the JSON stays the
+checkpoint, and the sidecar is safe to delete. Either way the payload goes
+through the same ``net_from_dict`` checks.
 """
 from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import sidecar
 from .atomic import atomic_write
 from .errors import ConfigError, DataError, NumericalError
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
-ACTIVATIONS = ("relu", "selu", "tanh", "identity")
+ACTIVATIONS = ("relu", "selu", "identity")
 
 CHECKPOINT_FORMAT = "densenet-v1"
+
+# The checkpoint sidecar's format tag, and the key of the marker that stands
+# for a float array in its header: no checkpoint payload uses it.
+_SIDECAR_FORMAT = "mmsurv-checkpoint-arrays/1"
+_ARRAY_MARK = "<f8"
 
 # Elements per block of the in-place Adam update: a block's six 128 KiB
 # operands stay in a core's L2 cache across the update's thirteen passes, and
@@ -83,8 +96,6 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
         bits ^= z_bits
         out *= SELU_LAMBDA
         return out
-    if name == "tanh":
-        return np.tanh(z)
     if name == "identity":
         return z
     raise ConfigError(f"unknown activation {name!r}")
@@ -96,9 +107,6 @@ def activate_grad(name: str, z: np.ndarray) -> np.ndarray:
         return (z > 0.0).astype(np.float64)
     if name == "selu":
         return SELU_LAMBDA * np.where(z > 0.0, 1.0, SELU_ALPHA * np.exp(z))
-    if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
     if name == "identity":
         return np.ones_like(z)
     raise ConfigError(f"unknown activation {name!r}")
@@ -351,7 +359,20 @@ def net_from_dict(d: dict, origin: str = "network") -> DenseNet:
 
 
 def read_json(path: str):
-    """The JSON payload of a checkpoint file; undecodable bytes or syntax are a DataError."""
+    """The JSON payload of a checkpoint file; undecodable bytes or syntax are a DataError.
+
+    When ``write_json``'s sidecar provably belongs to the file, the payload
+    comes from it, with each float array as a 1-D float64 ndarray holding
+    the bits the parse's list would; otherwise the file is parsed.
+    """
+    cached = sidecar.read(path, _SIDECAR_FORMAT, "json", _array_layout)
+    if cached is None:
+        return _parse_json(path)
+    head, arrays = cached
+    return _unmarked(head["payload"], iter(arrays))
+
+
+def _parse_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -366,32 +387,115 @@ def write_json(path: str, payload) -> None:
 
     Dicts and lists are walked; a 1-D float array, as ``net_to_dict`` gives,
     is written ``WRITE_CHUNK`` floats at a time; any other value goes through
-    ``json.dumps`` whole.
+    ``json.dumps`` whole. The file's length and CRC-32 are taken as it is
+    written, and then its sidecar is written: the payload with each array
+    replaced by ``{_ARRAY_MARK: size}``, then the arrays as raw ``<f8`` in
+    the order they were written, every NaN as the parse reads it. A payload
+    holding another kind of ndarray, a dict keyed ``_ARRAY_MARK`` or a key
+    that is not a ``str`` gets no sidecar; one left by an earlier save no
+    longer matches the file, so loads parse it.
     """
-    with atomic_write(path) as fh:
-        _write_value(fh, payload)
+    crc = size = 0
+
+    def write(text: str) -> None:
+        nonlocal crc, size
+        data = text.encode()
+        crc, size = zlib.crc32(data, crc), size + len(data)
+        fh.write(data)
+
+    with atomic_write(path, binary=True) as fh:
+        _write_value(write, payload)
+    arrays = []
+    try:
+        marked = _marked(payload, arrays)
+    except ValueError:
+        return
+    sidecar.write(path, {"format": _SIDECAR_FORMAT, "json_bytes": size, "json_crc32": crc, "payload": marked},
+                  lambda: _array_bytes(arrays))
 
 
-def _write_value(fh, value) -> None:
+def _write_value(write, value) -> None:
     if isinstance(value, np.ndarray):
-        fh.write("[")
+        write("[")
         for start in range(0, value.size, WRITE_CHUNK):
             if start:
-                fh.write(", ")
-            fh.write(json.dumps(value[start:start + WRITE_CHUNK].tolist())[1:-1])
-        fh.write("]")
+                write(", ")
+            write(json.dumps(value[start:start + WRITE_CHUNK].tolist())[1:-1])
+        write("]")
     elif isinstance(value, dict):
-        fh.write("{")
+        write("{")
         for k, (key, item) in enumerate(value.items()):
-            fh.write(f"{', ' if k else ''}{json.dumps(key)}: ")
-            _write_value(fh, item)
-        fh.write("}")
+            write(f"{', ' if k else ''}{json.dumps(key)}: ")
+            _write_value(write, item)
+        write("}")
     elif isinstance(value, list):
-        fh.write("[")
+        write("[")
         for k, item in enumerate(value):
             if k:
-                fh.write(", ")
-            _write_value(fh, item)
-        fh.write("]")
+                write(", ")
+            _write_value(write, item)
+        write("]")
     else:
-        fh.write(json.dumps(value))
+        write(json.dumps(value))
+
+
+def _marked(value, arrays: list):
+    """``value`` with each array replaced by its marker and appended to ``arrays``, in write order.
+
+    Raises ValueError where the sidecar could not stand for the file: an
+    ndarray that is not 1-D float64, or a dict the reader would take for a
+    marker or whose keys ``json.dumps`` would turn into other strings.
+    """
+    if isinstance(value, np.ndarray):
+        if value.ndim != 1 or value.dtype != np.float64:
+            raise ValueError("not a 1-D float64 array")
+        arrays.append(value)
+        return {_ARRAY_MARK: value.size}
+    if isinstance(value, dict):
+        if _ARRAY_MARK in value or not all(isinstance(key, str) for key in value):
+            raise ValueError("a key the sidecar cannot keep")
+        return {key: _marked(item, arrays) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_marked(item, arrays) for item in value]
+    return value
+
+
+def _array_bytes(arrays: list):
+    """The sidecar payload: each array's ``<f8`` bytes, ``WRITE_CHUNK`` floats at a time."""
+    for array in arrays:
+        for start in range(0, array.size, WRITE_CHUNK):
+            chunk = array[start:start + WRITE_CHUNK]
+            yield np.where(np.isnan(chunk), np.nan, chunk).astype("<f8", copy=False).view(np.uint8)
+
+
+def _marks(value):
+    """The markers of a sidecar header's payload, in walk order."""
+    if isinstance(value, dict):
+        if _ARRAY_MARK in value:
+            yield value
+        else:
+            for item in value.values():
+                yield from _marks(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _marks(item)
+
+
+def _array_layout(head: dict) -> list | None:
+    """``sidecar.read``'s layout of a checkpoint sidecar: one ``<f8`` vector per marker."""
+    marks = list(_marks(head.get("payload")))
+    if "payload" not in head or not all(len(mark) == 1 and type(mark[_ARRAY_MARK]) is int
+                                        and mark[_ARRAY_MARK] >= 0 for mark in marks):
+        return None
+    return [("<f8", (mark[_ARRAY_MARK],)) for mark in marks]
+
+
+def _unmarked(value, arrays):
+    """``value`` with each marker replaced by the next of the ``arrays`` iterator."""
+    if isinstance(value, dict):
+        if _ARRAY_MARK in value:
+            return next(arrays)
+        return {key: _unmarked(item, arrays) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_unmarked(item, arrays) for item in value]
+    return value

@@ -3,15 +3,17 @@
 Criteria 1-5 and 8 check the numerical core against independent oracles
 written out longhand here (explicit loops, raw exponentials, hand-summed
 layer shapes). Criteria 6 and 7 retrain the mean-vector grid over ten
-seeds and check recovery and trend medians. Criterion 9 replays CLI
-workflows and diffs the output bytes. The conftest hook folds these into
-one PASS/FAIL line per criterion at the end of the run.
+seeds, two seeds at a time in worker processes, and check recovery and
+trend medians. Criterion 9 replays CLI workflows and diffs the output
+bytes. The conftest hook folds these into one PASS/FAIL line per criterion
+at the end of the run.
 """
 
 import hashlib
 import itertools
 import math
 import time
+from concurrent.futures import ProcessPoolExecutor
 from statistics import median
 
 import numpy as np
@@ -199,46 +201,56 @@ _FLAGSHIP = ("all", "all", True, True)   # both stages on all data, dropout, rec
 _RECOVERY_FLOOR = 0.7677
 
 
+def _sweep_seed(seed):
+    """Train the ten mean-vector cells for one seed; runs in a worker process.
+
+    Returns each cell's c-index per scenario, the oracle c-index, and the
+    runtime of the slice a recovery-only run would need: cohort generation,
+    stage-1 training on all data, the flagship cell, and its
+    complete-scenario evaluation.
+    """
+    cells = {}
+    t0 = time.time()
+    train, test = default_synthetic_pair(seed)
+    recovery_seconds = time.time() - t0
+    config = TrainConfig(seed=seed, bootstrap=0)
+    oracle = concordance_index(test.ground_truth_risk, test.times, test.events)
+    t0 = time.time()
+    stage1 = {"all": train_stage1_encoders(train, config, "all")}
+    recovery_seconds += time.time() - t0
+    stage1["complete"] = train_stage1_encoders(train, config, "complete")
+    for spec in _MEAN_CELLS:
+        s1, s2, drop, recon = spec
+        cell = ExperimentCell("mean", stage1_data=s1, stage2_data=s2,
+                              dropout=drop, recon=recon)
+        t0 = time.time()
+        predictor = train_cell(train, config, cell,
+                               stage1_encoders=stage1[s1])
+        train_seconds = time.time() - t0
+        for name in _SCENARIOS:
+            t0 = time.time()
+            result = evaluate(predictor, test, scenario_by_name(name),
+                              bootstrap=0, seed=seed)
+            cells[spec, name] = result.cindex
+            if spec == _FLAGSHIP and name == "complete":
+                recovery_seconds += train_seconds + (time.time() - t0)
+    return cells, oracle, recovery_seconds
+
+
 @pytest.fixture(scope="module")
 def sweep():
-    """Train the ten mean-vector cells for each seed and collect medians.
+    """Train the ten mean-vector cells for each seed, two seeds at a time, and collect medians.
 
-    Also tracks the runtime of the slice a recovery-only run would need:
-    cohort generation, stage-1 training on all data, the flagship cell,
-    and its complete-scenario evaluation.
+    Each seed's work is independent and deterministic, so the two worker
+    processes give the c-indices a serial loop gives. ``recovery_seconds``
+    sums the recovery slice as each worker timed it.
     """
-    cells = {c: {s: [] for s in _SCENARIOS} for c in _MEAN_CELLS}
-    oracles = []
-    recovery_seconds = 0.0
-    for seed in _SWEEP_SEEDS:
-        t0 = time.time()
-        train, test = default_synthetic_pair(seed)
-        recovery_seconds += time.time() - t0
-        config = TrainConfig(seed=seed, bootstrap=0)
-        oracles.append(concordance_index(test.ground_truth_risk, test.times,
-                                         test.events))
-        t0 = time.time()
-        stage1 = {"all": train_stage1_encoders(train, config, "all")}
-        recovery_seconds += time.time() - t0
-        stage1["complete"] = train_stage1_encoders(train, config, "complete")
-        for spec in _MEAN_CELLS:
-            s1, s2, drop, recon = spec
-            cell = ExperimentCell("mean", stage1_data=s1, stage2_data=s2,
-                                  dropout=drop, recon=recon)
-            t0 = time.time()
-            predictor = train_cell(train, config, cell,
-                                   stage1_encoders=stage1[s1])
-            train_seconds = time.time() - t0
-            for name in _SCENARIOS:
-                t0 = time.time()
-                result = evaluate(predictor, test, scenario_by_name(name),
-                                  bootstrap=0, seed=seed)
-                cells[spec][name].append(result.cindex)
-                if spec == _FLAGSHIP and name == "complete":
-                    recovery_seconds += train_seconds + (time.time() - t0)
-    medians = {c: {s: median(v) for s, v in by.items()} for c, by in cells.items()}
-    return {"medians": medians, "oracle": median(oracles),
-            "recovery_seconds": recovery_seconds}
+    with ProcessPoolExecutor(2) as pool:
+        per_seed = list(pool.map(_sweep_seed, _SWEEP_SEEDS))
+    medians = {c: {s: median(cells[c, s] for cells, _, _ in per_seed) for s in _SCENARIOS}
+               for c in _MEAN_CELLS}
+    return {"medians": medians, "oracle": median(oracle for _, oracle, _ in per_seed),
+            "recovery_seconds": sum(seconds for _, _, seconds in per_seed)}
 
 
 def test_criterion_6_fused_model_recovers_synthetic_risk(sweep):

@@ -9,9 +9,9 @@ under the test directory still holds its old bytes, or is still absent if it
 was new, and that no temporary file is left beside it. The report writer's
 target is a directory holding ``report.csv``, ``report.json`` and
 ``report.md``; its failure comes while the CSV is written, so none of the
-three changes. A cohort save writes the CSV and then its cache; a failure in
-the cache leaves the new CSV beside the old cache, which the next load must
-ignore.
+three changes. A cohort or checkpoint save writes the CSV or JSON and then
+its sidecar; a failure in the sidecar leaves the new file beside the old
+sidecar, which the next load must ignore.
 """
 import math
 import os
@@ -27,8 +27,8 @@ from mmsurv.cohort import (DEFAULT_SCHEMA, ModalityId, ModalitySchema, generate_
 from mmsurv.config import TrainingTrace
 from mmsurv.fusion import FusionStrategy, init_fusion_model
 from mmsurv.nets import init_net
-from mmsurv.pipeline import AblationReport, SurvivalPredictor, save_predictor
-from mmsurv.unimodal import UnimodalEncoder, init_encoder, save_unimodal
+from mmsurv.pipeline import AblationReport, SurvivalPredictor, load_predictor, save_predictor
+from mmsurv.unimodal import UnimodalEncoder, init_encoder, load_unimodal, save_unimodal
 
 
 def write_predictor(path, seed):
@@ -162,8 +162,9 @@ def test_a_save_replaces_the_target_and_leaves_only_it(tmp_path, name):
     first = files(tmp_path)
     WRITERS[name](str(path), 3)
     second = files(tmp_path)
-    expected = {"report": ["out/report.csv", "out/report.json", "out/report.md"],
-                "cohort": ["out", "out.cache"]}.get(name, ["out"])   # a cohort CSV and its column cache
+    # a cohort CSV or a checkpoint, and its sidecar
+    expected = {"report": ["out/report.csv", "out/report.json", "out/report.md"], "cohort": ["out", "out.cache"],
+                "predictor": ["out", "out.cache"], "stage1": ["out", "out.cache"]}.get(name, ["out"])
     assert sorted(first) == sorted(second) == expected
     assert all(second[f] != first[f] for f in expected)
     # the mode is open()'s under the umask, as a direct write's would be
@@ -192,6 +193,36 @@ def test_a_cache_write_that_fails_part_way_leaves_a_stale_cache_the_next_load_ig
     new = generate_synthetic(30, seed=1)
     assert cohorts_equal(load_cohort(path, DEFAULT_SCHEMA), new)
     assert (tmp_path / "out.cache").read_bytes() == old_cache   # loading never writes
+
+
+def checkpoint_bits(model) -> list:
+    nets = ([net for _, net in model.fusion.parts()] if isinstance(model, SurvivalPredictor)
+            else [model.encoder, model.head])
+    return [net.params.tobytes() for net in nets]
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+@pytest.mark.parametrize("name, load", [("predictor", load_predictor), ("stage1", load_unimodal)])
+def test_a_checkpoint_sidecar_write_that_fails_part_way_leaves_a_stale_sidecar_the_next_load_ignores(
+        tmp_path, monkeypatch, name, load, error):
+    (tmp_path / "run").mkdir()
+    path = str(tmp_path / "run" / "out")
+    WRITERS[name](path, 2)
+    old_cache = (tmp_path / "run" / "out.cache").read_bytes()
+
+    def failing_cache_open(name, *args, **kwargs):
+        fh = open(name, *args, **kwargs)
+        return FailingFile(fh, len(old_cache) // 2, error()) if ".cache." in name else fh
+
+    monkeypatch.setattr(atomic, "open", failing_cache_open, raising=False)
+    with pytest.raises(error):
+        WRITERS[name](path, 1)
+    monkeypatch.undo()
+    assert sorted(files(tmp_path / "run")) == ["out", "out.cache"]
+    assert (tmp_path / "run" / "out.cache").read_bytes() == old_cache   # the old sidecar beside the new JSON
+    WRITERS[name](str(tmp_path / "whole"), 1)
+    assert checkpoint_bits(load(path)) == checkpoint_bits(load(str(tmp_path / "whole")))
+    assert (tmp_path / "run" / "out.cache").read_bytes() == old_cache   # loading never writes
 
 
 def test_a_save_into_a_missing_directory_names_the_target_and_leaves_nothing(tmp_path):

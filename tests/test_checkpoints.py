@@ -4,22 +4,27 @@ Predictor and stage-1 checkpoints must come back bit for bit, whatever
 finite doubles their networks hold. A file with one byte replaced, inserted
 or deleted must either load or fail as a DataError, and ``mmsurv eval`` on
 it must exit 0 or 2; an exception escaping ``main`` would reach the user as
-a traceback.
+a traceback. Every checkpoint save also leaves a binary sidecar, and a load
+through it must give the parse's bits or the parse's ``DataError``, whatever
+was done to either file.
 """
+import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import checkpoint_text
+from mmsurv import nets as nets_module
 from mmsurv.cli import main
 from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, ModalityId, ModalitySchema, generate_synthetic,
                            save_cohort, save_schema)
 from mmsurv.errors import DataError
 from mmsurv.fusion import FUSION_KINDS, FusionStrategy, fusion_to_dict, init_fusion_model
-from mmsurv.nets import init_net, net_to_dict, pack
+from mmsurv.nets import init_net, net_to_dict, pack, read_json, write_json
 from mmsurv.pipeline import SurvivalPredictor, load_predictor, save_predictor
 from mmsurv.unimodal import ENCODER_HIDDEN, UnimodalEncoder, load_unimodal, save_unimodal
 
@@ -215,3 +220,190 @@ def test_eval_on_one_byte_edits_of_a_predictor_exits_zero_or_two(tmp_path, capsy
         assert "Traceback" not in err
         assert (codes[-1] == 2) == ("data error: " in err)
     assert set(codes) == {0, 2}
+
+
+# ── the checkpoint sidecar ───────────────────────────────────────────────────
+#
+# ``write_json`` leaves ``<json>.cache`` beside every checkpoint, and
+# ``read_json`` answers from it only when it provably belongs to the JSON.
+# A load through it must give what the parse gives, bit for bit, whatever
+# happened to either file.
+
+def outcome(load, path):
+    """The parameter bits a load gives, in net order, or the message of its ``DataError``."""
+    try:
+        model = load(str(path))
+    except DataError as e:
+        return str(e)
+    nets = (predictor_nets(model) if isinstance(model, SurvivalPredictor)
+            else [model.encoder, model.head])
+    return [(net.dims, [l.activation for l in net.layers], net.params.tobytes()) for net in nets]
+
+
+def parse_outcome(load, path):
+    """``outcome`` with the sidecar moved aside for the call."""
+    cache = f"{path}.cache"
+    os.rename(cache, cache + ".aside")
+    try:
+        return outcome(load, path)
+    finally:
+        os.rename(cache + ".aside", cache)
+
+
+def no_parse(*args):
+    raise AssertionError("the sidecar was not used")
+
+
+def payload_bits(value):
+    """A JSON payload with every float as its bits and every float array as the list the parse gives."""
+    if isinstance(value, np.ndarray):
+        return [payload_bits(x) for x in value.tolist()]
+    if isinstance(value, dict):
+        return [(key, payload_bits(item)) for key, item in value.items()]   # in key order
+    if isinstance(value, list):
+        return [payload_bits(item) for item in value]
+    if isinstance(value, float):
+        return ("float", np.float64(value).view(np.int64).item())
+    return value
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(FUSION_KINDS), recon=st.booleans(), with_encoders=st.booleans(),
+       seed=st.integers(0, 2**31 - 1), lam=st.floats(), values=st.lists(finite | st.floats(), min_size=1,
+                                                                        max_size=40))
+def test_a_sidecar_load_gives_the_bits_of_the_parse(tmp_path_factory, monkeypatch, kind, recon, with_encoders,
+                                                    seed, lam, values):
+    predictor = make_predictor(kind, recon, with_encoders, seed)
+    predictor.fusion.lam = lam
+    fill(predictor_nets(predictor), values)   # NaN and infinities too: both loads must refuse them
+    path = tmp_path_factory.mktemp("ckpt") / "model.json"
+    save_predictor(predictor, str(path))
+    with monkeypatch.context() as patch:
+        patch.setattr(nets_module, "_parse_json", no_parse)
+        cached, cached_payload = outcome(load_predictor, path), payload_bits(read_json(str(path)))
+    assert cached == parse_outcome(load_predictor, path)
+    assert cached_payload == payload_bits(json.loads(path.read_text()))
+    assert isinstance(cached, list) or not (np.isfinite(values).all() and np.isfinite(lam) and lam >= 0)
+
+
+def test_a_sidecar_keeps_what_the_parse_would_give_of_any_payload(tmp_path, monkeypatch):
+    nan = np.frombuffer(bytes.fromhex("0100000000f0ff7f"), "<f8")   # a NaN with a payload the parse drops
+    payload = {"format": "outer", "lam": 0.1, "nan": float("nan"), "ints": [1, 2], "empty": np.empty(0),
+               "odd": np.concatenate([nan, [-np.nan, np.inf, -0.0, 5e-324]]), "none": None,
+               "nested": [{"w": np.arange(3.0)}, [np.ones(1)], "text é"]}
+    write_json(str(tmp_path / "p.json"), payload)
+    with monkeypatch.context() as patch:
+        patch.setattr(nets_module, "_parse_json", no_parse)
+        cached = read_json(str(tmp_path / "p.json"))
+    assert payload_bits(cached) == payload_bits(json.loads((tmp_path / "p.json").read_text()))
+    assert [type(cached[k]) for k in ("empty", "odd")] == [np.ndarray, np.ndarray]
+
+
+@pytest.mark.parametrize("payload", [{"w": np.zeros((2, 2))}, {"w": np.arange(3)}, {"<f8": 3},
+                                     {"a": {"<f8": [1.0]}}, {"w": np.zeros(2, dtype=np.float32)},
+                                     {"w": np.zeros(2), 1: "one"}],
+                         ids=["2-d", "int", "marker", "nested-marker", "float32", "int-key"])
+def test_a_payload_the_sidecar_cannot_stand_for_gets_none(tmp_path, payload):
+    write_json(str(tmp_path / "p.json"), payload)
+    assert sorted(os.listdir(tmp_path)) == ["p.json"]
+
+
+@pytest.fixture(scope="module")
+def stage1_pair(tmp_path_factory):
+    """A small stage-1 checkpoint's JSON and sidecar bytes, and the outcome of its parse."""
+    path = tmp_path_factory.mktemp("sidecar") / "s.json"
+    encoder = init_net((SCHEMA.dim(ModalityId.PATHOLOGY), 2, SCHEMA.embed_dim), "selu", 5)
+    save_unimodal(UnimodalEncoder(ModalityId.PATHOLOGY, encoder, init_net((4, 1), "identity", 6)), str(path))
+    return path.read_bytes(), path.with_name("s.json.cache").read_bytes(), parse_outcome(load_unimodal, path)
+
+
+def write_stage1_pair(tmp_path, json_bytes, cache_bytes):
+    (tmp_path / "s.json").write_bytes(json_bytes)
+    (tmp_path / "s.json.cache").write_bytes(cache_bytes)
+    return tmp_path / "s.json"
+
+
+def test_the_fixture_sidecar_is_used(tmp_path, monkeypatch, stage1_pair):
+    json_bytes, cache_bytes, parsed = stage1_pair
+    monkeypatch.setattr(nets_module, "_parse_json", no_parse)
+    assert outcome(load_unimodal, write_stage1_pair(tmp_path, json_bytes, cache_bytes)) == parsed
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pos=st.integers(0, 10**6), byte=st.integers(0, 255))
+def test_a_one_byte_edit_of_the_sidecar_never_changes_the_load(tmp_path, stage1_pair, pos, byte):
+    json_bytes, cache_bytes, parsed = stage1_pair
+    edited = bytearray(cache_bytes)
+    edited[pos % len(edited)] = byte
+    assert outcome(load_unimodal, write_stage1_pair(tmp_path, json_bytes, bytes(edited))) == parsed
+
+
+def test_a_truncated_sidecar_never_changes_the_load(tmp_path, stage1_pair):
+    json_bytes, cache_bytes, parsed = stage1_pair
+    for end in range(len(cache_bytes)):
+        assert outcome(load_unimodal, write_stage1_pair(tmp_path, json_bytes, cache_bytes[:end])) == parsed
+    assert outcome(load_unimodal, write_stage1_pair(tmp_path, json_bytes, cache_bytes + b"\0")) == parsed
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pos=st.integers(0, 10**6), byte=st.integers(0, 255))
+def test_a_one_byte_edit_of_the_json_loads_as_its_parse(tmp_path, stage1_pair, pos, byte):
+    json_bytes, cache_bytes, _ = stage1_pair
+    edited = bytearray(json_bytes)
+    edited[pos % len(edited)] = byte
+    path = write_stage1_pair(tmp_path, bytes(edited), cache_bytes)
+    assert outcome(load_unimodal, path) == parse_outcome(load_unimodal, path)
+
+
+def test_a_truncated_json_loads_as_its_parse(tmp_path, stage1_pair):
+    json_bytes, cache_bytes, _ = stage1_pair
+    for end in range(len(json_bytes)):
+        path = write_stage1_pair(tmp_path, json_bytes[:end], cache_bytes)
+        assert outcome(load_unimodal, path) == parse_outcome(load_unimodal, path)
+
+
+def test_a_sidecar_that_is_not_a_regular_file_is_passed_over(tmp_path, stage1_pair):
+    json_bytes, cache_bytes, parsed = stage1_pair
+    path = write_stage1_pair(tmp_path, json_bytes, cache_bytes)
+    os.unlink(f"{path}.cache")
+    os.mkfifo(f"{path}.cache")   # opening a FIFO for reading would wait for a writer
+    assert outcome(load_unimodal, path) == parsed
+    os.unlink(f"{path}.cache")
+    os.mkdir(f"{path}.cache")
+    assert outcome(load_unimodal, path) == parsed
+
+
+def listing(root):
+    return {name: (root / name).read_bytes() if (root / name).is_file() else None
+            for name in sorted(os.listdir(root))}
+
+
+def test_a_checkpoint_load_never_writes(tmp_path):
+    path = tmp_path / "model.json"
+    save_predictor(make_predictor("mean", True, True, 2), str(path))
+    before = listing(tmp_path)
+    assert sorted(before) == ["model.json", "model.json.cache"]
+    load_predictor(str(path))   # through the sidecar
+    assert listing(tmp_path) == before
+    path.write_bytes(path.read_bytes().replace(b'"lam": 0.7', b'"lam": -0.7'))   # the sidecar no longer matches
+    before = listing(tmp_path)
+    with pytest.raises(DataError, match="lam must be finite and non-negative"):
+        load_predictor(str(path))
+    assert listing(tmp_path) == before
+
+
+def test_a_sidecar_load_of_the_largest_default_predictor_holds_the_model_about_twice(tmp_path):
+    # tensor + recon with encoders, 867k parameters: the parse peaked at 45.6 MiB,
+    # the sidecar's arrays and the networks built from them hold 6.6 MiB each
+    predictor = default_predictor("tensor", True, True, 3)
+    path = str(tmp_path / "model.json")
+    save_predictor(predictor, path)
+    model_bytes = sum(net.params.nbytes for net in predictor_nets(predictor))
+    tracemalloc.start()
+    try:
+        loaded = load_predictor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits(predictor_nets(loaded)) == bits(predictor_nets(predictor))
+    assert peak < 2 * model_bytes + 2**20

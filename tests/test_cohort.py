@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import pickle
 import re
@@ -695,6 +696,53 @@ def test_a_cached_load_gives_the_bits_of_the_parse(tmp_path, monkeypatch, cohort
     cached = cached_outcome(path, cohort.schema, monkeypatch)
     assert cached == parse_outcome(path, cohort.schema)
     assert isinstance(cached, tuple) or cohort.n_events == 0
+
+
+def checked_apply_scenario(cohort, scenario):
+    """``apply_scenario`` as it was built before it skipped the checks: through ``Cohort(...)``."""
+    availability = cohort.availability.copy()
+    availability[:, sorted(scenario.drop)] = 0
+    kept = np.flatnonzero(availability.any(axis=1))
+    blocks = [np.zeros_like(cohort.block(m)) if m in scenario.drop else cohort.block(m) for m in MODALITIES]
+    gt = None if cohort.ground_truth_risk is None else cohort.ground_truth_risk[kept]
+    out = Cohort(cohort.schema, cohort.ids[kept], cohort.times[kept], cohort.events[kept],
+                 availability[kept], [b[kept] for b in blocks], gt)
+    out.require_events("scenario")
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(cohort=cache_cohorts(), drop=st.sampled_from(DROP_SETS))
+def test_a_scenario_view_passes_the_checks_it_skips(cohort, drop):
+    scenario = MissingnessScenario("drawn", drop)
+    try:
+        expected = checked_apply_scenario(cohort, scenario)
+    except DataError:
+        with pytest.raises(DataError, match="zero observed events|cohort is empty"):
+            apply_scenario(cohort, scenario)
+        return
+    applied = apply_scenario(cohort, scenario)
+    blocks = [applied.block(m) for m in MODALITIES]
+    assert cohort_module._row_error(applied.ids, applied.times, applied.events, applied.availability,
+                                    blocks) is None
+    assert len(set(applied.ids.tolist())) == len(applied)
+    assert column_bits(applied) == column_bits(expected)
+    assert all(not column.flags.writeable for column in [applied.ids, applied.availability, *blocks])
+
+
+def test_the_cache_header_keeps_its_sorted_key_order(tmp_path):
+    save_cohort(make_cohort(2), str(tmp_path / "c.csv"))
+    head = json.loads((tmp_path / "c.csv.cache").read_bytes().split(b"\n", 1)[0])
+    assert list(head) == ["crc32", "csv_bytes", "csv_crc32", "embed_dim", "format", "ids", "n", "raw_dims",
+                          "with_risk"]
+
+
+def test_an_empty_cohort_saves_whole_and_its_load_is_refused(tmp_path):
+    empty = make_cohort().subset([])
+    save_cohort(empty, str(tmp_path / "c.csv"))   # its cache's empty arrays once failed the byte view
+    assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.csv.cache"]
+    with pytest.raises(DataError, match="cohort has no records"):
+        load_cohort(str(tmp_path / "c.csv"), SMALL_SCHEMA)
 
 
 @pytest.fixture(scope="module")

@@ -29,8 +29,8 @@ def test_init_shapes_and_zero_biases():
 
 
 def test_init_deterministic_given_seed():
-    a = init_net((6, 5, 2), "tanh", seed=123)
-    b = init_net((6, 5, 2), "tanh", seed=123)
+    a = init_net((6, 5, 2), "selu", seed=123)
+    b = init_net((6, 5, 2), "selu", seed=123)
     for la, lb in zip(a.layers, b.layers):
         assert np.array_equal(la.w, lb.w)
 
@@ -114,7 +114,7 @@ def test_backward_single_linear_layer_input_grad_is_w_transpose():
     assert np.allclose(dx[0], w.T @ upstream[0], atol=1e-15)
 
 
-@pytest.mark.parametrize("activation", ["relu", "selu", "tanh", "identity"])
+@pytest.mark.parametrize("activation", ["relu", "selu", "identity"])
 def test_backward_matches_finite_differences(activation):
     rng = np.random.default_rng(hash(activation) % 2**32)
     for _ in range(5):
@@ -137,7 +137,7 @@ def test_backward_matches_finite_differences(activation):
 
 def test_backward_input_grad_matches_finite_differences():
     rng = np.random.default_rng(77)
-    net = init_net((6, 10, 3), "tanh", seed=3)
+    net = init_net((6, 10, 3), "selu", seed=3)
     x = rng.normal(size=(1, 6))
     upstream = rng.normal(size=(1, 3))
     _, tape = net.forward(x)
@@ -316,7 +316,7 @@ def test_written_checkpoint_has_the_bytes_of_one_json_dumps(tmp_path, width):
     net.params[:] = rng.normal(size=net.params.size) * 10.0 ** rng.integers(-300, 300, net.params.size)
     net.params[:3] = [5e-324, -0.0, 1.7976931348623157e308]
     payload = {"format": "outer", "lam": 0.1, "nets": [net_to_dict(net), None], "empty": np.empty(0),
-               "nested": {"b": [1, "two", 3.0], "a": {"n": net_to_dict(init_net((3, 1), "tanh", 0))}}}
+               "nested": {"b": [1, "two", 3.0], "a": {"n": net_to_dict(init_net((3, 1), "relu", 0))}}}
     path = tmp_path / "net.json"
     write_json(str(path), payload)
     assert path.read_text(encoding="ascii") == checkpoint_text(payload)
@@ -342,6 +342,7 @@ def test_checkpoint_dict_rejects_broken_chains():
               dict(good, dims=[4, 3]),
               dict(good, dims=[4, 5, 2]),
               dict(good, activations=["relu", "swish"]),
+              dict(good, activations=["relu", "tanh"]),
               dict(good, layers=[good["layers"][0], {"w": good["layers"][1]["w"]}])]
     for payload in broken:
         with pytest.raises(DataError):
@@ -349,7 +350,7 @@ def test_checkpoint_dict_rejects_broken_chains():
 
 
 def test_net_dict_round_trip_without_file():
-    net = init_net((4, 4), "tanh", seed=8)
+    net = init_net((4, 4), "relu", seed=8)
     clone = net_from_dict(net_to_dict(net))
     assert np.array_equal(net.layers[0].w, clone.layers[0].w)
 
