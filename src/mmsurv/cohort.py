@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import logging
 import zlib
 from array import array
@@ -439,10 +440,10 @@ def _write_cache(cohort: Cohort, path: str, csv_bytes: int, csv_crc: int) -> Non
     risk the one ``float("nan")`` gives. Blocks go out in row chunks.
     """
     ids = cohort.ids.tolist()
-    sidecar.write(path, {"csv_bytes": csv_bytes, "csv_crc32": csv_crc, "embed_dim": cohort.schema.embed_dim,
-                         "format": _CACHE_FORMAT, "ids": ids, "n": len(ids),
-                         "raw_dims": list(cohort.schema.raw_dims),
-                         "with_risk": cohort.ground_truth_risk is not None},
+    sidecar.write(path, json.dumps({"csv_bytes": csv_bytes, "csv_crc32": csv_crc,
+                                    "embed_dim": cohort.schema.embed_dim, "format": _CACHE_FORMAT,
+                                    "ids": ids, "n": len(ids), "raw_dims": list(cohort.schema.raw_dims),
+                                    "with_risk": cohort.ground_truth_risk is not None}),
                   lambda: _cache_payload(cohort))
 
 

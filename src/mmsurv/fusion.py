@@ -44,7 +44,7 @@ import numpy as np
 
 from .cohort import MODALITIES, N_MODALITIES
 from .errors import ConfigError, DataError, NumericalError
-from .nets import DenseNet, init_net, net_from_dict, net_to_dict, split
+from .nets import DenseNet, check_format, init_net, net_from_dict, net_to_dict, split
 from .survival import cox_loss_and_grad
 
 FUSION_KINDS = ("concat", "mean", "tensor")
@@ -314,23 +314,6 @@ def recon_loss_and_grad(decoded: np.ndarray, targets: np.ndarray,
 
 # ── batched training math ───────────────────────────────────────────────────
 
-@dataclass
-class FusionBatch:
-    """Records prepared for fusion training, as aligned arrays.
-
-    ``embeddings`` is (n, 4, embed) and holds every originally available
-    modality, zeros elsewhere; these are also the reconstruction targets.
-    ``alpha`` is the (n, 4) availability and ``mask`` the training-time view
-    after modality dropout, which is never wider than the availability.
-    """
-
-    embeddings: np.ndarray
-    alpha: np.ndarray
-    mask: np.ndarray
-    times: np.ndarray
-    events: np.ndarray
-
-
 def dropout_masks(alpha: np.ndarray, rate: float, rng) -> np.ndarray:
     """Training masks for a batch: one ``modality_dropout`` draw per row, in row order."""
     alpha = np.asarray(alpha, dtype=np.int64)
@@ -339,9 +322,15 @@ def dropout_masks(alpha: np.ndarray, rate: float, rng) -> np.ndarray:
     return np.stack([modality_dropout(a, rate, rng) for a in alpha])
 
 
-def batch_loss_and_grads(model: FusionModel, batch: FusionBatch, grad: np.ndarray | None = None):
+def batch_loss_and_grads(model: FusionModel, embeddings: np.ndarray, alpha: np.ndarray, mask: np.ndarray,
+                         times: np.ndarray, events: np.ndarray, grad: np.ndarray | None = None):
     """One training step's math, no parameter updates: the mask check, ``fuse``,
     the hazard head and any decoder, both losses and the backward pass.
+
+    ``embeddings`` is (n, 4, embed) and holds every originally available
+    modality, zeros elsewhere; these are also the reconstruction targets.
+    ``alpha`` is the (n, 4) availability and ``mask`` the training-time view
+    after modality dropout, which must never be wider than the availability.
 
     Returns (total, cox, recon, parameter gradient, (n, 4, embed) input
     gradient). The parameter gradient is written into ``grad``, a vector in
@@ -350,16 +339,16 @@ def batch_loss_and_grads(model: FusionModel, batch: FusionBatch, grad: np.ndarra
     treated as constants, gradients flow into the decoder and the fused
     representation but not through the target side.
     """
-    if (batch.mask > batch.alpha).any():
+    if (mask > alpha).any():
         raise DataError("training mask shows a modality the record does not have")
-    h, fuse_tape = fuse(model, batch.embeddings, batch.mask)
+    h, fuse_tape = fuse(model, embeddings, mask)
     y, head_tape = model.hazard_head.forward(h)
-    cox, d_scores = cox_loss_and_grad(y[:, 0], batch.times, batch.events)
+    cox, d_scores = cox_loss_and_grad(y[:, 0], times, events)
     recon = 0.0
     if model.recon_head is not None:
         flat, recon_tape = model.recon_head.forward(h)
         decoded = flat.reshape(len(h), N_MODALITIES, model.strategy.embed_dim)
-        recon, d_decoded = recon_loss_and_grad(decoded, batch.embeddings, batch.alpha)
+        recon, d_decoded = recon_loss_and_grad(decoded, embeddings, alpha)
         d_decoded = model.lam * d_decoded
     total = cox + model.lam * recon
     if not np.isfinite(total):
@@ -405,13 +394,11 @@ def fusion_to_dict(model: FusionModel) -> dict:
 
 def fusion_from_dict(payload: dict, origin: str = "payload") -> FusionModel:
     """Rebuild a fusion model, checking every part against its strategy's widths."""
-    fmt = payload.get("format") if isinstance(payload, dict) else None
-    if fmt != CHECKPOINT_FORMAT:
-        raise DataError(f"{origin}: not a fusion checkpoint (format {fmt!r})")
+    check_format(payload, CHECKPOINT_FORMAT, origin, "fusion")
     try:
         strategy = FusionStrategy(**payload["strategy"])
         lam, blobs = float(payload["lam"]), dict(payload["parts"])
-    except (KeyError, TypeError, ValueError, ConfigError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as e:
         raise DataError(f"{origin}: missing or malformed strategy, lam or parts "
                         f"({type(e).__name__}: {e})") from e
     if not (np.isfinite(lam) and lam >= 0):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cohort import DEFAULT_SCHEMA, MODALITIES, ModalityId
 from .errors import ConfigError
-from .fusion import (FUSION_KINDS, FusionBatch, FusionStrategy, batch_loss_and_grads, fuse,
+from .fusion import (FUSION_KINDS, FusionStrategy, batch_loss_and_grads, fuse,
                      init_fusion_model, recon_loss_and_grad)
 from .nets import init_net, pack
 from .survival import cox_loss_and_grad
@@ -99,22 +99,24 @@ def _check_recon(rng, instances: int, h: float) -> float:
     return worst
 
 
-def _random_batch(rng, n: int, embed_dim: int) -> FusionBatch:
+def _random_batch(rng, n: int, embed_dim: int) -> tuple:
+    """``batch_loss_and_grads``'s (embeddings, alpha, mask, times, events) for ``n`` random records."""
     k = len(MODALITIES)
-    batch = FusionBatch(np.zeros((n, k, embed_dim)), np.zeros((n, k), dtype=np.int64),
-                        np.zeros((n, k), dtype=np.int64), np.zeros(n), np.zeros(n))
+    embeddings = np.zeros((n, k, embed_dim))
+    alpha, mask = np.zeros((n, k), dtype=np.int64), np.zeros((n, k), dtype=np.int64)
+    times, events = np.zeros(n), np.zeros(n)
     for i in range(n):
         avail = rng.integers(0, 2, k)
         if avail.sum() == 0:
             avail[int(rng.integers(0, k))] = 1
         for m in np.flatnonzero(avail):
-            batch.embeddings[i, m] = rng.normal(0, 1, embed_dim)
-        batch.alpha[i] = batch.mask[i] = avail
+            embeddings[i, m] = rng.normal(0, 1, embed_dim)
+        alpha[i] = mask[i] = avail
         if avail.sum() > 1 and rng.random() < 0.5:  # emulate dropout: hide one
-            batch.mask[i, int(rng.choice(np.flatnonzero(avail)))] = 0
-        batch.times[i] = rng.exponential(100.0) + 1e-3
-        batch.events[i] = float(i == 0 or rng.random() < 0.5)
-    return batch
+            mask[i, int(rng.choice(np.flatnonzero(avail)))] = 0
+        times[i] = rng.exponential(100.0) + 1e-3
+        events[i] = float(i == 0 or rng.random() < 0.5)
+    return embeddings, alpha, mask, times, events
 
 
 def _tape_kink_gap(runs) -> float:
@@ -127,10 +129,10 @@ def _tape_kink_gap(runs) -> float:
     return gap
 
 
-def _pass_tapes(model, batch: FusionBatch) -> list:
-    """(network, tape) of every network a training pass over ``batch`` runs:
+def _pass_tapes(model, embeddings: np.ndarray, mask: np.ndarray) -> list:
+    """(network, tape) of every network a training pass over a batch runs:
     the body nets that saw rows, the hazard head and any decoder."""
-    h, tape = fuse(model, batch.embeddings, batch.mask)
+    h, tape = fuse(model, embeddings, mask)
     heads = [net for net in (model.hazard_head, model.recon_head) if net is not None]
     runs = [(model.body[m], t) for m, (_, t) in tape.net_tapes.items()]
     return runs + [(net, net.forward(h)[1]) for net in heads]
@@ -147,12 +149,13 @@ def _check_total(rng, instances: int, h: float) -> float:
             model = init_fusion_model(strategy, int(rng.integers(0, 2**31)),
                                       recon=bool(k % 2), lam=0.7)
             batch = _random_batch(rng, 4, dims["embed_dim"])
-            if _tape_kink_gap(_pass_tapes(model, batch)) >= _KINK_GUARD:
+            embeddings, _, mask, _, _ = batch
+            if _tape_kink_gap(_pass_tapes(model, embeddings, mask)) >= _KINK_GUARD:
                 break
         p = pack([net for _, net in model.parts()])
-        _, _, _, analytic, _ = batch_loss_and_grads(model, batch)
+        _, _, _, analytic, _ = batch_loss_and_grads(model, *batch)
         coords = rng.choice(p.size, size=min(_COORDS_PER_INSTANCE, p.size), replace=False)
-        numeric = _fd_coords(lambda: batch_loss_and_grads(model, batch)[0], p, coords, h)
+        numeric = _fd_coords(lambda: batch_loss_and_grads(model, *batch)[0], p, coords, h)
         worst = max(worst, _rel_err(analytic[coords], numeric))
     return worst
 

@@ -21,18 +21,16 @@ per step.
 
 Checkpoints are JSON: dims, per-layer activation ids, and row-major
 parameter lists. Python's float repr round-trips doubles exactly, so a
-save/load cycle is bit-identical. ``net_to_dict`` gives the parameter lists
-as array views, and ``write_json`` writes a payload with the bytes of
-``json.dumps`` while it converts each array ``WRITE_CHUNK`` floats at a time,
-so a save holds one slice's Python floats and text, not the whole
-checkpoint's. It writes through ``atomic.atomic_write``, so an interrupted
-save leaves the previous file in place. Each save also writes
-``<json>.cache`` (see ``sidecar``): the payload with every array replaced by
-a marker, then the arrays as raw ``<f8``, with the JSON's length and CRC-32.
-``read_json`` answers from it only when it provably belongs to the JSON,
-with the parse's bits, and parses the JSON otherwise; the JSON stays the
-checkpoint, and the sidecar is safe to delete. Either way the payload goes
-through the same ``net_from_dict`` checks.
+save/load cycle is bit-identical. ``write_json`` writes a payload through
+``atomic.atomic_write``, so an interrupted save leaves the previous file in
+place, with the bytes of ``json.dumps``; ``net_to_dict``'s parameter arrays
+go out ``WRITE_CHUNK`` floats at a time, so a save holds one slice's text,
+not the whole checkpoint's. The same walk gathers ``<json>.cache`` (see
+``sidecar``): the payload's text with each array as a marker, then the
+arrays as raw ``<f8``. ``read_json`` answers from it only when it provably
+belongs to the JSON, putting each array in its marker's place, and parses
+the JSON otherwise; the sidecar is safe to delete, and either way the
+payload goes through the same ``net_from_dict`` checks.
 """
 from __future__ import annotations
 
@@ -339,37 +337,66 @@ def net_to_dict(net: DenseNet) -> dict:
     }
 
 
+def check_format(payload, fmt: str, origin: str, what: str) -> None:
+    """A payload that is not a dict tagged ``fmt`` is a DataError: "not a ``what`` checkpoint"."""
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != fmt:
+        raise DataError(f"{origin}: not a {what} checkpoint (format {found!r})")
+
+
 def net_from_dict(d: dict, origin: str = "network") -> DenseNet:
     """Rebuild a network; a payload that is not one consistent layer chain is a DataError."""
-    fmt = d.get("format") if isinstance(d, dict) else None
-    if fmt != CHECKPOINT_FORMAT:
-        raise DataError(f"{origin}: not a network checkpoint (format {fmt!r})")
+    check_format(d, CHECKPOINT_FORMAT, origin, "network")
     try:
         dims = d["dims"]
+        if not all(type(width) is int and width > 0 for width in dims):   # reshape would infer a -1
+            raise ValueError(f"widths {dims!r} are not all positive ints")
         layers = [Layer(np.asarray(blob["w"], dtype=np.float64).reshape(dims[k + 1], dims[k]),
                         np.asarray(blob["b"], dtype=np.float64).reshape(dims[k + 1]), act)
                   for k, (act, blob) in enumerate(zip(d["activations"], d["layers"], strict=True))]
         if len(dims) != len(layers) + 1:
             raise ValueError(f"{len(dims)} widths for {len(layers)} layers")
         return DenseNet(layers)
-    except (KeyError, IndexError, TypeError, ValueError, ConfigError) as e:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, ConfigError) as e:
         raise DataError(f"{origin}: not a consistent layer chain ({type(e).__name__}: {e})") from e
     except NumericalError as e:  # NaN or an overflowed literal such as 1e999 in the file
         raise DataError(f"{origin}: {e}") from e
 
 
 def read_json(path: str):
-    """The JSON payload of a checkpoint file; undecodable bytes or syntax are a DataError.
+    """The JSON payload of a checkpoint file; a file that does not parse is a DataError.
 
-    When ``write_json``'s sidecar provably belongs to the file, the payload
-    comes from it, with each float array as a 1-D float64 ndarray holding
-    the bits the parse's list would; otherwise the file is parsed.
+    From ``write_json``'s sidecar when it provably belongs to the file, each
+    marker replaced by a 1-D float64 ndarray with the bits the parse's list
+    would hold; otherwise from a parse of the file.
     """
-    cached = sidecar.read(path, _SIDECAR_FORMAT, "json", _array_layout)
+    slots = []   # (container, key) of each array marker in the sidecar header, in walk order
+
+    def layout(head: dict) -> list | None:
+        slots.extend(_mark_slots(head, ["payload"] if "payload" in head else []))
+        marks = [container[key] for container, key in slots]
+        if "payload" in head and all(len(mark) == 1 and type(mark[_ARRAY_MARK]) is int
+                                     and mark[_ARRAY_MARK] >= 0 for mark in marks):
+            return [("<f8", (mark[_ARRAY_MARK],)) for mark in marks]
+        return None
+
+    cached = sidecar.read(path, _SIDECAR_FORMAT, "json", layout)
     if cached is None:
         return _parse_json(path)
     head, arrays = cached
-    return _unmarked(head["payload"], iter(arrays))
+    for (container, key), array in zip(slots, arrays, strict=True):
+        container[key] = array
+    return head["payload"]
+
+
+def _mark_slots(container, keys):
+    """The (container, key) slot of each array marker under ``container``'s ``keys``, in walk order."""
+    for key in keys:
+        value = container[key]
+        if isinstance(value, dict) and _ARRAY_MARK in value:
+            yield container, key
+        elif isinstance(value, (dict, list)):
+            yield from _mark_slots(value, value if isinstance(value, dict) else range(len(value)))
 
 
 def _parse_json(path: str):
@@ -380,84 +407,64 @@ def _parse_json(path: str):
         raise DataError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not JSON ({e})") from None
+    except (ValueError, RecursionError) as e:   # an int past Python's digit limit, nesting past its stack
+        raise DataError(f"{path}: JSON past the parser's limits ({e})") from None
 
 
 def write_json(path: str, payload) -> None:
     """Write a checkpoint payload to ``path`` with the bytes ``json.dumps(payload)`` would have.
 
-    Dicts and lists are walked; a 1-D float array, as ``net_to_dict`` gives,
-    is written ``WRITE_CHUNK`` floats at a time; any other value goes through
-    ``json.dumps`` whole. The file's length and CRC-32 are taken as it is
-    written, and then its sidecar is written: the payload with each array
-    replaced by ``{_ARRAY_MARK: size}``, then the arrays as raw ``<f8`` in
-    the order they were written, every NaN as the parse reads it. A payload
-    holding another kind of ndarray, a dict keyed ``_ARRAY_MARK`` or a key
-    that is not a ``str`` gets no sidecar; one left by an earlier save no
-    longer matches the file, so loads parse it.
+    One walk writes the file and gathers its sidecar's header text, which
+    has the file's tokens except that each array is ``{_ARRAY_MARK: size}``.
+    A 1-D float array, as ``net_to_dict`` gives, goes out ``WRITE_CHUNK``
+    floats at a time; the sidecar then holds the arrays as raw ``<f8``,
+    every NaN as the parse reads it. A key that is not a ``str`` or is
+    ``_ARRAY_MARK``, or an ndarray that is not 1-D float64, is a ConfigError
+    raised before the file is replaced, so it and its sidecar keep their bytes.
     """
     crc = size = 0
+    arrays, head = [], []
 
-    def write(text: str) -> None:
+    def write(text: str, head_text: str | None = None) -> None:
+        """Write ``text`` to the file and ``head_text``, by default the same, to the header."""
         nonlocal crc, size
         data = text.encode()
         crc, size = zlib.crc32(data, crc), size + len(data)
         fh.write(data)
+        head.append(text if head_text is None else head_text)
 
     with atomic_write(path, binary=True) as fh:
-        _write_value(write, payload)
-    arrays = []
-    try:
-        marked = _marked(payload, arrays)
-    except ValueError:
-        return
-    sidecar.write(path, {"format": _SIDECAR_FORMAT, "json_bytes": size, "json_crc32": crc, "payload": marked},
-                  lambda: _array_bytes(arrays))
+        _write_value(write, payload, arrays)
+    fields = json.dumps({"format": _SIDECAR_FORMAT, "json_bytes": size, "json_crc32": crc})
+    sidecar.write(path, f'{fields[:-1]}, "payload": {"".join(head)}}}', lambda: _array_bytes(arrays))
 
 
-def _write_value(write, value) -> None:
+def _write_value(write, value, arrays: list) -> None:
     if isinstance(value, np.ndarray):
-        write("[")
+        if value.ndim != 1 or value.dtype != np.float64:
+            raise ConfigError(f"a checkpoint holds 1-D float64 arrays, not {value.ndim}-D {value.dtype}")
+        arrays.append(value)
+        write("[", json.dumps({_ARRAY_MARK: value.size}))
         for start in range(0, value.size, WRITE_CHUNK):
-            if start:
-                write(", ")
-            write(json.dumps(value[start:start + WRITE_CHUNK].tolist())[1:-1])
-        write("]")
+            write(f"{', ' if start else ''}{json.dumps(value[start:start + WRITE_CHUNK].tolist())[1:-1]}", "")
+        write("]", "")
     elif isinstance(value, dict):
         write("{")
         for k, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str) or key == _ARRAY_MARK:
+                raise ConfigError(f"a checkpoint's keys are strs other than {_ARRAY_MARK!r}, not {key!r}")
             write(f"{', ' if k else ''}{json.dumps(key)}: ")
-            _write_value(write, item)
+            _write_value(write, item, arrays)
         write("}")
     elif isinstance(value, list):
         write("[")
         for k, item in enumerate(value):
             if k:
                 write(", ")
-            _write_value(write, item)
+            _write_value(write, item, arrays)
         write("]")
     else:
         write(json.dumps(value))
-
-
-def _marked(value, arrays: list):
-    """``value`` with each array replaced by its marker and appended to ``arrays``, in write order.
-
-    Raises ValueError where the sidecar could not stand for the file: an
-    ndarray that is not 1-D float64, or a dict the reader would take for a
-    marker or whose keys ``json.dumps`` would turn into other strings.
-    """
-    if isinstance(value, np.ndarray):
-        if value.ndim != 1 or value.dtype != np.float64:
-            raise ValueError("not a 1-D float64 array")
-        arrays.append(value)
-        return {_ARRAY_MARK: value.size}
-    if isinstance(value, dict):
-        if _ARRAY_MARK in value or not all(isinstance(key, str) for key in value):
-            raise ValueError("a key the sidecar cannot keep")
-        return {key: _marked(item, arrays) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_marked(item, arrays) for item in value]
-    return value
 
 
 def _array_bytes(arrays: list):
@@ -466,36 +473,3 @@ def _array_bytes(arrays: list):
         for start in range(0, array.size, WRITE_CHUNK):
             chunk = array[start:start + WRITE_CHUNK]
             yield np.where(np.isnan(chunk), np.nan, chunk).astype("<f8", copy=False).view(np.uint8)
-
-
-def _marks(value):
-    """The markers of a sidecar header's payload, in walk order."""
-    if isinstance(value, dict):
-        if _ARRAY_MARK in value:
-            yield value
-        else:
-            for item in value.values():
-                yield from _marks(item)
-    elif isinstance(value, list):
-        for item in value:
-            yield from _marks(item)
-
-
-def _array_layout(head: dict) -> list | None:
-    """``sidecar.read``'s layout of a checkpoint sidecar: one ``<f8`` vector per marker."""
-    marks = list(_marks(head.get("payload")))
-    if "payload" not in head or not all(len(mark) == 1 and type(mark[_ARRAY_MARK]) is int
-                                        and mark[_ARRAY_MARK] >= 0 for mark in marks):
-        return None
-    return [("<f8", (mark[_ARRAY_MARK],)) for mark in marks]
-
-
-def _unmarked(value, arrays):
-    """``value`` with each marker replaced by the next of the ``arrays`` iterator."""
-    if isinstance(value, dict):
-        if _ARRAY_MARK in value:
-            return next(arrays)
-        return {key: _unmarked(item, arrays) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_unmarked(item, arrays) for item in value]
-    return value

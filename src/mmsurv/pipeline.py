@@ -46,11 +46,9 @@ from .cohort import (MODALITIES, N_MODALITIES, Cohort, MissingnessScenario,
                      generate_synthetic, scenario_by_name)
 from .config import TrainConfig, TrainingTrace, fit
 from .errors import ConfigError, DataError, MmsurvError, NumericalError
-from .fusion import (SCORE_CHUNK, FusionBatch, FusionModel,
-                     FusionStrategy, batch_loss_and_grads, dropout_masks, fuse,
-                     fusion_from_dict, fusion_to_dict, init_fusion_model,
-                     model_footprint)
-from .nets import (OptimizerState, net_from_dict, net_to_dict, optimizer_step, pack,
+from .fusion import (SCORE_CHUNK, FusionModel, FusionStrategy, batch_loss_and_grads, dropout_masks,
+                     fuse, fusion_from_dict, fusion_to_dict, init_fusion_model, model_footprint)
+from .nets import (OptimizerState, check_format, net_from_dict, net_to_dict, optimizer_step, pack,
                    read_json, split, write_json)
 from .survival import bootstrap_concordance, concordance_index, rank_plan
 from .unimodal import check_encoders, encode, export_embeddings, init_encoder, train_unimodal
@@ -150,9 +148,7 @@ def save_predictor(predictor: SurvivalPredictor, path: str) -> None:
 def load_predictor(path: str) -> SurvivalPredictor:
     """Read a predictor checkpoint; anything malformed or mismatched is a DataError."""
     payload = read_json(path)
-    fmt = payload.get("format") if isinstance(payload, dict) else None
-    if fmt != PREDICTOR_FORMAT:
-        raise DataError(f"{path}: not a predictor checkpoint (format {fmt!r})")
+    check_format(payload, PREDICTOR_FORMAT, path, "predictor")
     fusion = fusion_from_dict(payload.get("fusion"), origin=path)
     blobs = payload.get("encoders")
     if blobs is None:
@@ -222,8 +218,8 @@ def _fit_fusion(pool: Cohort, config: TrainConfig, cell: ExperimentCell, joint: 
         tapes = {}
         emb = encode(encoders, pool, idx, tapes)
         mask = dropout_masks(alpha[idx], rate, dropout_rng)
-        batch = FusionBatch(emb, alpha[idx], mask, times[idx], events[idx])
-        total, _, _, _, dx = batch_loss_and_grads(model, batch, fusion_grad)
+        total, _, _, _, dx = batch_loss_and_grads(model, emb, alpha[idx], mask, times[idx], events[idx],
+                                                  fusion_grad)
         for m, net in learning_encoders.items():
             if m in tapes:
                 rows, tape = tapes[m]

@@ -31,20 +31,21 @@ SUFFIX = ".cache"
 READ_CHUNK = 1 << 20   # bytes per read of the source
 
 
-def write(path: str, head: dict, payload) -> None:
-    """Write the sidecar of ``path``: ``{"crc32": ..., **head}`` as one JSON line, then the payload.
+def write(path: str, head: str, payload) -> None:
+    """Write the sidecar of ``path``: ``head`` with ``crc32`` first, as one JSON line, then the payload.
 
-    ``head`` must hold the format tag and the source's length and CRC-32.
+    ``head`` is the header less ``crc32`` as ``json.dumps`` writes it: an
+    object holding the format tag and the source's length and CRC-32.
     ``payload()`` yields the payload's byte views in file order; it is
     called twice, once for the CRC and once into the file, so no
     payload-wide buffer is built. The write goes through ``atomic_write``,
     so a sidecar is whole or is the previous one.
     """
-    crc = zlib.crc32(json.dumps(head).encode())
+    crc = zlib.crc32(head.encode())
     for chunk in payload():
         crc = zlib.crc32(chunk, crc)
     with atomic_write(path + SUFFIX, binary=True) as fh:
-        fh.write(json.dumps({"crc32": crc, **head}).encode() + b"\n")
+        fh.write(f'{{"crc32": {crc}, {head[1:]}\n'.encode())
         for chunk in payload():
             fh.write(chunk)
 

@@ -26,8 +26,8 @@ from .cohort import N_MODALITIES, Cohort, ModalityId, ModalitySchema, embedding_
 from .config import TrainConfig, TrainingTrace, fit
 from .errors import DataError
 from .fusion import SCORE_CHUNK
-from .nets import (DenseNet, OptimizerState, init_net, net_from_dict, net_to_dict, optimizer_step,
-                   pack, read_json, split, write_json)
+from .nets import (DenseNet, OptimizerState, check_format, init_net, net_from_dict, net_to_dict,
+                   optimizer_step, pack, read_json, split, write_json)
 from .survival import cox_loss_and_grad
 
 ENCODER_HIDDEN = 64
@@ -187,9 +187,7 @@ def save_unimodal(model: UnimodalEncoder, path: str) -> None:
 def load_unimodal(path: str) -> UnimodalEncoder:
     """Read a stage-1 checkpoint; anything malformed or mismatched is a DataError."""
     payload = read_json(path)
-    fmt = payload.get("format") if isinstance(payload, dict) else None
-    if fmt != CHECKPOINT_FORMAT:
-        raise DataError(f"{path}: not a stage-1 checkpoint (format {fmt!r})")
+    check_format(payload, CHECKPOINT_FORMAT, path, "stage-1")
     label = payload.get("modality")
     if label not in [m.label for m in ModalityId]:
         raise DataError(f"{path}: unknown modality {label!r}")

@@ -22,7 +22,7 @@ from mmsurv import nets as nets_module
 from mmsurv.cli import main
 from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, ModalityId, ModalitySchema, generate_synthetic,
                            save_cohort, save_schema)
-from mmsurv.errors import DataError
+from mmsurv.errors import ConfigError, DataError
 from mmsurv.fusion import FUSION_KINDS, FusionStrategy, fusion_to_dict, init_fusion_model
 from mmsurv.nets import init_net, net_to_dict, pack, read_json, write_json
 from mmsurv.pipeline import SurvivalPredictor, load_predictor, save_predictor
@@ -301,11 +301,15 @@ def test_a_sidecar_keeps_what_the_parse_would_give_of_any_payload(tmp_path, monk
 
 @pytest.mark.parametrize("payload", [{"w": np.zeros((2, 2))}, {"w": np.arange(3)}, {"<f8": 3},
                                      {"a": {"<f8": [1.0]}}, {"w": np.zeros(2, dtype=np.float32)},
-                                     {"w": np.zeros(2), 1: "one"}],
-                         ids=["2-d", "int", "marker", "nested-marker", "float32", "int-key"])
-def test_a_payload_the_sidecar_cannot_stand_for_gets_none(tmp_path, payload):
-    write_json(str(tmp_path / "p.json"), payload)
-    assert sorted(os.listdir(tmp_path)) == ["p.json"]
+                                     {"w": np.zeros(2), 1: "one"}, {(1, 2): "pair"}, {True: "yes"}],
+                         ids=["2-d", "int", "marker", "nested-marker", "float32", "int-key", "tuple-key",
+                              "bool-key"])
+def test_a_payload_no_checkpoint_holds_is_refused_and_leaves_the_files_as_they_were(tmp_path, payload):
+    write_json(str(tmp_path / "p.json"), {"w": np.arange(3.0)})
+    before = listing(tmp_path)
+    with pytest.raises(ConfigError):
+        write_json(str(tmp_path / "p.json"), payload)
+    assert listing(tmp_path) == before and sorted(before) == ["p.json", "p.json.cache"]
 
 
 @pytest.fixture(scope="module")

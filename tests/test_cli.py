@@ -310,8 +310,8 @@ def test_eval_rejects_a_damaged_checkpoint_with_exit_two(tmp_path, capsys):
     wrong_width = json.loads(json.dumps(good))
     wrong_width["fusion"]["strategy"]["embed_dim"] = 16  # fused width 64, the head takes 128
     # json reads NaN and Infinity literals; no trainer writes them, nor a negative lam
-    bad_lams = [json.loads(json.dumps(good)) for _ in range(3)]
-    for payload, lam in zip(bad_lams, (float("nan"), float("inf"), -5.0)):
+    bad_lams = [json.loads(json.dumps(good)) for _ in range(4)]
+    for payload, lam in zip(bad_lams, (float("nan"), float("inf"), -5.0, 10**400)):  # 10**400 overflows float
         payload["fusion"]["lam"] = lam
     for payload in (no_strategy, wrong_width, *bad_lams):
         path = tmp_path / "damaged.json"
@@ -391,6 +391,28 @@ def test_eval_rejects_an_overflowing_weight_in_the_checkpoint_with_exit_two(tmp_
     err = capsys.readouterr().err
     assert "data error" in err and "hazard_head" in err and "non-finite" in err
     assert "Traceback" not in err
+
+
+# valid JSON that Python's parser refuses: nesting past its recursion limit, an int past its digit limit
+PAST_PARSER_LIMITS = {"deep-nesting": "[" * 200_000, "long-int": "1" * 5_000}
+
+
+@pytest.mark.parametrize("limit", sorted(PAST_PARSER_LIMITS))
+def test_a_checkpoint_past_the_parser_limits_is_a_data_error(tmp_path, capsys, limit):
+    cohort = generate_synthetic(40, 5)
+    data = tmp_path / "train.csv"
+    save_cohort(cohort, str(data))
+    save_schema(cohort.schema, str(data) + ".schema")
+    enc = _stage1_dir(tmp_path / "enc", cohort.schema)
+    for path in (enc / "genomics.json", tmp_path / "model.json"):
+        path.write_text(PAST_PARSER_LIMITS[limit])
+    for name, argv in [("model.json", ["eval", "--model", tmp_path / "model.json", "--data", data,
+                                       "--seed", 1, "--bootstrap", 0]),
+                       ("genomics.json", ["train-fuse", "--data", data, "--encoders", enc, "--strategy", "mean",
+                                          "--seed", 5, "--out-dir", tmp_path / "fuse", *FAST_FUSE])]:
+        assert run(*argv, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert f"{name}: JSON past the parser's limits" in err and "Traceback" not in err
 
 
 def test_train_fuse_rejects_a_nan_weight_in_a_stage1_checkpoint_with_exit_two(tmp_path, capsys):

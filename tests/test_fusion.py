@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 
@@ -13,7 +12,7 @@ from conftest import (finite_diff_grad, recon_loss_grad_two_pass, recon_loss_two
                       tensor_product_einsum)
 from mmsurv.cohort import DEFAULT_SCHEMA, MODALITIES, Cohort, ModalityId, ModalitySchema, embedding_schema
 from mmsurv.errors import ConfigError, DataError, NumericalError
-from mmsurv.fusion import (FusionBatch, FusionStrategy, batch_loss_and_grads,
+from mmsurv.fusion import (FusionStrategy, batch_loss_and_grads,
                            SCORE_CHUNK, dropout_masks, fuse, fusion_from_dict, fusion_to_dict,
                            init_fusion_model, modality_dropout, model_footprint,
                            recon_loss_and_grad, tensor_product)
@@ -49,7 +48,7 @@ def make_batch(rng, n, embed_dim, full_mask=False, with_dropout=False):
         masks.append(mask)
         times.append(float(rng.uniform(1, 50)))
     events = np.array([float(i % 2 == 0) for i in range(n)])
-    return FusionBatch(embeddings, np.stack(alphas), np.stack(masks), np.array(times), events)
+    return embeddings, np.stack(alphas), np.stack(masks), np.array(times), events
 
 
 def one_row(vecs, mask, embed_dim):
@@ -304,10 +303,9 @@ def test_fuse_rejects_inconsistent_inputs():
         fuse(model, x, np.array([1, 1, 0, 0]))  # mask is not one row per embedding row
     with pytest.raises(DataError):
         fuse(model, np.zeros((2, 4, 9)), np.ones((2, 4)))  # bad width
-    batch = FusionBatch(x, np.array([[1, 0, 0, 0]] * 2), np.array([[1, 1, 0, 0]] * 2),
-                        np.array([1.0, 2.0]), np.array([1.0, 0.0]))
     with pytest.raises(DataError):
-        batch_loss_and_grads(model, batch)  # training mask wider than the availability
+        batch_loss_and_grads(model, x, np.array([[1, 0, 0, 0]] * 2), np.array([[1, 1, 0, 0]] * 2),
+                             np.array([1.0, 2.0]), np.array([1.0, 0.0]))  # training mask wider than the availability
 
 
 def rel_close(a, b, tol=1e-12):
@@ -343,9 +341,8 @@ def test_batch_loss_and_grads_is_invariant_to_row_order(kind, recon):
     model = init_fusion_model(small_strategy(kind), seed=24, recon=recon, lam=0.7)
     batch = make_batch(np.random.default_rng(25), 7, embed_dim=4, with_dropout=True)
     perm = np.random.default_rng(26).permutation(7)
-    total, cox, rec, grads, dx = batch_loss_and_grads(model, batch)
-    permuted = FusionBatch(*(getattr(batch, f.name)[perm] for f in dataclasses.fields(batch)))
-    p_total, p_cox, p_rec, p_grads, p_dx = batch_loss_and_grads(model, permuted)
+    total, cox, rec, grads, dx = batch_loss_and_grads(model, *batch)
+    p_total, p_cox, p_rec, p_grads, p_dx = batch_loss_and_grads(model, *(a[perm] for a in batch))
     assert abs(p_total - total) <= 1e-12 * abs(total)
     assert abs(p_cox - cox) <= 1e-12 * abs(cox)
     assert abs(p_rec - rec) <= 1e-12 * max(abs(rec), 1e-300)
@@ -455,11 +452,11 @@ def test_total_loss_combination():
     batch = make_batch(np.random.default_rng(19), 6, embed_dim=4, with_dropout=True)
     for lam in (0.7, 0.0):
         model = init_fusion_model(small_strategy("mean"), seed=20, recon=True, lam=lam)
-        total, cox, recon, _, _ = batch_loss_and_grads(model, batch)
+        total, cox, recon, _, _ = batch_loss_and_grads(model, *batch)
         assert recon > 1.0 and total == cox + lam * recon
     model = init_fusion_model(small_strategy("mean"), seed=20, recon=True, lam=np.finfo(float).max)
     with pytest.raises(NumericalError, match="non-finite total loss"):
-        batch_loss_and_grads(model, batch)
+        batch_loss_and_grads(model, *batch)
 
 
 # ── end-to-end gradients through each strategy ───────────────────────────────
@@ -472,11 +469,11 @@ def test_fusion_parameter_gradients_match_finite_differences(kind, recon):
     batch = make_batch(rng, 6, embed_dim=4, with_dropout=True)
 
     params = pack([net for _, net in model.parts()])
-    _, _, _, analytic, _ = batch_loss_and_grads(model, batch)
+    _, _, _, analytic, _ = batch_loss_and_grads(model, *batch)
 
     def loss_of(p):
         params[...] = p
-        total, _, _, _, _ = batch_loss_and_grads(model, batch)
+        total, _, _, _, _ = batch_loss_and_grads(model, *batch)
         return total
 
     numeric = finite_diff_grad(loss_of, params.copy(), h=1e-5)
@@ -490,17 +487,17 @@ def test_fusion_embedding_gradients_match_finite_differences(kind):
     model = init_fusion_model(small_strategy(kind), seed=16, recon=False)
     batch = make_batch(rng, 5, embed_dim=4, full_mask=True)
 
-    _, _, _, _, dx = batch_loss_and_grads(model, batch)
+    _, _, _, _, dx = batch_loss_and_grads(model, *batch)
     target_sample, target_mod = 2, ModalityId.GENOMICS
     analytic = dx[target_sample, target_mod]
 
     def loss_of(vec):
-        embeddings = batch.embeddings.copy()
+        embeddings = batch[0].copy()
         embeddings[target_sample, target_mod] = vec
-        total, _, _, _, _ = batch_loss_and_grads(model, dataclasses.replace(batch, embeddings=embeddings))
+        total, _, _, _, _ = batch_loss_and_grads(model, embeddings, *batch[1:])
         return total
 
-    numeric = finite_diff_grad(loss_of, batch.embeddings[target_sample, target_mod], h=1e-5)
+    numeric = finite_diff_grad(loss_of, batch[0][target_sample, target_mod], h=1e-5)
     scale = max(np.abs(numeric).max(), 1e-8)
     assert np.abs(analytic - numeric).max() / scale < 1e-4
 
@@ -509,9 +506,9 @@ def test_masked_modalities_receive_no_parameter_gradient():
     rng = np.random.default_rng(17)
     model = init_fusion_model(small_strategy("mean"), seed=18)
     mask = np.array([1, 0, 1, 1], dtype=np.int64)  # pathology hidden by dropout
-    batch = FusionBatch(rng.normal(size=(4, 4, 4)), np.ones((4, 4), dtype=np.int64),
-                        np.tile(mask, (4, 1)), np.arange(1.0, 5.0), np.ones(4))
-    _, _, _, grads, dx = batch_loss_and_grads(model, batch)
+    embeddings = rng.normal(size=(4, 4, 4))
+    _, _, _, grads, dx = batch_loss_and_grads(model, embeddings, np.ones((4, 4), dtype=np.int64),
+                                              np.tile(mask, (4, 1)), np.arange(1.0, 5.0), np.ones(4))
     grads = part_grads(model, grads)
     assert np.all(grads["extender_pathology"] == 0.0)
     assert np.any(grads["extender_radiology"] != 0.0)
@@ -523,10 +520,10 @@ def test_an_absent_modality_leaves_exact_zeros_in_its_slice_of_the_trainer_gradi
     model = init_fusion_model(small_strategy("mean"), seed=20, recon=True)
     params = pack([net for _, net in model.parts()])
     alpha = np.tile(np.array([1, 1, 0, 1], dtype=np.int64), (4, 1))  # no row has genomics
-    batch = FusionBatch(rng.normal(size=(4, 4, 4)) * alpha[:, :, None], alpha, alpha.copy(),
-                        np.arange(1.0, 5.0), np.ones(4))
+    embeddings = rng.normal(size=(4, 4, 4)) * alpha[:, :, None]
     grad = np.full_like(params, np.nan)  # what an earlier step could have left in the buffer
-    _, _, _, out, _ = batch_loss_and_grads(model, batch, grad)
+    _, _, _, out, _ = batch_loss_and_grads(model, embeddings, alpha, alpha.copy(), np.arange(1.0, 5.0),
+                                           np.ones(4), grad)
     assert out is grad and np.isfinite(grad).all()
     grads = part_grads(model, grad)
     assert np.all(grads["extender_genomics"] == 0.0)

@@ -4,7 +4,7 @@ import pytest
 
 from mmsurv.cohort import DEFAULT_SCHEMA, MODALITIES, ModalityId, generate_synthetic
 from mmsurv.config import TrainConfig
-from mmsurv.fusion import FUSION_KINDS, FusionBatch, FusionStrategy, init_fusion_model
+from mmsurv.fusion import FUSION_KINDS, FusionStrategy, init_fusion_model
 from mmsurv.gradcheck import _KINK_GUARD, _net_configs, _pass_tapes, _tape_kink_gap, run_gradient_checks
 from mmsurv.nets import init_net
 from mmsurv.pipeline import ExperimentCell, train_cell
@@ -79,11 +79,10 @@ def test_kink_guard_lists_every_network_the_training_pass_runs(kind, recon):
     mask = alpha.copy()
     mask[:, ModalityId.GENOMICS] = 0
     mask[:2, ModalityId.RADIOLOGY] = 0
-    batch = FusionBatch(rng.normal(size=(n, len(MODALITIES), 4)), alpha, mask,
-                        rng.exponential(100.0, n) + 1e-3, np.ones(n))
+    embeddings = rng.normal(size=(n, len(MODALITIES), 4))
     expected = [(model.body[m], int(mask[:, m].sum())) for m in model.body if mask[:, m].any()]
     expected += [(model.hazard_head, n)] + ([(model.recon_head, n)] if recon else [])
-    runs = _pass_tapes(model, batch)
+    runs = _pass_tapes(model, embeddings, mask)
     assert [id(net) for net, _ in runs] == [id(net) for net, _ in expected]
     for (net, tape), (_, rows) in zip(runs, expected):
         assert len(tape) == len(net.layers) and all(z.shape[0] == rows for _, z in tape)

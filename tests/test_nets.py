@@ -343,9 +343,14 @@ def test_checkpoint_dict_rejects_broken_chains():
               dict(good, dims=[4, 5, 2]),
               dict(good, activations=["relu", "swish"]),
               dict(good, activations=["relu", "tanh"]),
-              dict(good, layers=[good["layers"][0], {"w": good["layers"][1]["w"]}])]
+              dict(good, layers=[good["layers"][0], {"w": good["layers"][1]["w"]}]),
+              dict(good, dims=[4, -1, 2]),   # reshape would infer the 3
+              dict(good, dims=[4, 3.0, 2]),
+              dict(good, layers=[dict(good["layers"][0], w=[10**400] * 12), good["layers"][1]])]
+    one = net_to_dict(init_net((1, 1), "relu", seed=8))
+    broken += [dict(one, dims=[-1, 1]), dict(one, dims=[True, 1]), dict(one, dims=[1, -1])]
     for payload in broken:
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="not a consistent layer chain"):
             net_from_dict(payload)
 
 
