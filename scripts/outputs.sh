@@ -3,7 +3,7 @@
 # at one BLAS thread, leaving every file it writes in DIR: cohort CSVs and
 # their caches, stage-1 and predictor checkpoints and their sidecars,
 # training traces, eval metrics, ablation reports, the gradcheck stdout and
-# every other command's stdout (stdout.txt).
+# every other command's stdout (stdout.txt), the footprint tables among it.
 # Two trees that compute the same bits give DIRs that `diff -r` finds equal.
 #
 # Usage, from the root of a tree:  scripts/outputs.sh DIR
@@ -16,6 +16,8 @@ cd "$1"   # every path below is relative, so no output names the directory
 rm -f stdout.txt
 mmsurv() { python -m mmsurv "$@" --quiet >> stdout.txt; }
 
+mmsurv footprint --strategy all --recon
+mmsurv footprint --strategy all --embed-dim 8
 mmsurv synth --n 300 --seed 1 --out train.csv
 mmsurv synth --n 2000 --seed 2 --missing-rate 0 --out test.csv
 mmsurv train-uni --data train.csv --seed 1 --stage1-epochs 2 --out-dir enc

@@ -1,9 +1,8 @@
 """Training configuration and ``fit``, the one training loop.
 
 Stage 1, fusion on an embedding table and joint training all run ``fit``:
-each trainer brings the one vector its networks are packed into
-(``nets.pack``), a ``step`` over a batch of record indices and a
-``val_risks`` for the hold-out, and ``fit`` does the rest.
+each trainer brings its networks, a ``step`` that writes a batch's gradient
+and a ``val_risks`` for the hold-out; ``fit`` packs and steps the networks.
 """
 from __future__ import annotations
 
@@ -13,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
+from .nets import OptimizerState, optimizer_step, pack
 from .survival import concordance_index, has_comparable_pair
 
 
@@ -74,9 +74,10 @@ class TrainingTrace:
         self.epochs.append({"epoch": epoch, "train_loss": train_loss, "val_cindex": val_cindex})
 
 
-def fit(params: np.ndarray, step, val_risks, times, events, *, epochs: int, batch_size: int,
-        patience: int, val_fraction: float, split_seed, shuffle_seed, context: str) -> TrainingTrace:
-    """Train the packed vector ``params`` through ``step`` with early stopping; returns the trace.
+def fit(nets, step, val_risks, times, events, *, optimizer: str, lr: float, epochs: int,
+        batch_size: int, patience: int, val_fraction: float, split_seed, shuffle_seed,
+        context: str) -> TrainingTrace:
+    """Train ``nets``, packed into one vector, through ``step`` with early stopping; returns the trace.
 
     A permutation drawn from ``split_seed`` holds out its first
     round(n * val_fraction) records for validation. Each epoch visits the
@@ -85,14 +86,20 @@ def fit(params: np.ndarray, step, val_risks, times, events, *, epochs: int, batc
     without any event is a DataError, so every epoch takes a step, and so is
     a rest whose Cox loss is exactly zero because no event in it has another
     record at or after its time.
-    ``step(idx)`` and ``val_risks(idx)`` take indices into ``times`` and
-    ``events``. Each time the validation c-index improves, ``params`` is
-    copied into one snapshot vector; once it has not improved for more than
-    ``patience`` epochs, training stops, and the snapshot is written back
-    into ``params``, so every network viewing it returns to its best epoch.
+    ``step(idx, grad)`` writes the gradient of the records ``idx`` into
+    ``grad``, one vector in the packed layout, and returns their loss; one
+    ``optimizer`` step at rate ``lr`` then moves the packed vector.
+    ``val_risks(idx)`` scores records; both take indices into ``times`` and
+    ``events``. Each time the validation c-index improves, the packed vector
+    is copied into one snapshot vector; once it has not improved for more
+    than ``patience`` epochs, training stops and the snapshot is written
+    back, so every network viewing it returns to its best epoch.
     A hold-out without a comparable pair has no c-index: every epoch then
     logs None, all epochs run and the last state is kept.
     """
+    params = pack(nets)
+    grad = np.empty_like(params)
+    opt = OptimizerState(optimizer, lr, params)
     n_val = int(round(len(times) * val_fraction))
     perm = np.random.default_rng(split_seed).permutation(len(times))
     val_idx, fit_idx = perm[:n_val], perm[n_val:]
@@ -116,7 +123,8 @@ def fit(params: np.ndarray, step, val_risks, times, events, *, epochs: int, batc
             if not events[idx].any():
                 continue
             try:
-                epoch_loss += step(idx)
+                epoch_loss += step(idx, grad)
+                optimizer_step(params, grad, opt)
             except NumericalError as e:
                 raise NumericalError(f"{context} diverged at epoch {epoch}: {e}") from e
             n_batches += 1

@@ -376,7 +376,7 @@ class Footprint:
 
 def model_footprint(model: FusionModel) -> Footprint:
     """Float64 parameter counts per part and in total."""
-    parts = {name: net.param_count() for name, net in model.parts()}
+    parts = {name: net.params.size for name, net in model.parts()}
     total = sum(parts.values())
     return Footprint(parts, total, total * 8)
 

@@ -8,16 +8,16 @@ an (n, input) batch of rows through the stack and returns a tape;
 one-row batch. The derivatives are written out by hand and checked against
 central finite differences in the tests.
 
-A network keeps all of its parameters in one contiguous vector,
-``params``: layer by layer, each layer's (out, in) weights row-major and
-then its out biases. Every ``layer.w`` and ``layer.b`` is a reshaped view
-into that vector, so writing ``params`` moves the layers and vice versa.
-``pack`` moves the networks a trainer updates into one vector, their
-``params`` in list order, and points every network's ``params`` and layers
-at views of it. ``backward`` writes the parameter gradient into a vector in
-the ``params`` layout, which may be a slice of one gradient vector in the
-``pack`` layout, and the optimizer updates the packed vector with one call
-per step.
+A network is built from its widths, activations and one contiguous
+vector, ``params``: layer by layer, each layer's (out, in) weights
+row-major and then its out biases. Every ``layer.w`` and ``layer.b`` is a
+reshaped view into that vector, so writing ``params`` moves the layers and
+vice versa. ``pack`` moves the networks a trainer updates into one vector,
+their ``params`` in list order, and points every network's ``params`` and
+layers at views of it. ``backward`` writes the parameter gradient into a
+vector in the ``params`` layout, which may be a slice of one gradient
+vector in the ``pack`` layout; ``config.fit`` owns both vectors and the
+optimizer, which updates the packed vector with one call per step.
 
 Checkpoints are JSON: dims, per-layer activation ids, and row-major
 parameter lists. Python's float repr round-trips doubles exactly, so a
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import zlib
 from dataclasses import dataclass
 
@@ -118,27 +119,24 @@ class Layer:
 
 
 class DenseNet:
-    """A stack of affine layers with elementwise activations over one parameter vector."""
+    """Affine layers of widths ``dims`` (input first), one of ``activations`` after each,
+    over ``params``, a 1-D float64 vector in the layout above that the net keeps without a copy."""
 
-    def __init__(self, layers: list[Layer]):
-        if not layers:
-            raise ConfigError("a network needs at least one layer")
-        for k, layer in enumerate(layers):
-            if layer.activation not in ACTIVATIONS:
-                raise ConfigError(f"layer {k}: unknown activation {layer.activation!r}")
-            if layer.w.ndim != 2 or layer.b.ndim != 1 or layer.w.shape[0] != layer.b.shape[0]:
-                raise ConfigError(f"layer {k}: weight/bias shapes do not chain")
-            if k > 0 and layer.w.shape[1] != layers[k - 1].w.shape[0]:
-                raise ConfigError(f"layer {k}: input dim {layer.w.shape[1]} does not match previous output")
-            if not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
-                raise NumericalError(f"layer {k}: non-finite parameters")
-        self._shapes = [layer.w.shape for layer in layers]
-        self.layers = [Layer(l.w, l.b, l.activation) for l in layers]
-        self._bind(np.concatenate([a for l in layers for a in (np.ravel(l.w), l.b)], dtype=np.float64))
+    def __init__(self, dims, activations, params: np.ndarray):
+        self.dims, activations = _widths(dims), list(activations)
+        if len(activations) != len(self.dims) - 1 or not all(a in ACTIVATIONS for a in activations):
+            raise ConfigError(f"activations {activations!r} do not name one of {ACTIVATIONS} per layer")
+        size = sum(rows * (cols + 1) for rows, cols in zip(self.dims[1:], self.dims))
+        if not (isinstance(params, np.ndarray) and params.dtype == np.float64 and params.shape == (size,)):
+            raise ConfigError(f"parameters must be a 1-D float64 vector of {size} entries")
+        if not np.isfinite(params).all():
+            raise NumericalError("non-finite parameters")
+        self.params = params
+        self.layers = [Layer(w, b, act) for (w, b), act in zip(self._views(params), activations)]
 
     def __reduce__(self):
-        # pickle copies each array on its own; rebuilding re-creates the views
-        return DenseNet, (self.layers,)
+        # pickle copies params on its own; rebuilding binds fresh views to the copy
+        return DenseNet, (self.dims, [l.activation for l in self.layers], self.params)
 
     def _bind(self, params: np.ndarray) -> None:
         """Point ``params`` and every layer array at ``params``, a vector in this net's layout."""
@@ -149,7 +147,7 @@ class DenseNet:
     def _views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(weight, bias) views of each layer into a vector in the ``params`` layout."""
         out, ofs = [], 0
-        for rows, cols in self._shapes:
+        for rows, cols in zip(self.dims[1:], self.dims):
             w_end = ofs + rows * cols
             out.append((flat[ofs:w_end].reshape(rows, cols), flat[w_end:w_end + rows]))
             ofs = w_end + rows
@@ -157,18 +155,11 @@ class DenseNet:
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].w.shape[1]
+        return self.dims[0]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].w.shape[0]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.input_dim,) + tuple(layer.w.shape[0] for layer in self.layers)
-
-    def param_count(self) -> int:
-        return self.params.size
+        return self.dims[-1]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """Run an (n, input_dim) batch of rows through the stack.
@@ -219,7 +210,15 @@ class DenseNet:
         return grad, delta
 
     def copy(self) -> "DenseNet":
-        return DenseNet(self.layers)
+        return DenseNet(self.dims, [l.activation for l in self.layers], self.params.copy())
+
+
+def _widths(dims) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints; fewer than two widths, or one below 1, is a ConfigError."""
+    dims = tuple(map(operator.index, dims))
+    if len(dims) < 2 or min(dims) < 1:
+        raise ConfigError(f"a network needs at least two widths, all positive, not {dims}")
+    return dims
 
 
 def init_net(dims: tuple[int, ...], activation: str, seed, output_activation: str | None = None) -> DenseNet:
@@ -231,23 +230,14 @@ def init_net(dims: tuple[int, ...], activation: str, seed, output_activation: st
     which use 1/fan_in. Biases start at zero. ``seed`` may be an int or a
     numpy SeedSequence; the result is deterministic either way.
     """
-    if len(dims) < 2:
-        raise ConfigError("dims must list at least input and output width")
-    if any(d < 1 for d in dims):
-        raise ConfigError("all layer widths must be positive")
+    dims = _widths(dims)
+    activations = [activation] * (len(dims) - 2) + [output_activation or activation]
     rng = np.random.default_rng(seed)
-    layers = []
-    for k in range(len(dims) - 1):
-        fan_in, fan_out = dims[k], dims[k + 1]
-        act = activation
-        if output_activation is not None and k == len(dims) - 2:
-            act = output_activation
-        if act not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {act!r}")
+    parts = []
+    for fan_in, fan_out, act in zip(dims, dims[1:], activations):
         var = 1.0 / fan_in if act == "selu" else 2.0 / fan_in
-        w = rng.normal(0.0, math.sqrt(var), size=(fan_out, fan_in))
-        layers.append(Layer(w, np.zeros(fan_out), act))
-    return DenseNet(layers)
+        parts += [rng.normal(0.0, math.sqrt(var), size=fan_out * fan_in), np.zeros(fan_out)]
+    return DenseNet(dims, activations, np.concatenate(parts))
 
 
 def pack(nets: list[DenseNet]) -> np.ndarray:
@@ -348,19 +338,26 @@ def net_from_dict(d: dict, origin: str = "network") -> DenseNet:
     """Rebuild a network; a payload that is not one consistent layer chain is a DataError."""
     check_format(d, CHECKPOINT_FORMAT, origin, "network")
     try:
-        dims = d["dims"]
-        if not all(type(width) is int and width > 0 for width in dims):   # reshape would infer a -1
+        dims, blobs = d["dims"], d["layers"]
+        if not all(type(width) is int and width > 0 for width in dims):   # JSON's true would pass as 1
             raise ValueError(f"widths {dims!r} are not all positive ints")
-        layers = [Layer(np.asarray(blob["w"], dtype=np.float64).reshape(dims[k + 1], dims[k]),
-                        np.asarray(blob["b"], dtype=np.float64).reshape(dims[k + 1]), act)
-                  for k, (act, blob) in enumerate(zip(d["activations"], d["layers"], strict=True))]
-        if len(dims) != len(layers) + 1:
-            raise ValueError(f"{len(dims)} widths for {len(layers)} layers")
-        return DenseNet(layers)
+        layers = zip(blobs, dims[1:], dims[:-1], strict=True)   # one {w, b} blob per layer
+        params = np.concatenate([_flat(blob[key], size, f"layer {k} {key}") for k, (blob, rows, cols)
+                                 in enumerate(layers) for key, size in (("w", rows * cols), ("b", rows))])
+        return DenseNet(dims, d["activations"], params)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError, ConfigError) as e:
         raise DataError(f"{origin}: not a consistent layer chain ({type(e).__name__}: {e})") from e
     except NumericalError as e:  # NaN or an overflowed literal such as 1e999 in the file
         raise DataError(f"{origin}: {e}") from e
+
+
+def _flat(value, size: int, what: str) -> np.ndarray:
+    """``value``, a parse's flat list of ``size`` ints/floats (no bools) or the sidecar's array, as float64."""
+    if type(value) is list and len(value) == size and set(map(type, value)) <= {int, float}:
+        return np.asarray(value, dtype=np.float64)
+    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.shape == (size,):
+        return value
+    raise ValueError(f"{what} is not a flat list of {size} numbers")
 
 
 def read_json(path: str):

@@ -48,8 +48,7 @@ from .config import TrainConfig, TrainingTrace, fit
 from .errors import ConfigError, DataError, MmsurvError, NumericalError
 from .fusion import (SCORE_CHUNK, FusionModel, FusionStrategy, batch_loss_and_grads, dropout_masks,
                      fuse, fusion_from_dict, fusion_to_dict, init_fusion_model, model_footprint)
-from .nets import (OptimizerState, check_format, net_from_dict, net_to_dict, optimizer_step, pack,
-                   read_json, split, write_json)
+from .nets import check_format, net_from_dict, net_to_dict, read_json, write_json
 from .survival import bootstrap_concordance, concordance_index, rank_plan
 from .unimodal import check_encoders, encode, export_embeddings, init_encoder, train_unimodal
 
@@ -204,35 +203,34 @@ def _fit_fusion(pool: Cohort, config: TrainConfig, cell: ExperimentCell, joint: 
     learning_encoders = encoders or {}
     strategy = FusionStrategy(cell.strategy, embed_dim=pool.schema.embed_dim)
     model = init_fusion_model(strategy, init_seed, recon=cell.recon, lam=config.lam)
-    parts, encoder_nets = [net for _, net in model.parts()], list(learning_encoders.values())
-    params = pack(parts + encoder_nets)
-    grad = np.empty_like(params)
-    fusion_grad = grad[:sum(net.params.size for net in parts)]
-    encoder_grads = dict(zip(learning_encoders, split(grad[fusion_grad.size:], encoder_nets)))
-    opt = OptimizerState(config.optimizer, config.fusion_lr, params)
+    # fit packs the fusion parts, then the learning encoders; a step writes each one's slice
+    nets = [net for _, net in model.parts()] + list(learning_encoders.values())
+    bounds = np.cumsum([net.params.size for net in nets])[-len(learning_encoders) - 1:].tolist()
+    fusion_part = slice(bounds[0])
+    encoder_parts = dict(zip(learning_encoders, map(slice, bounds, bounds[1:])))
     rate = config.dropout_rate if cell.dropout else 0.0
     dropout_rng = np.random.default_rng(dropout_seed)
     alpha, times, events = pool.availability, pool.times, pool.events
 
-    def step(idx):
+    def step(idx, grad):
         tapes = {}
         emb = encode(encoders, pool, idx, tapes)
         mask = dropout_masks(alpha[idx], rate, dropout_rng)
         total, _, _, _, dx = batch_loss_and_grads(model, emb, alpha[idx], mask, times[idx], events[idx],
-                                                  fusion_grad)
+                                                  grad[fusion_part])
         for m, net in learning_encoders.items():
             if m in tapes:
                 rows, tape = tapes[m]
-                net.backward(tape, dx[rows, m], encoder_grads[m])
+                net.backward(tape, dx[rows, m], grad[encoder_parts[m]])
             else:  # an encoder that saw no rows still steps, on zeros
-                encoder_grads[m][...] = 0.0
-        optimizer_step(params, grad, opt)
+                grad[encoder_parts[m]] = 0.0
         return total
 
-    trace = fit(params, step, partial(score_records, model, encoders, pool), times, events,
-                epochs=config.fusion_epochs, batch_size=config.fusion_batch,
-                patience=config.patience, val_fraction=config.val_fraction,
-                split_seed=split_seed, shuffle_seed=shuffle_seed, context=context)
+    trace = fit(nets, step, partial(score_records, model, encoders, pool), times, events,
+                optimizer=config.optimizer, lr=config.fusion_lr, epochs=config.fusion_epochs,
+                batch_size=config.fusion_batch, patience=config.patience,
+                val_fraction=config.val_fraction, split_seed=split_seed,
+                shuffle_seed=shuffle_seed, context=context)
     return SurvivalPredictor(model, encoders, trace=trace)
 
 
@@ -427,6 +425,7 @@ def run_ablation_grid(train: Cohort, test: Cohort, cells, config: TrainConfig,
     train_job = partial(_outcome, train_cell, train, config)
     models: dict[tuple, SurvivalPredictor | MmsurvError] = {}
     executor = nullcontext()
+    workers = min(workers, len(jobs))  # a pool starts all its processes at the first submit
     if workers > 1:  # imported here: the pool's modules add 10-15 ms to every import of mmsurv
         from concurrent.futures import ProcessPoolExecutor
         executor = ProcessPoolExecutor(workers)

@@ -26,8 +26,7 @@ from .cohort import N_MODALITIES, Cohort, ModalityId, ModalitySchema, embedding_
 from .config import TrainConfig, TrainingTrace, fit
 from .errors import DataError
 from .fusion import SCORE_CHUNK
-from .nets import (DenseNet, OptimizerState, check_format, init_net, net_from_dict, net_to_dict,
-                   optimizer_step, pack, read_json, split, write_json)
+from .nets import DenseNet, check_format, init_net, net_from_dict, net_to_dict, read_json, write_json
 from .survival import cox_loss_and_grad
 
 ENCODER_HIDDEN = 64
@@ -63,26 +62,22 @@ def train_unimodal(cohort: Cohort, modality: ModalityId, config: TrainConfig) ->
     init_seed, head_seed, split_seed, shuffle_seed = ss.spawn(4)
     encoder = init_encoder(cohort.schema, modality, init_seed)
     head = init_net((cohort.schema.embed_dim, 1), "identity", head_seed)
-    params = pack([encoder, head])
-    grad = np.empty_like(params)
-    g_enc, g_head = split(grad, [encoder, head])
-    opt = OptimizerState(config.optimizer, config.stage1_lr, params)
+    n_enc = encoder.params.size  # the packed layout: the encoder, then the head
 
-    def step(idx):
+    def step(idx, grad):
         emb, tape_e = encoder.forward(x[idx])
         f, tape_h = head.forward(emb)
         loss, d_scores = cox_loss_and_grad(f[:, 0], times[idx], events[idx])
-        _, d_emb = head.backward(tape_h, d_scores[:, None], g_head)
-        encoder.backward(tape_e, d_emb, g_enc)
-        optimizer_step(params, grad, opt)
+        _, d_emb = head.backward(tape_h, d_scores[:, None], grad[n_enc:])
+        encoder.backward(tape_e, d_emb, grad[:n_enc])
         return loss
 
     def val_risks(idx):
         return head.forward(encoder.forward(x[idx])[0])[0][:, 0]
 
-    trace = fit(params, step, val_risks, times, events, epochs=config.stage1_epochs,
-                batch_size=config.stage1_batch, patience=config.patience,
-                val_fraction=config.val_fraction, split_seed=split_seed,
+    trace = fit([encoder, head], step, val_risks, times, events, optimizer=config.optimizer,
+                lr=config.stage1_lr, epochs=config.stage1_epochs, batch_size=config.stage1_batch,
+                patience=config.patience, val_fraction=config.val_fraction, split_seed=split_seed,
                 shuffle_seed=shuffle_seed, context=f"stage 1 ({modality.label})")
     return UnimodalEncoder(modality, encoder, head, trace)
 

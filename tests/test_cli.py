@@ -313,7 +313,10 @@ def test_eval_rejects_a_damaged_checkpoint_with_exit_two(tmp_path, capsys):
     bad_lams = [json.loads(json.dumps(good)) for _ in range(4)]
     for payload, lam in zip(bad_lams, (float("nan"), float("inf"), -5.0, 10**400)):  # 10**400 overflows float
         payload["fusion"]["lam"] = lam
-    for payload in (no_strategy, wrong_width, *bad_lams):
+    string_weights = json.loads(json.dumps(good))  # numbers written as text are not numbers
+    head = string_weights["fusion"]["parts"]["hazard_head"]["layers"][0]
+    head["w"] = [repr(w) for w in head["w"]]
+    for payload in (no_strategy, wrong_width, *bad_lams, string_weights):
         path = tmp_path / "damaged.json"
         path.write_text(json.dumps(payload))
         assert run("eval", "--model", path, "--data", test, "--seed", 1, "--bootstrap", 0) == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from conftest import assert_layers_view_params, checkpoint_text, finite_diff_grad
 from mmsurv.errors import ConfigError, DataError, NumericalError
 from mmsurv.gradcheck import _net_configs
-from mmsurv.nets import (ADAM_BLOCK, SELU_ALPHA, SELU_LAMBDA, WRITE_CHUNK, DenseNet, Layer,
-                         OptimizerState, activate, init_net, net_from_dict, net_to_dict,
-                         optimizer_step, pack, split, write_json)
+from mmsurv.nets import (ADAM_BLOCK, SELU_ALPHA, SELU_LAMBDA, WRITE_CHUNK, DenseNet, OptimizerState,
+                         activate, init_net, net_from_dict, net_to_dict, optimizer_step, pack, split,
+                         write_json)
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -25,7 +26,46 @@ def test_init_shapes_and_zero_biases():
     assert net.layers[0].w.shape == (3, 4)
     assert net.layers[1].w.shape == (1, 3)
     assert np.all(net.layers[0].b == 0.0) and np.all(net.layers[1].b == 0.0)
-    assert net.param_count() == 3 * 4 + 3 + 1 * 3 + 1
+    assert net.params.size == 3 * 4 + 3 + 1 * 3 + 1
+
+
+def test_init_net_draws_each_layer_in_turn_from_one_stream():
+    dims, activations = (5, 4, 3, 2), ["selu", "selu", "relu"]
+    for seed in (17, np.random.SeedSequence(17)):
+        net = init_net(dims, "selu", seed, output_activation="relu")
+        rng, reference = np.random.default_rng(seed), []
+        for fan_in, fan_out, act in zip(dims, dims[1:], activations):
+            w = rng.normal(0.0, math.sqrt((1.0 if act == "selu" else 2.0) / fan_in), size=(fan_out, fan_in))
+            reference += [w.ravel(), np.zeros(fan_out)]
+        assert net.params.tobytes() == np.concatenate(reference).tobytes()
+        assert net.dims == dims and [l.activation for l in net.layers] == activations
+
+
+def test_a_network_keeps_the_vector_it_is_given_and_refuses_a_bad_one():
+    dims, activations = (2, 2, 1), ["relu", "identity"]  # 2x2 + 2, then 1x2 + 1: nine parameters
+    params = np.arange(9.0)
+    net = DenseNet(dims, activations, params)
+    assert net.params is params and net.dims == dims
+    assert all(np.shares_memory(a, params) for layer in net.layers for a in (layer.w, layer.b))
+    assert np.array_equal(net.layers[0].w, [[0.0, 1.0], [2.0, 3.0]]) and np.array_equal(net.layers[1].b, [8.0])
+    params[6] = -1.0
+    assert net.layers[1].w[0, 0] == -1.0
+    not_finite = np.arange(9.0)
+    not_finite[4] = np.inf
+    bad = [((2, 2, 1), activations, np.arange(8.0), ConfigError),       # a size off the layout
+           ((2, 2, 1), activations, np.arange(10.0), ConfigError),
+           ((2, 2, 1), activations, np.arange(9.0).reshape(3, 3), ConfigError),
+           ((2, 2, 1), activations, list(range(9)), ConfigError),
+           ((2, 2, 1), activations, np.arange(9), ConfigError),           # int64
+           ((2, 2, 1), activations, np.arange(9.0, dtype=np.float32), ConfigError),
+           ((2, 2, 1), activations, not_finite, NumericalError),
+           ((2, 2, 1), ["relu", "swish"], np.arange(9.0), ConfigError),
+           ((2, 2, 1), ["relu"], np.arange(9.0), ConfigError),          # one activation per layer
+           ((2,), [], np.arange(0.0), ConfigError),
+           ((2, 0, 1), activations, np.arange(1.0), ConfigError)]
+    for dims, acts, vector, error in bad:
+        with pytest.raises(error):
+            DenseNet(dims, acts, vector)
 
 
 def test_init_deterministic_given_seed():
@@ -50,7 +90,7 @@ def test_relu_init_variance_close_to_two_over_fan_in():
 def test_forward_identity_net_reproduces_affine_map():
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([0.5, -0.5])
-    net = DenseNet([Layer(w.copy(), b.copy(), "identity")])
+    net = DenseNet((2, 2), ["identity"], np.concatenate([w.ravel(), b]))
     y, _ = net.forward(np.array([[1.0, 1.0]]))
     assert np.allclose(y[0], w @ np.ones(2) + b, atol=0, rtol=0)
 
@@ -107,7 +147,7 @@ def test_backward_zero_upstream_gives_zero_gradients():
 def test_backward_single_linear_layer_input_grad_is_w_transpose():
     rng = np.random.default_rng(2)
     w = rng.normal(size=(3, 4))
-    net = DenseNet([Layer(w.copy(), np.zeros(3), "identity")])
+    net = DenseNet((4, 3), ["identity"], np.concatenate([w.ravel(), np.zeros(3)]))
     _, tape = net.forward(rng.normal(size=(1, 4)))
     upstream = rng.normal(size=(1, 3))
     _, dx = net.backward(tape, upstream)
@@ -182,7 +222,7 @@ def test_selu_stack_keeps_activations_normalized():
 
 
 def test_sgd_step_is_plain_descent():
-    net = DenseNet([Layer(np.array([[1.0]]), np.array([0.0]), "identity")])
+    net = DenseNet((1, 1), ["identity"], np.array([1.0, 0.0]))
     state = OptimizerState("sgd", lr=0.1, params=net.params)
     optimizer_step(net.params, np.array([2.0, 0.0]), state)
     assert net.layers[0].w[0, 0] == pytest.approx(0.8, abs=0)
@@ -190,7 +230,7 @@ def test_sgd_step_is_plain_descent():
 
 @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
 def test_adam_first_step_size_is_learning_rate(magnitude):
-    net = DenseNet([Layer(np.array([[0.0]]), np.array([0.0]), "identity")])
+    net = DenseNet((1, 1), ["identity"], np.array([0.0, 0.0]))
     state = OptimizerState("adam", lr=0.01, params=net.params)
     optimizer_step(net.params, np.array([magnitude, 0.0]), state)
     assert abs(net.layers[0].w[0, 0] + 0.01) < 1e-5 * 0.01 + 1e-12
@@ -349,6 +389,18 @@ def test_checkpoint_dict_rejects_broken_chains():
               dict(good, layers=[dict(good["layers"][0], w=[10**400] * 12), good["layers"][1]])]
     one = net_to_dict(init_net((1, 1), "relu", seed=8))
     broken += [dict(one, dims=[-1, 1]), dict(one, dims=[True, 1]), dict(one, dims=[1, -1])]
+    # a parse gives lists, and only a flat list of int and float items is numbers
+    two = net_to_dict(init_net((1, 2), "relu", seed=8))
+    broken += [dict(two, layers=[{"w": ["1.5", "2"], "b": [True, "0"]}]),
+               dict(two, layers=[{"w": [1.5, 2], "b": [True, 0]}]),
+               dict(one, layers=[{"w": "1", "b": [0.0]}]),
+               dict(one, layers=[{"w": [1.0], "b": 0.0}]),
+               dict(good, layers=[dict(good["layers"][0], w=good["layers"][0]["w"].reshape(3, 4).tolist()),
+                                  good["layers"][1]]),
+               dict(good, layers=[good["layers"][0], dict(good["layers"][1], b=[[0.0, 0.0]])]),
+               dict(good, layers=[dict(good["layers"][0], w=good["layers"][0]["w"].reshape(3, 4)),
+                                  good["layers"][1]]),
+               dict(good, layers=[good["layers"][0], dict(good["layers"][1], b=np.zeros(2, np.float32))])]
     for payload in broken:
         with pytest.raises(DataError, match="not a consistent layer chain"):
             net_from_dict(payload)

@@ -1,4 +1,5 @@
 """End-to-end training paths, scoring, evaluation, and the ablation grid."""
+import concurrent.futures
 import os
 import pickle
 import subprocess
@@ -8,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mmsurv.config
 import mmsurv.fusion
-import mmsurv.pipeline
 import mmsurv.survival as survival
 import mmsurv.unimodal
 from conftest import (assert_layers_view_params, block_cohort, bootstrap_loop, cindex_pairwise,
@@ -240,11 +241,9 @@ def test_scoring_checks_the_cohort_against_the_encoders(mean_predictor_and_test)
 def test_each_trainer_steps_one_vector_that_every_trained_layer_views(monkeypatch, mode):
     train, test = fast_pair(n_train=120, n_test=40)
     config = TrainConfig(seed=3, stage1_epochs=2, fusion_epochs=2)
-    built = []
-    for module in (mmsurv.pipeline, mmsurv.unimodal):
-        real = module.OptimizerState
-        monkeypatch.setattr(module, "OptimizerState",
-                            lambda *a, real=real, **kw: built.append(a) or real(*a, **kw))
+    built, real = [], mmsurv.config.OptimizerState
+    monkeypatch.setattr(mmsurv.config, "OptimizerState",
+                        lambda *a, **kw: built.append(a) or real(*a, **kw))
     encoders = train_stage1_encoders(train, config, "all")
     if mode == "stage-1":
         assert len(built) == len(MODALITIES)  # one per trainer
@@ -433,6 +432,34 @@ def test_grid_worker_pool_matches_serial():
     assert serial.to_csv_text() == parallel.to_csv_text()
 
 
+def test_grid_starts_no_more_workers_than_training_jobs(monkeypatch):
+    sizes = []
+
+    class InProcessPool:  # records the pool size and maps here, so no process starts
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    train, test = fast_pair(n_train=100, n_test=60)
+    two_jobs = [ExperimentCell(s, "all", "all", scenario=scen)
+                for s in ("concat", "mean") for scen in ("complete", "pathology-missing")]
+    serial = run_ablation_grid(train, test, two_jobs, FAST, workers=1)
+    assert run_ablation_grid(train, test, two_jobs, FAST, workers=500).rows == serial.rows
+    assert sizes == [2]
+    one_job = two_jobs[:2]  # two scenarios of one trained configuration
+    assert run_ablation_grid(train, test, one_job, FAST, workers=8).rows == serial.rows[:2]
+    assert sizes == [2]  # one job runs in-process, without a pool
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 def test_grid_rejects_worker_counts_below_one(workers):
     train, test = fast_pair(n_train=60, n_test=40)
@@ -463,13 +490,20 @@ def test_each_training_step_makes_one_cox_call(monkeypatch):
             return f(*args)
         monkeypatch.setattr(module, name, wrapper)
 
+    config = TrainConfig(seed=5, stage1_epochs=2, fusion_epochs=2)
+    step = mmsurv.config.optimizer_step
+
+    def counted_step(params, grad, state):  # the two stages step at their own rates
+        key = "stage-1 steps" if state.lr == config.stage1_lr else "fusion steps"
+        counts[key] = counts.get(key, 0) + 1
+        return step(params, grad, state)
+
+    assert config.stage1_lr != config.fusion_lr
     counted(mmsurv.unimodal, "cox_loss_and_grad", "stage-1 cox")
-    counted(mmsurv.unimodal, "optimizer_step", "stage-1 steps")
     counted(mmsurv.fusion, "cox_loss_and_grad", "fusion cox")
-    counted(mmsurv.pipeline, "optimizer_step", "fusion steps")
+    monkeypatch.setattr(mmsurv.config, "optimizer_step", counted_step)
     train, _ = fast_pair(n_train=120, n_test=40)
-    train_cell(train, TrainConfig(seed=5, stage1_epochs=2, fusion_epochs=2),
-               ExperimentCell("mean", recon=True))
+    train_cell(train, config, ExperimentCell("mean", recon=True))
     assert counts["stage-1 steps"] > 0 and counts["fusion steps"] > 0
     assert counts["stage-1 cox"] == counts["stage-1 steps"]
     assert counts["fusion cox"] == counts["fusion steps"]
