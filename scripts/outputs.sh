@@ -35,6 +35,12 @@ for model in fuse_concat fuse_mean fuse_tensor joint_finetune joint_scratch; do
       --bootstrap 20 --out "eval_${model}_$scenario.json"
   done
 done
+# a scenario that empties records: the embedding table is built from the applied cohort
+mmsurv eval --model fuse_mean/model.json --data train.csv --scenario gene-pathology-missing --seed 1 \
+  --bootstrap 20 --out eval_fuse_mean_train_gene-pathology-missing.json
+# consecutive scenarios of one trained cell share the test cohort's embedding columns
+mmsurv ablate --seed 1 --train train.csv --test test.csv --strategies concat --stage1-epochs 2 \
+  --fusion-epochs 2 --bootstrap 10 --out-dir grid_concat
 for workers in 1 2; do
   mmsurv ablate --seed 1 --n-train 150 --n-test 80 --strategies mean --stage1-epochs 2 --fusion-epochs 2 \
     --bootstrap 10 --workers "$workers" --out-dir "grid_w$workers"

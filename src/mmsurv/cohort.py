@@ -14,9 +14,19 @@ an array operation.
 Columns are the only way in: ``Cohort(schema, ids, times, events,
 availability, blocks)`` is the one public constructor, so its vectorized
 checks are the one definition of a valid record. Only ``apply_scenario``,
-whose views are valid by construction, builds a cohort without running them
-again. ``Cohort.records`` builds read-only ``PatientRecord`` rows from the
+whose views are valid by construction, and ``unimodal.embedding_table``,
+whose rows are a checked cohort's and whose embeddings are checked as
+network inputs when scored, build a cohort without running them again.
+``Cohort.records`` builds read-only ``PatientRecord`` rows from the
 checked columns, on demand, for callers that want them one at a time.
+
+A cohort has one private memo slot, which ``unimodal.embedding_table``
+fills with each modality's embedding column under one encoder. A column
+depends only on the cohort's rows, availability and feature block and on
+the encoder's bits, and the cohort's columns are read-only, so it stays
+valid for as long as the cohort lives and the encoder is unchanged (the
+key holds its parameter bytes). The slot is never pickled and never
+carried into a subset, a scenario view or a table: each starts empty.
 
 Files are plain CSV with one row per patient and a presence flag ahead of
 each modality block, plus a small key=value sidecar declaring the block
@@ -202,6 +212,7 @@ class Cohort:
             column.flags.writeable = False
         self.schema, self.ids, self.times, self.events = schema, ids, times, events
         self.availability, self.ground_truth_risk, self._blocks = availability, ground_truth_risk, blocks
+        self._memo = {}   # {modality: (encoder key, embedding column)}, see the module docstring
 
     def __reduce__(self):
         return Cohort, (self.schema, self.ids, self.times, self.events, self.availability,
@@ -286,9 +297,9 @@ def apply_scenario(cohort: Cohort, scenario: MissingnessScenario) -> Cohort:
 
     Already-absent modalities stay absent, so applying a scenario twice is
     the same as applying it once. The result is not checked again: its ids
-    are a subset of unique ids, the hidden blocks are zeroed whole, and
-    every record kept has a modality left, so it passes ``Cohort``'s checks
-    by construction.
+    are a subset of unique ids, each hidden block is one broadcast zero
+    (which holds no memory), and every record kept has a modality left, so
+    it passes ``Cohort``'s checks by construction.
     """
     availability = cohort.availability.copy()
     availability[:, sorted(scenario.drop)] = 0
@@ -296,7 +307,7 @@ def apply_scenario(cohort: Cohort, scenario: MissingnessScenario) -> Cohort:
     dropped = len(cohort) - len(kept)
     if dropped:
         log.info("scenario %s removed %d record(s) with no remaining modality", scenario.name, dropped)
-    blocks = [np.zeros_like(cohort.block(m)) if m in scenario.drop else cohort.block(m)
+    blocks = [np.broadcast_to(0.0, cohort.block(m).shape) if m in scenario.drop else cohort.block(m)
               for m in MODALITIES]
     out = Cohort._unchecked(*cohort._columns(kept if dropped else slice(None), availability, blocks))
     out.require_events(f"scenario {scenario.name!r}")

@@ -338,13 +338,15 @@ def net_from_dict(d: dict, origin: str = "network") -> DenseNet:
     """Rebuild a network; a payload that is not one consistent layer chain is a DataError."""
     check_format(d, CHECKPOINT_FORMAT, origin, "network")
     try:
-        dims, blobs = d["dims"], d["layers"]
+        dims, blobs, activations = d["dims"], d["layers"], d["activations"]
         if not all(type(width) is int and width > 0 for width in dims):   # JSON's true would pass as 1
             raise ValueError(f"widths {dims!r} are not all positive ints")
+        if type(activations) is not list:   # an object would pass its keys as the activations
+            raise ValueError(f"activations {activations!r} are not a list")
         layers = zip(blobs, dims[1:], dims[:-1], strict=True)   # one {w, b} blob per layer
         params = np.concatenate([_flat(blob[key], size, f"layer {k} {key}") for k, (blob, rows, cols)
                                  in enumerate(layers) for key, size in (("w", rows * cols), ("b", rows))])
-        return DenseNet(dims, d["activations"], params)
+        return DenseNet(dims, activations, params)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError, ConfigError) as e:
         raise DataError(f"{origin}: not a consistent layer chain ({type(e).__name__}: {e})") from e
     except NumericalError as e:  # NaN or an overflowed literal such as 1e999 in the file

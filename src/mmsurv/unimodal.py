@@ -15,6 +15,10 @@ for raw cohorts and precomputed embeddings.
 training and the gradient checks alike. ``encode`` is the one way a set of
 encoders runs over a cohort, and ``check_encoders`` the one check that it
 can: exporting a table, scoring and joint training all go through them.
+``export_embeddings`` and ``embedding_table`` build a table from the same
+columns, each modality's encoder over the cohort's ``SCORE_CHUNK`` blocks
+as scoring runs it; ``embedding_table`` keeps each column on the cohort,
+so evaluating one test cohort under several scenarios encodes it once.
 """
 from __future__ import annotations
 
@@ -133,21 +137,76 @@ def encode(nets, cohort: Cohort, idx: np.ndarray, tapes: dict | None = None) -> 
     present = cohort.availability[run]
     out = np.empty((len(idx), N_MODALITIES, cohort.schema.embed_dim))
     for m in ModalityId:
-        rows = np.flatnonzero(present[:, m])
-        whole = rows.size == len(idx)
-        if not whole:
-            out[:, m] = 0.0
-        if not rows.size:
-            continue
-        x = cohort.block(m)[run if whole else idx[rows]]
-        at = slice(None) if whole else rows
-        if nets is None:
-            out[at, m] = x
-            continue
-        out[at, m], tape = nets[m].forward(x)
-        if tapes is not None:
-            tapes[m] = (rows, tape)
+        taped = _encode_slot(out[:, m], nets, m, cohort, idx, run, present[:, m])
+        if taped is not None and tapes is not None:
+            tapes[m] = taped
     return out
+
+
+def _encode_slot(slot: np.ndarray, nets, m: ModalityId, cohort: Cohort, idx: np.ndarray, run,
+                 carried: np.ndarray):
+    """Write modality ``m``'s embeddings of the records ``idx`` (``run`` when consecutive),
+    ``carried`` their 0/1 flags, into ``slot``; returns the forward's (rows, tape), or None."""
+    rows = np.flatnonzero(carried)
+    whole = rows.size == len(idx)
+    if not whole:
+        slot[...] = 0.0
+    if not rows.size:
+        return None
+    x = cohort.block(m)[run if whole else idx[rows]]
+    at = slice(None) if whole else rows
+    if nets is None:
+        slot[at] = x
+        return None
+    slot[at], tape = nets[m].forward(x)
+    return rows, tape
+
+
+def _column(nets, m: ModalityId, cohort: Cohort) -> np.ndarray:
+    """(n, embed) embeddings of modality ``m``: its net over each SCORE_CHUNK block, as scoring runs it."""
+    column = np.empty((len(cohort), cohort.schema.embed_dim))
+    for start in range(0, len(cohort), SCORE_CHUNK):
+        idx = np.arange(start, min(start + SCORE_CHUNK, len(cohort)))
+        run = slice(start, start + len(idx))
+        _encode_slot(column[run], nets, m, cohort, idx, run, cohort.availability[run, m])
+    return column
+
+
+def _memo_column(nets, m: ModalityId, cohort: Cohort) -> np.ndarray:
+    """``_column(nets, m, cohort)``, kept on ``cohort`` while ``nets[m]`` holds the same layers and bits."""
+    net = nets[m]
+    key = (net.dims, tuple(layer.activation for layer in net.layers), net.params.tobytes())
+    held = cohort._memo.get(m)
+    if held is None or held[0] != key:
+        cohort._memo[m] = held = key, _column(nets, m, cohort)
+    return held[1]
+
+
+def _blocks(nets, cohort: Cohort, hidden=frozenset(), memo: bool = False) -> list[np.ndarray]:
+    """One (n, embed) block per modality: the ``_column`` of each modality the cohort carries and
+    ``hidden`` does not name, through ``_memo_column`` when ``memo``; zeros for the others."""
+    carried = cohort.availability.any(axis=0)
+    zeros = np.broadcast_to(0.0, (len(cohort), cohort.schema.embed_dim))
+    column = _memo_column if memo else _column
+    return [column(nets, m, cohort) if carried[m] and m not in hidden else zeros for m in ModalityId]
+
+
+def embedding_table(nets, cohort: Cohort, hidden=frozenset()) -> Cohort:
+    """The embedding table scoring ``cohort`` under ``nets`` would encode, ``hidden`` modalities zero.
+
+    Every embedding has the bits ``score_records`` gives it. Each column is
+    memoized on ``cohort``, per modality and keyed by its net's widths,
+    activations and parameter bytes, at ``embed * 8`` bytes per record for as
+    long as the cohort lives. The table is not checked again: its rows are
+    ``cohort``'s, and a non-finite embedding fails as a network input when
+    it is scored. With ``nets`` None the feature blocks are the embeddings
+    and ``cohort`` is its own table.
+    """
+    if nets is None:
+        return cohort
+    return Cohort._unchecked(embedding_schema(cohort.schema), cohort.ids, cohort.times, cohort.events,
+                             cohort.availability, _blocks(nets, cohort, hidden, memo=True),
+                             cohort.ground_truth_risk)
 
 
 def export_embeddings(encoders, cohort: Cohort) -> Cohort:
@@ -155,18 +214,14 @@ def export_embeddings(encoders, cohort: Cohort) -> Cohort:
 
     Returns a cohort over the embedding schema with identical ids, times,
     events, and availability. Missing modalities stay missing, nothing is
-    imputed here. The table is filled SCORE_CHUNK records at a time, the
+    imputed here. Each block is filled SCORE_CHUNK records at a time, the
     blocks of the scoring loop, so the encoders' activations never span
     more than one block.
     """
     nets = {m: u.encoder for m, u in encoders.items()}
     check_encoders(nets, cohort)
-    emb = np.empty((len(cohort), N_MODALITIES, cohort.schema.embed_dim))
-    for start in range(0, len(cohort), SCORE_CHUNK):
-        rows = np.arange(start, min(start + SCORE_CHUNK, len(cohort)))
-        emb[rows] = encode(nets, cohort, rows)
     return Cohort(embedding_schema(cohort.schema), cohort.ids, cohort.times, cohort.events,
-                  cohort.availability, [emb[:, m] for m in ModalityId], cohort.ground_truth_risk)
+                  cohort.availability, _blocks(nets, cohort), cohort.ground_truth_risk)
 
 
 def save_unimodal(model: UnimodalEncoder, path: str) -> None:

@@ -222,6 +222,27 @@ def test_eval_on_one_byte_edits_of_a_predictor_exits_zero_or_two(tmp_path, capsy
     assert set(codes) == {0, 2}
 
 
+@pytest.mark.parametrize("through", ["sidecar", "parse"])
+def test_eval_refuses_activations_that_are_not_a_list_with_exit_two(tmp_path, monkeypatch, capsys, through):
+    cohort = generate_synthetic(40, 2, schema=SCHEMA, missing_rate=(0.2,) * 4)
+    data = tmp_path / "test.csv"
+    save_cohort(cohort, str(data))
+    save_schema(cohort.schema, str(data) + ".schema")
+    fusion = fusion_to_dict(init_fusion_model(FusionStrategy("concat", **SMALL), 4))
+    fusion["parts"]["hazard_head"]["activations"] = {"relu": "anything", "identity": 0}   # its two layers
+    model = tmp_path / "model.json"
+    write_json(str(model), {"format": "predictor-v1", "fusion": fusion, "encoders": None})
+    if through == "parse":
+        os.remove(f"{model}.cache")
+    else:
+        monkeypatch.setattr(nets_module, "_parse_json", no_parse)
+    code = main(["eval", "--model", str(model), "--data", str(data), "--seed", "1", "--bootstrap", "3",
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert "hazard_head: not a consistent layer chain" in err and "are not a list" in err
+
+
 # ── the checkpoint sidecar ───────────────────────────────────────────────────
 #
 # ``write_json`` leaves ``<json>.cache`` beside every checkpoint, and

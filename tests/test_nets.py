@@ -389,6 +389,9 @@ def test_checkpoint_dict_rejects_broken_chains():
               dict(good, layers=[dict(good["layers"][0], w=[10**400] * 12), good["layers"][1]])]
     one = net_to_dict(init_net((1, 1), "relu", seed=8))
     broken += [dict(one, dims=[-1, 1]), dict(one, dims=[True, 1]), dict(one, dims=[1, -1])]
+    # activations are a list of names: an object's keys, or a string's letters, are not
+    broken += [dict(one, activations={"relu": "anything"}), dict(good, activations={"relu": 0, "identity": 0}),
+               dict(one, activations=("relu",))]
     # a parse gives lists, and only a flat list of int and float items is numbers
     two = net_to_dict(init_net((1, 2), "relu", seed=8))
     broken += [dict(two, layers=[{"w": ["1.5", "2"], "b": [True, "0"]}]),

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mmsurv.config
 import mmsurv.fusion
@@ -15,11 +17,11 @@ import mmsurv.survival as survival
 import mmsurv.unimodal
 from conftest import (assert_layers_view_params, block_cohort, bootstrap_loop, cindex_pairwise,
                       cohort_from_rows)
-from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, ModalityId, ModalitySchema,
+from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, SCENARIOS, Cohort, ModalityId, ModalitySchema,
                            apply_scenario, complete_subset, embedding_schema,
                            generate_synthetic, scenario_by_name)
 from mmsurv.config import TrainConfig
-from mmsurv.errors import ConfigError, DataError
+from mmsurv.errors import ConfigError, DataError, MmsurvError, NumericalError
 from mmsurv.fusion import SCORE_CHUNK, FusionStrategy, fuse, init_fusion_model
 from mmsurv.nets import init_net
 from mmsurv.pipeline import (_BOOT_SALT, AblationReport, EvalResult, ExperimentCell,
@@ -323,6 +325,160 @@ def test_scoring_memory_does_not_grow_with_the_cohort(kind):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2 ** 20, peaks
+
+
+# ── evaluation through the memoized embedding table ──────────────────────────
+
+def scenario_cohort(schema, n: int, seed: int, drops: bool) -> Cohort:
+    """``n`` random records, genomics absent from the whole first scoring block.
+
+    Every record keeps radiology or demographics, so no scenario empties one,
+    unless ``drops``: then every fifth record carries only pathology and
+    genomics, which gene-pathology-missing empties.
+    """
+    rng = np.random.default_rng(seed)
+    alpha = rng.random((n, len(MODALITIES))) < 0.7
+    alpha[~alpha[:, [ModalityId.RADIOLOGY, ModalityId.DEMOGRAPHICS]].any(axis=1), ModalityId.RADIOLOGY] = True
+    if drops:
+        alpha[::5] = (False, True, True, False)
+    alpha[:SCORE_CHUNK, ModalityId.GENOMICS] = False
+    blocks = [np.where(alpha[:, m, None], rng.normal(size=(n, schema.dim(m))), 0.0) for m in MODALITIES]
+    return Cohort(schema, [f"r{i}" for i in range(n)], rng.exponential(size=n) + 0.1,
+                  (rng.random(n) < 0.7).astype(np.float64), alpha.astype(np.int64), blocks)
+
+
+def rebuilt(cohort: Cohort) -> Cohort:
+    """A fresh cohort over the same columns: no memo carried over."""
+    return Cohort(cohort.schema, cohort.ids, cohort.times, cohort.events, cohort.availability,
+                  [cohort.block(m) for m in MODALITIES], cohort.ground_truth_risk)
+
+
+def evaluate_directly(predictor, test, scenario, bootstrap, seed):
+    """``evaluate`` without the table: the predictor scores the applied cohort itself."""
+    applied = apply_scenario(test, scenario)
+    risks = predictor.risk_scores(applied)
+    plan = survival.rank_plan(risks, applied.times, applied.events)
+    stats = survival.bootstrap_concordance(
+        plan, bootstrap, np.random.default_rng(np.random.SeedSequence([_BOOT_SALT, seed])))
+    return EvalResult(float(survival.concordance_index(risks, applied.times, applied.events, plan)),
+                      float(np.std(stats, ddof=1)) if stats.size >= 2 else None,
+                      len(applied), len(test) - len(applied), int(stats.size))
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of the package error it raises."""
+    try:
+        return fn(*args)
+    except MmsurvError as e:
+        return type(e), str(e)
+
+
+def fresh_encoders(seed: int) -> dict:
+    schema = DEFAULT_SCHEMA
+    return {m: init_net((schema.dim(m), ENCODER_HIDDEN, schema.embed_dim), "selu", [seed, m])
+            for m in MODALITIES}
+
+
+@pytest.fixture(scope="module")
+def eval_predictors():
+    """{(kind, encoder set): predictor}: two encoder sets shared by all three fusions, and
+    embedding-input predictors under the encoder set None."""
+    fusions = {kind: init_fusion_model(FusionStrategy(kind), 3) for kind in ("concat", "mean", "tensor")}
+    sets = {0: fresh_encoders(1), 1: fresh_encoders(2), None: None}
+    return {(kind, s): SurvivalPredictor(fusion, encoders)
+            for kind, fusion in fusions.items() for s, encoders in sets.items()}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.sampled_from([1, 7, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1, 2 * SCORE_CHUNK + 37]),
+       seed=st.integers(0, 2**16), drops=st.booleans(), table=st.booleans(),
+       calls=st.lists(st.tuples(st.sampled_from(["concat", "mean", "tensor"]), st.sampled_from([0, 1]),
+                                st.sampled_from(sorted(SCENARIOS))), min_size=1, max_size=6))
+def test_evaluations_on_one_cohort_equal_each_on_a_fresh_cohort(eval_predictors, monkeypatch, n, seed, drops,
+                                                                table, calls):
+    ranked, rank_plan = [], mmsurv.pipeline.rank_plan   # the scores evaluate ranks, kept for their bits
+    monkeypatch.setattr(mmsurv.pipeline, "rank_plan", lambda risks, *a: ranked.append(risks) or
+                        rank_plan(risks, *a))
+    test = scenario_cohort(embedding_schema(DEFAULT_SCHEMA) if table else DEFAULT_SCHEMA, n, seed, drops)
+    for kind, encoder_set, name in calls:   # scenarios repeat, predictors share or swap encoders
+        predictor = eval_predictors[kind, None if table else encoder_set]
+        args = scenario_by_name(name), 3, seed
+        ranked.clear()
+        got = outcome(evaluate, predictor, test, *args)
+        assert got == outcome(evaluate, predictor, rebuilt(test), *args)
+        assert got == outcome(evaluate_directly, predictor, test, *args)
+        if isinstance(got, EvalResult):   # the memo's and a fresh cohort's scores, bit for bit
+            direct = predictor.risk_scores(apply_scenario(test, args[0]))
+            assert [risks.tobytes() for risks in ranked] == [direct.tobytes()] * 2
+    assert not rebuilt(test)._memo
+
+
+def test_an_encoder_changed_in_place_is_encoded_again(eval_predictors):
+    predictor = eval_predictors["mean", 0]
+    predictor = SurvivalPredictor(predictor.fusion, {m: net.copy() for m, net in predictor.encoders.items()})
+    test, scenario = scenario_cohort(DEFAULT_SCHEMA, SCORE_CHUNK + 9, 4, False), scenario_by_name("complete")
+    before = evaluate(predictor, test, scenario, 5, 1)
+    predictor.encoders[ModalityId.RADIOLOGY].params[7] += 4.0
+    after = evaluate(predictor, test, scenario, 5, 1)
+    assert after == evaluate(predictor, rebuilt(test), scenario, 5, 1) != before
+
+
+def test_predictors_sharing_encoders_share_one_memo_entry(eval_predictors, monkeypatch):
+    encoded, column = [], mmsurv.unimodal._column
+    monkeypatch.setattr(mmsurv.unimodal, "_column", lambda nets, m, cohort: encoded.append(m) or
+                        column(nets, m, cohort))
+    test = scenario_cohort(DEFAULT_SCHEMA, 2 * SCORE_CHUNK + 3, 5, False)
+    for kind in ("concat", "mean", "tensor"):
+        for name in sorted(SCENARIOS):
+            evaluate(eval_predictors[kind, 0], test, scenario_by_name(name), 2, 1)
+    assert sorted(encoded) == list(MODALITIES)   # each modality once, for all nine evaluations
+    held = dict(test._memo)
+    evaluate(eval_predictors["mean", 1], test, scenario_by_name("gene-pathology-missing"), 2, 1)
+    assert len(encoded) == 6   # the other set replaces the two columns it needs, and only those
+    assert [test._memo[m][1] is held[m][1] for m in MODALITIES] == [False, True, True, False]
+
+
+@pytest.mark.parametrize("kind", ["concat", "mean", "tensor"])
+def test_a_non_finite_embedding_is_a_numerical_error_unless_the_scenario_hides_it(eval_predictors, kind):
+    encoders = {m: net.copy() for m, net in eval_predictors[kind, 0].encoders.items()}
+    encoders[ModalityId.PATHOLOGY].params[...] = 1e300   # its second layer overflows
+    predictor = SurvivalPredictor(eval_predictors[kind, 0].fusion, encoders)
+    test = scenario_cohort(DEFAULT_SCHEMA, SCORE_CHUNK + 5, 6, False)
+    for name in ("complete", "pathology-missing", "complete"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = outcome(evaluate, predictor, test, scenario_by_name(name), 4, 1)
+            assert got == outcome(evaluate_directly, predictor, test, scenario_by_name(name), 4, 1)
+        assert isinstance(got, EvalResult) == (name == "pathology-missing")
+    assert got == (NumericalError, "non-finite network input")
+
+
+def test_a_predictor_without_an_encoder_for_a_hidden_modality_still_evaluates(eval_predictors):
+    full = eval_predictors["tensor", 0]
+    partial = SurvivalPredictor(full.fusion, {m: net for m, net in full.encoders.items()
+                                              if m != ModalityId.PATHOLOGY})
+    test = scenario_cohort(DEFAULT_SCHEMA, SCORE_CHUNK + 5, 7, True)
+    for name in ("pathology-missing", "gene-pathology-missing"):
+        result = evaluate(partial, test, scenario_by_name(name), 4, 1)
+        assert result == evaluate(full, rebuilt(test), scenario_by_name(name), 4, 1)
+    with pytest.raises(DataError, match="^no encoder for modalities present in cohort: pathology$"):
+        evaluate(partial, test, scenario_by_name("complete"), 4, 1)
+
+
+def test_the_memo_holds_one_column_per_modality(eval_predictors):
+    test = scenario_cohort(DEFAULT_SCHEMA, 4 * SCORE_CHUNK + 3, 8, False)
+    embed = DEFAULT_SCHEMA.embed_dim
+    bound = (len(test) + SCORE_CHUNK) * len(MODALITIES) * embed * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = []
+        for encoder_set in (0, 1, 0):   # each set replaces the other's columns
+            for name in sorted(SCENARIOS):
+                evaluate(eval_predictors["mean", encoder_set], test, scenario_by_name(name), 3, 1)
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    assert all(len(test) * len(MODALITIES) * embed * 8 <= size <= bound for size in held), (held, bound)
 
 
 def test_importing_the_package_loads_no_process_pool():
