@@ -33,7 +33,7 @@ from .pipeline import (AblationReport, ExperimentCell, SurvivalPredictor,
                        run_ablation_grid, save_predictor, table_cells,
                        train_cell, train_fusion_on_table)
 from .survival import concordance_index, cox_loss_and_grad
-from .unimodal import (UnimodalEncoder, export_embeddings, load_unimodal,
+from .unimodal import (UnimodalEncoder, embedding_table, load_unimodal,
                        save_unimodal, train_unimodal)
 
 __version__ = "0.1.0"

@@ -16,7 +16,8 @@ availability, blocks)`` is the one public constructor, so its vectorized
 checks are the one definition of a valid record. Only ``apply_scenario``,
 whose views are valid by construction, and ``unimodal.embedding_table``,
 whose rows are a checked cohort's and whose embeddings are checked as
-network inputs when scored, build a cohort without running them again.
+network inputs when scored or trained on, build a cohort without running
+them again.
 ``Cohort.records`` builds read-only ``PatientRecord`` rows from the
 checked columns, on demand, for callers that want them one at a time.
 
@@ -26,7 +27,11 @@ depends only on the cohort's rows, availability and feature block and on
 the encoder's bits, and the cohort's columns are read-only, so it stays
 valid for as long as the cohort lives and the encoder is unchanged (the
 key holds its parameter bytes). The slot is never pickled and never
-carried into a subset, a scenario view or a table: each starts empty.
+carried into a subset or a table: each starts empty. A scenario view that
+drops no record shares its cohort's slot, since it has the same rows and,
+for every modality it leaves visible, the same availability column and
+feature block, so every column it needs is one its cohort would build;
+a view that drops records starts empty.
 
 Files are plain CSV with one row per patient and a presence flag ahead of
 each modality block, plus a small key=value sidecar declaring the block
@@ -199,7 +204,8 @@ class Cohort:
         """A cohort over columns that already have the kept dtypes and shapes and pass the checks.
 
         Nothing is checked: only derivations that are valid by construction
-        (``apply_scenario``'s views) come this way.
+        come this way (``apply_scenario``'s views and ``unimodal.embedding_table``'s
+        tables, see the module docstring).
         """
         cohort = object.__new__(cls)
         cohort._keep(schema, ids, times, events, availability, tuple(blocks), ground_truth_risk)
@@ -299,7 +305,8 @@ def apply_scenario(cohort: Cohort, scenario: MissingnessScenario) -> Cohort:
     the same as applying it once. The result is not checked again: its ids
     are a subset of unique ids, each hidden block is one broadcast zero
     (which holds no memory), and every record kept has a modality left, so
-    it passes ``Cohort``'s checks by construction.
+    it passes ``Cohort``'s checks by construction. A view that drops no
+    record shares ``cohort``'s memo (see the module docstring).
     """
     availability = cohort.availability.copy()
     availability[:, sorted(scenario.drop)] = 0
@@ -310,6 +317,8 @@ def apply_scenario(cohort: Cohort, scenario: MissingnessScenario) -> Cohort:
     blocks = [np.broadcast_to(0.0, cohort.block(m).shape) if m in scenario.drop else cohort.block(m)
               for m in MODALITIES]
     out = Cohort._unchecked(*cohort._columns(kept if dropped else slice(None), availability, blocks))
+    if not dropped:
+        out._memo = cohort._memo
     out.require_events(f"scenario {scenario.name!r}")
     return out
 

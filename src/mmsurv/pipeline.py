@@ -3,7 +3,9 @@
 ``train_cell`` trains every mode with one fusion trainer. The two-stage
 mode trains one encoder per modality on the Cox objective (or takes given
 ones), freezes them, and hands the trainer the embedding table of its
-training records, on which only the fusion networks learn;
+training records (``unimodal.embedding_table``, memoized on the pool, so a
+second training on the same records with the same encoders encodes
+nothing), on which only the fusion networks learn;
 ``train_fusion_on_table`` hands it an embedding table directly. The joint
 modes hand it the raw records, re-encode every batch, and update encoders
 and fusion together, either from fresh encoders or starting from stage-1
@@ -26,15 +28,15 @@ Evaluation applies the scenario mask to the test cohort, scores every
 record with its remaining modalities (no dropout at test time), and
 reports the c-index plus a bootstrap standard deviation over resampled
 test sets. The encoders run once per test cohort, not once per scenario:
-``evaluate`` scores an embedding table (``unimodal.embedding_table``) with
-the fusion networks alone. A scenario that drops no record keeps the test
-cohort's scoring blocks and each visible modality's rows, so its table
-takes each column from the one memoized on the test cohort, and a later
-scenario or predictor with the same encoder bits encodes nothing; the
-memo costs 4 x embed x 8 bytes per record (1 KiB at the defaults) while
-the cohort lives. A scenario that drops records encodes the applied
-cohort afresh, in its own blocks. Either way every score has the bits
-encoding the scored cohort block by block gives it.
+``evaluate`` scores the embedding table of the scenario view with the
+fusion networks alone. A view that drops no record keeps the test
+cohort's scoring blocks and each visible modality's rows, so it shares
+the test cohort's memo (``cohort.apply_scenario``), and a later scenario
+or predictor with the same encoder bits encodes nothing; the memo costs
+4 x embed x 8 bytes per record (1 KiB at the defaults) while the cohort
+lives. A view that drops records starts with its own memo and encodes
+its own blocks. Either way every score has the bits encoding the scored
+cohort block by block gives it.
 """
 from __future__ import annotations
 
@@ -59,8 +61,7 @@ from .fusion import (SCORE_CHUNK, FusionModel, FusionStrategy, batch_loss_and_gr
                      fuse, fusion_from_dict, fusion_to_dict, init_fusion_model, model_footprint)
 from .nets import check_format, net_from_dict, net_to_dict, read_json, write_json
 from .survival import bootstrap_concordance, concordance_index, rank_plan
-from .unimodal import (check_encoders, embedding_table, encode, export_embeddings, init_encoder,
-                       train_unimodal)
+from .unimodal import check_encoders, embedding_table, encode, init_encoder, train_unimodal
 
 log = logging.getLogger(__name__)
 
@@ -91,6 +92,7 @@ class ExperimentCell:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         FusionStrategy(self.strategy)  # validates the kind
+        scenario_by_name(self.scenario)
 
     def training_key(self) -> tuple:
         return (self.mode, self.strategy, self.stage1_data, self.stage2_data,
@@ -195,7 +197,8 @@ def _fit_fusion(pool: Cohort, config: TrainConfig, cell: ExperimentCell, joint: 
     Without ``joint`` the pool is an embedding table and only the fusion
     networks learn. With it the pool holds raw features: every batch is
     re-encoded and the encoders learn along with fusion, starting from
-    copies of the ``start`` encoders ({modality: UnimodalEncoder}) or, when
+    copies of the ``start`` encoders ({modality: UnimodalEncoder}; a
+    modality the pool carries and ``start`` lacks is a DataError) or, when
     there are none, from fresh ones drawn from the first seed stream.
     """
     context = f"{'joint' if joint else 'fusion'} training ({cell.label()})"
@@ -205,7 +208,7 @@ def _fit_fusion(pool: Cohort, config: TrainConfig, cell: ExperimentCell, joint: 
     init_seed, split_seed, shuffle_seed, dropout_seed = seeds[-4:]
     encoders = None  # the table's blocks are the embeddings
     if joint and start is not None:
-        encoders = {m: start[m].encoder.copy() for m in MODALITIES}
+        encoders = {m: start[m].encoder.copy() for m in MODALITIES if m in start}
     elif joint:
         encoders = {m: init_encoder(pool.schema, m, s)
                     for m, s in zip(MODALITIES, seeds[0].spawn(N_MODALITIES))}
@@ -269,27 +272,25 @@ def train_cell(train: Cohort, config: TrainConfig, cell: ExperimentCell,
         return _fit_fusion(pool, config, cell, joint=True, start=start)
     stage1 = stage1_encoders or train_stage1_encoders(train, config, cell.stage1_data)
     pool = _regime_pool(train, cell.stage2_data, f"stage 2 ({cell.stage2_data} data)")
-    predictor = _fit_fusion(export_embeddings(stage1, pool), config, cell)
-    predictor.encoders = {m: u.encoder for m, u in stage1.items()}
+    encoders = {m: u.encoder for m, u in stage1.items()}
+    predictor = _fit_fusion(embedding_table(encoders, pool), config, cell)
+    predictor.encoders = encoders
     return predictor
 
 
 def evaluate(predictor: SurvivalPredictor, test: Cohort, scenario: MissingnessScenario,
              bootstrap: int, seed: int) -> EvalResult:
     """Scenario-masked test c-index with a bootstrap standard deviation."""
-    applied = apply_scenario(test, scenario)
-    n_dropped = len(test) - len(applied)
-    check_encoders(predictor.encoders, applied)
-    # a scenario that drops no record encodes test's own blocks and rows: test's memo holds them
-    table = embedding_table(predictor.encoders, applied if n_dropped else test, scenario.drop)
-    risks = SurvivalPredictor(predictor.fusion, None).risk_scores(apply_scenario(table, scenario))
-    times, events = applied.times, applied.events
+    # a view that drops no record shares test's memo, so it encodes only what test has not
+    table = embedding_table(predictor.encoders, apply_scenario(test, scenario))
+    risks = SurvivalPredictor(predictor.fusion, None).risk_scores(table)
+    times, events = table.times, table.events
     plan = rank_plan(risks, times, events)  # one plan for the point c-index and the resamples
     ci = concordance_index(risks, times, events, plan)
     rng = np.random.default_rng(np.random.SeedSequence([_BOOT_SALT, seed]))
     stats = bootstrap_concordance(plan, bootstrap, rng)
     std = float(np.std(stats, ddof=1)) if stats.size >= 2 else None
-    return EvalResult(float(ci), std, len(applied), n_dropped, int(stats.size))
+    return EvalResult(float(ci), std, len(table), len(test) - len(table), int(stats.size))
 
 
 # ── ablation grid ────────────────────────────────────────────────────────────
@@ -319,7 +320,6 @@ def table_cells(scenarios=("complete", "pathology-missing", "gene-pathology-miss
     cells = []
     for strat, s1, s2, drop, recon in rows:
         for scen in scenarios:
-            scenario_by_name(scen)
             cells.append(ExperimentCell(strat, s1, s2, drop, recon, scen))
     return cells
 

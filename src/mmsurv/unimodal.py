@@ -14,11 +14,12 @@ for raw cohorts and precomputed embeddings.
 ``init_encoder`` is the one encoder builder, for stage 1, joint-scratch
 training and the gradient checks alike. ``encode`` is the one way a set of
 encoders runs over a cohort, and ``check_encoders`` the one check that it
-can: exporting a table, scoring and joint training all go through them.
-``export_embeddings`` and ``embedding_table`` build a table from the same
-columns, each modality's encoder over the cohort's ``SCORE_CHUNK`` blocks
-as scoring runs it; ``embedding_table`` keeps each column on the cohort,
-so evaluating one test cohort under several scenarios encodes it once.
+can: building a table, scoring and joint training all go through them.
+``embedding_table`` is the one table builder, for two-stage training and
+``evaluate`` alike: each modality's encoder over the cohort's
+``SCORE_CHUNK`` blocks as scoring runs it, every column kept on the
+cohort, so a second training on one pool, or one test cohort evaluated
+under several scenarios, encodes nothing again.
 """
 from __future__ import annotations
 
@@ -182,46 +183,28 @@ def _memo_column(nets, m: ModalityId, cohort: Cohort) -> np.ndarray:
     return held[1]
 
 
-def _blocks(nets, cohort: Cohort, hidden=frozenset(), memo: bool = False) -> list[np.ndarray]:
-    """One (n, embed) block per modality: the ``_column`` of each modality the cohort carries and
-    ``hidden`` does not name, through ``_memo_column`` when ``memo``; zeros for the others."""
-    carried = cohort.availability.any(axis=0)
-    zeros = np.broadcast_to(0.0, (len(cohort), cohort.schema.embed_dim))
-    column = _memo_column if memo else _column
-    return [column(nets, m, cohort) if carried[m] and m not in hidden else zeros for m in ModalityId]
+def embedding_table(nets, cohort: Cohort) -> Cohort:
+    """The embedding table scoring ``cohort`` under ``nets`` would encode; a DataError unless it can.
 
-
-def embedding_table(nets, cohort: Cohort, hidden=frozenset()) -> Cohort:
-    """The embedding table scoring ``cohort`` under ``nets`` would encode, ``hidden`` modalities zero.
-
-    Every embedding has the bits ``score_records`` gives it. Each column is
-    memoized on ``cohort``, per modality and keyed by its net's widths,
-    activations and parameter bytes, at ``embed * 8`` bytes per record for as
-    long as the cohort lives. The table is not checked again: its rows are
-    ``cohort``'s, and a non-finite embedding fails as a network input when
-    it is scored. With ``nets`` None the feature blocks are the embeddings
-    and ``cohort`` is its own table.
+    ``check_encoders`` runs first. Every embedding has the bits
+    ``score_records`` gives it, and a modality the cohort does not carry is
+    zero. Each column is memoized on ``cohort``, per modality and keyed by
+    its net's widths, activations and parameter bytes, at ``embed * 8``
+    bytes per record for as long as the cohort lives. The table is not
+    checked again: its rows are ``cohort``'s, and a non-finite embedding
+    fails as a network input when it is scored or trained on. With ``nets``
+    None the feature blocks are the embeddings and ``cohort`` is its own
+    table.
     """
+    check_encoders(nets, cohort)
     if nets is None:
         return cohort
+    carried = cohort.availability.any(axis=0)
+    zeros = np.broadcast_to(0.0, (len(cohort), cohort.schema.embed_dim))
     return Cohort._unchecked(embedding_schema(cohort.schema), cohort.ids, cohort.times, cohort.events,
-                             cohort.availability, _blocks(nets, cohort, hidden, memo=True),
+                             cohort.availability,
+                             [_memo_column(nets, m, cohort) if carried[m] else zeros for m in ModalityId],
                              cohort.ground_truth_risk)
-
-
-def export_embeddings(encoders, cohort: Cohort) -> Cohort:
-    """Embed every present modality of every record with frozen encoders.
-
-    Returns a cohort over the embedding schema with identical ids, times,
-    events, and availability. Missing modalities stay missing, nothing is
-    imputed here. Each block is filled SCORE_CHUNK records at a time, the
-    blocks of the scoring loop, so the encoders' activations never span
-    more than one block.
-    """
-    nets = {m: u.encoder for m, u in encoders.items()}
-    check_encoders(nets, cohort)
-    return Cohort(embedding_schema(cohort.schema), cohort.ids, cohort.times, cohort.events,
-                  cohort.availability, _blocks(nets, cohort), cohort.ground_truth_risk)
 
 
 def save_unimodal(model: UnimodalEncoder, path: str) -> None:

@@ -16,7 +16,7 @@ from mmsurv.errors import ConfigError
 from mmsurv.fusion import FusionStrategy, init_fusion_model
 from mmsurv.nets import OptimizerState, init_net
 from mmsurv.pipeline import SurvivalPredictor, save_predictor, train_stage1_encoders
-from mmsurv.unimodal import ENCODER_HIDDEN, UnimodalEncoder, export_embeddings, save_unimodal
+from mmsurv.unimodal import ENCODER_HIDDEN, UnimodalEncoder, embedding_table, save_unimodal
 
 FAST_UNI = ["--stage1-epochs", "10"]
 FAST_FUSE = ["--fusion-epochs", "6"]
@@ -124,7 +124,7 @@ def test_full_workflow_chain(tmp_path, capsys):
 def test_train_fuse_accepts_an_embedding_table(tmp_path, capsys):
     cohort = generate_synthetic(90, 21, missing_rate=(0.2,) * 4)
     encoders = train_stage1_encoders(cohort, TrainConfig(seed=21, stage1_epochs=8), "all")
-    table = export_embeddings(encoders, cohort)
+    table = embedding_table({m: u.encoder for m, u in encoders.items()}, cohort)
     path = tmp_path / "table.csv"
     save_cohort(table, str(path))
     save_schema(table.schema, str(path) + ".schema")

@@ -28,7 +28,7 @@ from mmsurv.pipeline import (_BOOT_SALT, AblationReport, EvalResult, ExperimentC
                              SurvivalPredictor, default_synthetic_pair, evaluate, load_predictor,
                              run_ablation_grid, save_predictor, table_cells,
                              train_cell, train_fusion_on_table, train_stage1_encoders)
-from mmsurv.unimodal import ENCODER_HIDDEN, UnimodalEncoder, export_embeddings
+from mmsurv.unimodal import ENCODER_HIDDEN, UnimodalEncoder, embedding_table
 
 FAST = TrainConfig(seed=5, stage1_epochs=15, fusion_epochs=8, bootstrap=50)
 
@@ -44,6 +44,11 @@ def predictor_params(p):
     return np.concatenate(parts)
 
 
+def stage1_nets(encoders):
+    """{modality: DenseNet} of a stage-1 set, as two-stage training freezes them."""
+    return {m: u.encoder for m, u in encoders.items()}
+
+
 def test_cell_validation_and_training_key():
     with pytest.raises(ConfigError):
         ExperimentCell("mean", stage1_data="most")
@@ -51,6 +56,8 @@ def test_cell_validation_and_training_key():
         ExperimentCell("mean", mode="three-stage")
     with pytest.raises(ConfigError):
         ExperimentCell("majority-vote")
+    with pytest.raises(ConfigError, match="unknown scenario 'bogus'"):
+        ExperimentCell("mean", scenario="bogus")
     a = ExperimentCell("mean", "all", "all", True, True, scenario="complete")
     b = ExperimentCell("mean", "all", "all", True, True, scenario="pathology-missing")
     assert a.training_key() == b.training_key()
@@ -83,16 +90,41 @@ def test_shared_encoders_give_identical_fusion_input():
     encoders = train_stage1_encoders(train, FAST, "all")
     cell = ExperimentCell("mean", "all", "all")
     direct = train_cell(train, FAST, cell, stage1_encoders=encoders)
-    table = export_embeddings(encoders, train)
+    table = embedding_table(stage1_nets(encoders), train)
     on_table = train_fusion_on_table(table, FAST, cell)
     a = np.concatenate([n.params for _, n in direct.fusion.parts()])
     b = np.concatenate([n.params for _, n in on_table.fusion.parts()])
     assert np.array_equal(a, b)
 
 
+def test_a_second_two_stage_training_on_one_pool_encodes_nothing(monkeypatch):
+    train, _ = fast_pair()
+    encoders = train_stage1_encoders(train, FAST, "all")
+    cell = ExperimentCell("mean")
+    train_cell(train, FAST, cell, stage1_encoders=encoders)
+    encoded, column = [], mmsurv.unimodal._column
+    monkeypatch.setattr(mmsurv.unimodal, "_column", lambda nets, m, cohort: encoded.append(m) or
+                        column(nets, m, cohort))
+    again = train_cell(train, FAST, cell, stage1_encoders=encoders)
+    assert encoded == []   # every column of the pool's table comes from train's memo
+    fresh = train_cell(rebuilt(train), FAST, cell, stage1_encoders=encoders)
+    assert sorted(encoded) == list(MODALITIES)
+    assert predictor_params(again).tobytes() == predictor_params(fresh).tobytes()
+
+
+def test_a_stage1_encoder_that_overflows_is_a_numerical_error_in_two_stage_training():
+    train, _ = fast_pair(n_train=80, n_test=40)
+    stage1 = {m: UnimodalEncoder(m, net, None) for m, net in fresh_encoders(3).items()}
+    stage1[ModalityId.PATHOLOGY].encoder.params[...] = 1e300   # its second layer overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=r"^fusion training \(mean/all/all\) diverged at epoch 0: "
+                                                  "non-finite network input$"):
+            train_cell(train, FAST, ExperimentCell("mean"), stage1)
+
+
 def test_table_training_draws_the_stage2_regime():
     train, _ = fast_pair()
-    table = export_embeddings(train_stage1_encoders(train, FAST, "all"), train)
+    table = embedding_table(stage1_nets(train_stage1_encoders(train, FAST, "all")), train)
     on_complete = train_fusion_on_table(table, FAST, ExperimentCell("mean", stage2_data="complete"))
     on_subset = train_fusion_on_table(complete_subset(table), FAST, ExperimentCell("mean"))
     on_all = train_fusion_on_table(table, FAST, ExperimentCell("mean"))
@@ -124,6 +156,15 @@ def test_joint_finetune_requires_encoders():
     cell = ExperimentCell("mean", mode="joint-finetune")
     with pytest.raises(ConfigError, match="stage-1"):
         train_cell(train, FAST, cell)
+
+
+@pytest.mark.parametrize("kept", [[ModalityId.GENOMICS], []])
+def test_joint_finetune_refuses_an_encoder_set_missing_a_modality(kept):
+    train, _ = fast_pair(n_train=80, n_test=40)
+    stage1 = {m: UnimodalEncoder(m, fresh_encoders(4)[m], None) for m in kept}
+    missing = ", ".join(sorted(m.label for m in MODALITIES if m not in kept))
+    with pytest.raises(DataError, match=f"^no encoder for modalities present in cohort: {missing}$"):
+        train_cell(train, FAST, ExperimentCell("mean", mode="joint-finetune"), stage1)
 
 
 def test_joint_training_runs_and_scores():
@@ -231,8 +272,7 @@ def test_scoring_checks_the_cohort_against_the_encoders(mean_predictor_and_test)
                                 missing_rate=(0.0,) * 4)
     with pytest.raises(DataError, match="radiology encoder expects 16 features"):
         predictor.risk_scores(narrow)
-    table = export_embeddings({m: UnimodalEncoder(m, net, None) for m, net in predictor.encoders.items()},
-                              test)
+    table = embedding_table(predictor.encoders, test)
     on_table = SurvivalPredictor(predictor.fusion)
     assert np.array_equal(on_table.risk_scores(table), predictor.risk_scores(test))
     with pytest.raises(DataError, match="radiology has width 16, expected embeddings of width 32"):
@@ -436,6 +476,21 @@ def test_predictors_sharing_encoders_share_one_memo_entry(eval_predictors, monke
     evaluate(eval_predictors["mean", 1], test, scenario_by_name("gene-pathology-missing"), 2, 1)
     assert len(encoded) == 6   # the other set replaces the two columns it needs, and only those
     assert [test._memo[m][1] is held[m][1] for m in MODALITIES] == [False, True, True, False]
+
+
+def test_a_view_that_drops_no_record_shares_its_cohorts_memo(eval_predictors):
+    nets = eval_predictors["mean", 0].encoders
+    test = scenario_cohort(DEFAULT_SCHEMA, SCORE_CHUNK + 5, 9, False)
+    for name in sorted(SCENARIOS):
+        assert apply_scenario(test, scenario_by_name(name))._memo is test._memo
+    gappy = scenario_cohort(DEFAULT_SCHEMA, SCORE_CHUNK + 5, 9, True)
+    embedding_table(nets, gappy)
+    held = dict(gappy._memo)
+    view = apply_scenario(gappy, scenario_by_name("gene-pathology-missing"))
+    assert len(view) < len(gappy) and view._memo == {}
+    embedding_table(nets, view)
+    assert sorted(view._memo) == [ModalityId.RADIOLOGY, ModalityId.DEMOGRAPHICS]
+    assert gappy._memo.keys() == held.keys() and all(gappy._memo[m] is held[m] for m in held)
 
 
 @pytest.mark.parametrize("kind", ["concat", "mean", "tensor"])

@@ -116,7 +116,7 @@ def test_only_a_strict_run_reads_as_a_slice():
 def test_encode_equals_the_gathered_reference(name, with_nets, chunk):
     cohort = COHORTS[name]()
     nets = encoders() if with_nets else None
-    if nets is None:  # an embedding table whose blocks are strided views, as export_embeddings makes
+    if nets is None:  # an embedding table whose blocks are strided views of one (n, 4, embed) array
         emb = encode(encoders(), cohort, np.arange(len(cohort)))
         cohort = Cohort(embedding_schema(DEFAULT_SCHEMA), cohort.ids, cohort.times, cohort.events,
                         cohort.availability, [emb[:, m] for m in MODALITIES])

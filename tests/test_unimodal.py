@@ -1,4 +1,4 @@
-"""Stage-1 encoder training: isolation, determinism, and export semantics."""
+"""Stage-1 encoder training: isolation, determinism, and embedding-table semantics."""
 import numpy as np
 import pytest
 
@@ -9,8 +9,8 @@ from mmsurv.config import TrainConfig
 from mmsurv.errors import DataError
 from mmsurv.fusion import SCORE_CHUNK
 from mmsurv.nets import init_net
-from mmsurv.unimodal import (ENCODER_HIDDEN, UnimodalEncoder, encode, export_embeddings,
-                             load_unimodal, save_unimodal, train_unimodal)
+from mmsurv.unimodal import (ENCODER_HIDDEN, embedding_table, encode, load_unimodal,
+                             save_unimodal, train_unimodal)
 
 GENOMICS = ModalityId.GENOMICS
 SMALL_CONFIG = TrainConfig(seed=7, stage1_epochs=20, patience=5)
@@ -103,10 +103,10 @@ def test_early_stopping_can_end_before_the_epoch_budget():
     assert len(bundle.trace.epochs) < 80
 
 
-def test_export_preserves_outcomes_and_availability():
+def test_embedding_table_preserves_outcomes_and_availability():
     cohort = small_cohort(seed=6, n=60)
     encoders = {m: train_unimodal(cohort, m, SMALL_CONFIG) for m in MODALITIES}
-    table = export_embeddings(encoders, cohort)
+    table = embedding_table({m: u.encoder for m, u in encoders.items()}, cohort)
     assert table.schema == embedding_schema(cohort.schema)
     assert [r.id for r in table.records] == [r.id for r in cohort.records]
     assert np.array_equal(table.times, cohort.times)
@@ -123,12 +123,12 @@ def test_export_preserves_outcomes_and_availability():
                 assert r.features[m] is None
 
 
-def test_export_fills_the_table_one_scoring_block_at_a_time():
+def test_embedding_table_is_filled_one_scoring_block_at_a_time():
     n = 2 * SCORE_CHUNK + 37
     cohort = block_cohort(DEFAULT_SCHEMA, n, seed=3)
     nets = {m: init_net((DEFAULT_SCHEMA.dim(m), ENCODER_HIDDEN, DEFAULT_SCHEMA.embed_dim), "selu", 10 + m)
             for m in MODALITIES}
-    table = export_embeddings({m: UnimodalEncoder(m, net, None) for m, net in nets.items()}, cohort)
+    table = embedding_table(nets, cohort)
     got = np.stack([table.block(m) for m in MODALITIES], axis=1)
     blocks = np.concatenate([encode(nets, cohort, np.arange(s, min(s + SCORE_CHUNK, n)))
                              for s in range(0, n, SCORE_CHUNK)])
@@ -138,20 +138,20 @@ def test_export_fills_the_table_one_scoring_block_at_a_time():
     np.testing.assert_allclose(got, encode(nets, cohort, np.arange(n)), rtol=1e-12, atol=1e-14)
 
 
-def test_export_requires_an_encoder_per_present_modality():
+def test_embedding_table_requires_an_encoder_per_present_modality():
     cohort = small_cohort(seed=6, n=30)
-    encoders = {GENOMICS: train_unimodal(cohort, GENOMICS, SMALL_CONFIG)}
+    nets = {GENOMICS: train_unimodal(cohort, GENOMICS, SMALL_CONFIG).encoder}
     with pytest.raises(DataError, match="no encoder"):
-        export_embeddings(encoders, cohort)
+        embedding_table(nets, cohort)
 
 
-def test_export_rejects_mismatched_feature_width():
+def test_embedding_table_rejects_mismatched_feature_width():
     cohort = small_cohort(seed=6, n=30)
-    encoders = {m: train_unimodal(cohort, m, SMALL_CONFIG) for m in MODALITIES}
+    nets = {m: train_unimodal(cohort, m, SMALL_CONFIG).encoder for m in MODALITIES}
     other = generate_synthetic(10, 1, schema=ModalitySchema((4, 4, 4, 4), 8),
                                missing_rate=(0.0,) * 4)
     with pytest.raises(DataError, match="expects"):
-        export_embeddings(encoders, other)
+        embedding_table(nets, other)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
