@@ -13,11 +13,13 @@ an array operation.
 
 Columns are the only way in: ``Cohort(schema, ids, times, events,
 availability, blocks)`` is the one public constructor, so its vectorized
-checks are the one definition of a valid record. Only ``apply_scenario``,
-whose views are valid by construction, and ``unimodal.embedding_table``,
-whose rows are a checked cohort's and whose embeddings are checked as
-network inputs when scored or trained on, build a cohort without running
-them again.
+checks are the one definition of a valid record. A cohort derived from a
+checked one is built by one unchecked builder, ``Cohort._derive``, because
+its records pass those checks by construction: ``Cohort.subset`` takes
+checked rows and refuses only a repeated index, which would repeat an id;
+``apply_scenario`` hides modalities and drops the records left with none;
+``unimodal.embedding_table`` keeps a checked cohort's rows, and its
+embeddings are checked as network inputs when scored or trained on.
 ``Cohort.records`` builds read-only ``PatientRecord`` rows from the
 checked columns, on demand, for callers that want them one at a time.
 
@@ -162,6 +164,14 @@ def _row_error(ids, times, events, availability, blocks) -> str | None:
     return checks[int(np.argmax(bad[i]))][1](ids[i])
 
 
+def _refuse_duplicates(ids: np.ndarray) -> None:
+    """A DataError naming the first record, in row order, whose id an earlier record holds."""
+    if len(set(ids.tolist())) < len(ids):
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        repeat = np.flatnonzero(first[inverse] != np.arange(len(ids)))[0]
+        raise DataError(f"duplicate record id {ids[repeat]!r}")
+
+
 class Cohort:
     """A schema, one read-only column per field, and (for synthetic data) the true risks.
 
@@ -171,7 +181,7 @@ class Cohort:
     in the rows where ``availability`` is 0, and ``ground_truth_risk`` is an
     (n,) array or None. Arrays of the right dtype are kept, not copied, and
     made read-only. Every record is checked, vectorized, by ``_row_error``, and
-    duplicate ids are rejected.
+    ``_refuse_duplicates`` rejects a repeated id.
     """
 
     def __init__(self, schema: ModalitySchema, ids, times, events, availability, blocks,
@@ -193,23 +203,8 @@ class Cohort:
         error = _row_error(ids, times, events, flags, blocks)   # as given: the cast makes 1.5 a 1
         if error:
             raise DataError(error)
-        if len(set(ids.tolist())) < n:
-            _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-            repeat = np.flatnonzero(first[inverse] != np.arange(n))[0]
-            raise DataError(f"duplicate record id {ids[repeat]!r}")
+        _refuse_duplicates(ids)
         self._keep(schema, ids, times, events, flags.astype(np.int64, copy=False), blocks, ground_truth_risk)
-
-    @classmethod
-    def _unchecked(cls, schema, ids, times, events, availability, blocks, ground_truth_risk) -> "Cohort":
-        """A cohort over columns that already have the kept dtypes and shapes and pass the checks.
-
-        Nothing is checked: only derivations that are valid by construction
-        come this way (``apply_scenario``'s views and ``unimodal.embedding_table``'s
-        tables, see the module docstring).
-        """
-        cohort = object.__new__(cls)
-        cohort._keep(schema, ids, times, events, availability, tuple(blocks), ground_truth_risk)
-        return cohort
 
     def _keep(self, schema, ids, times, events, availability, blocks, ground_truth_risk) -> None:
         """Make the columns read-only and hold them."""
@@ -252,16 +247,26 @@ class Cohort:
             raise DataError(f"{context}: cohort has zero observed events")
 
     def subset(self, indices) -> "Cohort":
-        """The records at ``indices``, checked again: an index may repeat."""
-        return Cohort(*self._columns(np.asarray(indices, dtype=np.intp)))
+        """The records at ``indices``, unchecked but for a repeated index, which would repeat an id."""
+        rows = np.asarray(indices, dtype=np.intp)
+        if rows.ndim != 1:
+            raise DataError(f"subset indices must be one-dimensional, got shape {rows.shape}")
+        _refuse_duplicates(self.ids[rows])
+        return self._derive(rows)
 
-    def _columns(self, rows, availability=None, blocks=None) -> tuple:
-        """The ``Cohort`` arguments of the records at ``rows``, over any replacement availability and blocks."""
+    def _derive(self, rows=slice(None), *, schema=None, availability=None, blocks=None) -> "Cohort":
+        """The records at ``rows`` over a replacement schema, availability or blocks, with an empty memo.
+
+        Nothing is checked: only derivations whose rows are valid by
+        construction come this way (see the module docstring).
+        """
         availability = self.availability if availability is None else availability
         blocks = self._blocks if blocks is None else blocks
         gt = None if self.ground_truth_risk is None else self.ground_truth_risk[rows]
-        return (self.schema, self.ids[rows], self.times[rows], self.events[rows],
-                availability[rows], [b[rows] for b in blocks], gt)
+        cohort = object.__new__(Cohort)
+        cohort._keep(self.schema if schema is None else schema, self.ids[rows], self.times[rows],
+                     self.events[rows], availability[rows], tuple(b[rows] for b in blocks), gt)
+        return cohort
 
 
 def complete_subset(cohort: Cohort) -> Cohort:
@@ -316,7 +321,7 @@ def apply_scenario(cohort: Cohort, scenario: MissingnessScenario) -> Cohort:
         log.info("scenario %s removed %d record(s) with no remaining modality", scenario.name, dropped)
     blocks = [np.broadcast_to(0.0, cohort.block(m).shape) if m in scenario.drop else cohort.block(m)
               for m in MODALITIES]
-    out = Cohort._unchecked(*cohort._columns(kept if dropped else slice(None), availability, blocks))
+    out = cohort._derive(kept if dropped else slice(None), availability=availability, blocks=blocks)
     if not dropped:
         out._memo = cohort._memo
     out.require_events(f"scenario {scenario.name!r}")

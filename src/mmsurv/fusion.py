@@ -52,7 +52,7 @@ CHECKPOINT_FORMAT = "fusion-v1"
 NORM_EPS = 1e-12  # guards the derivative of the unsquared norm
 # Records scored at a time: the scoring loop (``pipeline``) encodes, fuses
 # and runs the hazard head on SCORE_CHUNK rows per pass, and an embedding
-# export encodes in the same blocks, so no pass holds more than one block's
+# table encodes in the same blocks, so no pass holds more than one block's
 # activations (a fused tensor block is SCORE_CHUNK x 6561 doubles, 13 MB)
 # whatever the cohort size.
 SCORE_CHUNK = 256

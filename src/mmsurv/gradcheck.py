@@ -212,6 +212,8 @@ def run_gradient_checks(seed: int = 0, instances: int = 50,
     if not (math.isfinite(h) and h > 0 and instances >= 1):
         raise ConfigError(f"gradcheck needs a finite step h > 0 and at least one instance "
                           f"(got h={h}, instances={instances})")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"gradcheck needs a finite tolerance > 0 (got tol={tolerance})")
     notify = progress or (lambda msg: None)
     ss = np.random.SeedSequence([0x6AD, seed])
     results = []

@@ -115,46 +115,34 @@ def check_encoders(nets, cohort: Cohort) -> None:
                             f"the schema declares {schema.embed_dim}")
 
 
-def _as_run(idx: np.ndarray):
-    """``idx`` as a slice when it counts up by exactly one at every step, else ``idx`` itself."""
-    n = len(idx)
-    if n and idx[0] >= 0 and idx[-1] - idx[0] == n - 1 and (np.diff(idx) == 1).all():
-        return slice(int(idx[0]), int(idx[0]) + n)
-    return idx
-
-
 def encode(nets, cohort: Cohort, idx: np.ndarray, tapes: dict | None = None) -> np.ndarray:
     """(len(idx), 4, embed) embeddings of the records ``idx``, zero where a modality is absent.
 
     Each modality's net runs once, on the rows of ``idx`` that carry it, in
     id order; with ``nets`` None the feature blocks are copied as they are.
-    A modality present in every row is written as a whole slot of the
-    output, and read as a view of its feature block when ``idx`` is a run of
-    consecutive records; other modalities gather their rows and scatter the
-    result. Given a ``tapes`` dict, each forward leaves its (rows, tape) in
-    ``tapes[modality]``, rows counted as positions in ``idx``.
+    Every modality gathers the feature rows it runs on. One present in every
+    row is written as a whole slot of the output; the others scatter their
+    results into a zeroed slot. Given a ``tapes`` dict, each forward leaves
+    its (rows, tape) in ``tapes[modality]``, rows counted as positions in
+    ``idx``.
     """
-    run = _as_run(idx)
-    present = cohort.availability[run]
     out = np.empty((len(idx), N_MODALITIES, cohort.schema.embed_dim))
     for m in ModalityId:
-        taped = _encode_slot(out[:, m], nets, m, cohort, idx, run, present[:, m])
+        taped = _encode_slot(out[:, m], nets, m, cohort, idx)
         if taped is not None and tapes is not None:
             tapes[m] = taped
     return out
 
 
-def _encode_slot(slot: np.ndarray, nets, m: ModalityId, cohort: Cohort, idx: np.ndarray, run,
-                 carried: np.ndarray):
-    """Write modality ``m``'s embeddings of the records ``idx`` (``run`` when consecutive),
-    ``carried`` their 0/1 flags, into ``slot``; returns the forward's (rows, tape), or None."""
-    rows = np.flatnonzero(carried)
+def _encode_slot(slot: np.ndarray, nets, m: ModalityId, cohort: Cohort, idx: np.ndarray):
+    """Write modality ``m``'s embeddings of the records ``idx`` into ``slot``; gives (rows, tape) or None."""
+    rows = np.flatnonzero(cohort.availability[idx, m])
     whole = rows.size == len(idx)
     if not whole:
         slot[...] = 0.0
     if not rows.size:
         return None
-    x = cohort.block(m)[run if whole else idx[rows]]
+    x = cohort.block(m)[idx if whole else idx[rows]]
     at = slice(None) if whole else rows
     if nets is None:
         slot[at] = x
@@ -168,8 +156,7 @@ def _column(nets, m: ModalityId, cohort: Cohort) -> np.ndarray:
     column = np.empty((len(cohort), cohort.schema.embed_dim))
     for start in range(0, len(cohort), SCORE_CHUNK):
         idx = np.arange(start, min(start + SCORE_CHUNK, len(cohort)))
-        run = slice(start, start + len(idx))
-        _encode_slot(column[run], nets, m, cohort, idx, run, cohort.availability[run, m])
+        _encode_slot(column[start:start + len(idx)], nets, m, cohort, idx)
     return column
 
 
@@ -201,10 +188,8 @@ def embedding_table(nets, cohort: Cohort) -> Cohort:
         return cohort
     carried = cohort.availability.any(axis=0)
     zeros = np.broadcast_to(0.0, (len(cohort), cohort.schema.embed_dim))
-    return Cohort._unchecked(embedding_schema(cohort.schema), cohort.ids, cohort.times, cohort.events,
-                             cohort.availability,
-                             [_memo_column(nets, m, cohort) if carried[m] else zeros for m in ModalityId],
-                             cohort.ground_truth_risk)
+    return cohort._derive(schema=embedding_schema(cohort.schema),
+                          blocks=[_memo_column(nets, m, cohort) if carried[m] else zeros for m in ModalityId])
 
 
 def save_unimodal(model: UnimodalEncoder, path: str) -> None:

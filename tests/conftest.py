@@ -37,17 +37,33 @@ class Row(NamedTuple):
 
 
 def cohort_from_rows(schema, rows, gt=None) -> Cohort:
-    """Pack (id, time, event, features) rows, or ``Cohort.records`` views, into a Cohort.
+    """Pack (id, time, event, features) rows into a Cohort.
 
     Absent modalities become zero rows of their block. The rows are not
     checked here: an invalid one fails the Cohort's own record checks.
     """
-    ids, times, events, feats = zip(*(r if isinstance(r, tuple) else (r.id, r.time, r.event, r.features)
-                                      for r in rows))
+    ids, times, events, feats = zip(*rows)
     blocks = [np.stack([np.zeros(schema.dim(m)) if f[m] is None else np.asarray(f[m], dtype=np.float64)
                         for f in feats]) for m in MODALITIES]
     availability = [[int(f[m] is not None) for m in MODALITIES] for f in feats]
     return Cohort(schema, ids, times, events, availability, blocks, gt)
+
+
+def with_columns(cohort, **columns) -> Cohort:
+    """``cohort`` built again, and checked, by the constructor with the named columns replaced.
+
+    ``columns`` takes the constructor's keywords: ids, times, events,
+    availability, blocks and ground_truth_risk.
+    """
+    kept = dict(ids=cohort.ids, times=cohort.times, events=cohort.events, availability=cohort.availability,
+                blocks=[cohort.block(m) for m in MODALITIES], ground_truth_risk=cohort.ground_truth_risk)
+    return Cohort(cohort.schema, **{**kept, **columns})
+
+
+def hide(cohort, hidden) -> Cohort:
+    """``cohort`` with the slots an (n, 4) bool mask ``hidden`` marks made absent: flag 0, features zero."""
+    return with_columns(cohort, availability=np.where(hidden, 0, cohort.availability),
+                        blocks=[np.where(hidden[:, m, None], 0.0, cohort.block(m)) for m in MODALITIES])
 
 
 def block_cohort(schema, n: int, seed: int, absent=ModalityId.GENOMICS) -> Cohort:

@@ -180,6 +180,14 @@ def test_bad_gradcheck_arguments_are_usage_errors(capsys, flag, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+def test_a_tolerance_that_is_not_finite_and_positive_is_a_usage_error(capsys, value):
+    assert run("gradcheck", f"--tol={value}", "--instances", 1, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert f"gradcheck needs a finite tolerance > 0 (got tol={float(value)})" in err
+    assert "Traceback" not in err
+
+
 def test_train_uni_without_events_to_fit_exits_two(tmp_path, capsys):
     # 99% held out leaves two records per modality to fit; under these seeds
     # neither demographics record has an event, so no step could be taken

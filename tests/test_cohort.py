@@ -391,6 +391,29 @@ def test_complete_subset_filters_partial_records():
     assert [r.id for r in sub.records] == ["r0", "r2"]
 
 
+def test_a_subset_reruns_no_record_check_and_checks_only_its_indices(monkeypatch):
+    c = make_cohort(4, presents=[(1, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1), (0, 1, 0, 0)])
+
+    def checked(rows):  # the records at ``rows`` as the constructor builds and checks them
+        return column_bits(Cohort(c.schema, c.ids[rows], c.times[rows], c.events[rows], c.availability[rows],
+                                  [c.block(m)[rows] for m in MODALITIES]))
+
+    expected_sub, expected_complete = checked([3, 0]), checked([0, 2])
+
+    def refuse(*args):
+        raise AssertionError("a subset ran the record checks again")
+
+    monkeypatch.setattr(cohort_module, "_row_error", refuse)
+    sub = c.subset([3, 0])
+    assert sub.ids.tolist() == ["r3", "r0"] and column_bits(sub) == expected_sub
+    assert column_bits(complete_subset(c)) == expected_complete
+    assert sub._memo == {} and sub._memo is not c._memo
+    with pytest.raises(DataError, match="^duplicate record id 'r1'$"):
+        c.subset([1, 2, 1])
+    with pytest.raises(DataError, match=re.escape("subset indices must be one-dimensional, got shape (1, 2)")):
+        c.subset([[0, 1]])
+
+
 # ── columnar storage against record-by-record reference implementations ──────
 #
 # These are the list-of-records implementations the columns replaced. They
@@ -467,7 +490,8 @@ def record_lists(draw):
 def check_against_oracles(schema, records, gt, scenario, indices):
     cohort = cohort_from_rows(schema, records, gt)
     assert_columns_match(cohort, records, gt)
-    assert_columns_match(cohort_from_rows(schema, cohort.records, gt), records, gt)  # the row view round trips
+    rows = [(r.id, r.time, r.event, r.features) for r in cohort.records]
+    assert_columns_match(cohort_from_rows(schema, rows, gt), records, gt)  # the row view round trips
     assert_columns_match(cohort.subset(indices), *oracle_subset(records, gt, indices))
     assert_columns_match(complete_subset(cohort), *oracle_complete_subset(records, gt))
     try:

@@ -15,8 +15,8 @@ import mmsurv.config
 import mmsurv.fusion
 import mmsurv.survival as survival
 import mmsurv.unimodal
-from conftest import (assert_layers_view_params, block_cohort, bootstrap_loop, cindex_pairwise,
-                      cohort_from_rows)
+from conftest import (assert_layers_view_params, block_cohort, bootstrap_loop, cindex_pairwise, hide,
+                      with_columns)
 from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, SCENARIOS, Cohort, ModalityId, ModalitySchema,
                            apply_scenario, complete_subset, embedding_schema,
                            generate_synthetic, scenario_by_name)
@@ -136,12 +136,7 @@ def test_table_training_draws_the_stage2_regime():
 
 def no_complete_records_cohort(seed=6, n=60):
     base = generate_synthetic(n, seed, missing_rate=(0.0,) * 4, censor_rate=0.2)
-    records = []
-    for i, r in enumerate(base.records):
-        feats = list(r.features)
-        feats[i % 4] = None  # every record misses one modality
-        records.append((r.id, r.time, r.event, tuple(feats)))
-    return cohort_from_rows(base.schema, records, base.ground_truth_risk)
+    return hide(base, np.eye(len(MODALITIES), dtype=bool)[np.arange(n) % 4])  # each misses one modality
 
 
 def test_complete_regime_requires_complete_records():
@@ -183,14 +178,10 @@ def test_joint_training_runs_and_scores():
 def test_evaluate_counts_records_emptied_by_the_scenario():
     train, _ = fast_pair(n_train=100, n_test=40)
     base = generate_synthetic(40, 77, missing_rate=(0.0,) * 4, censor_rate=0.2)
-    records = []
-    for i, r in enumerate(base.records):
-        feats = list(r.features)
-        if i < 5:  # these records only carry what the scenario removes
-            feats[ModalityId.RADIOLOGY] = None
-            feats[ModalityId.DEMOGRAPHICS] = None
-        records.append((r.id, r.time, r.event, tuple(feats)))
-    test = cohort_from_rows(base.schema, records)
+    hidden = np.zeros(base.availability.shape, dtype=bool)
+    # these records only carry what the scenario removes
+    hidden[:5, [ModalityId.RADIOLOGY, ModalityId.DEMOGRAPHICS]] = True
+    test = hide(base, hidden)
     predictor = train_cell(train, FAST, ExperimentCell("concat"))
     result = evaluate(predictor, test, scenario_by_name("gene-pathology-missing"),
                       bootstrap=0, seed=5)
@@ -257,9 +248,7 @@ def test_evaluate_builds_one_rank_plan_and_equals_the_separate_calls(mean_predic
 
 def test_evaluate_counts_only_resamples_with_a_comparable_pair(mean_predictor_and_test):
     predictor, test = mean_predictor_and_test
-    rows = [(r.id, time, event, r.features)
-            for r, time, event in zip(test.records[:3], (1.0, 2.0, 3.0), (1, 0, 0))]
-    tiny = cohort_from_rows(test.schema, rows)
+    tiny = with_columns(test.subset(range(3)), times=[1.0, 2.0, 3.0], events=[1, 0, 0])
     result = evaluate(predictor, tiny, scenario_by_name("complete"), bootstrap=200, seed=3)
     _, std, counted = evaluate_by_loop(predictor, tiny, scenario_by_name("complete"), 200, 3)
     assert 0 < result.n_resamples == counted < 200

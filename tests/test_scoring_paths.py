@@ -1,12 +1,10 @@
 """Whole-block scoring against the gather/scatter paths it replaced, bit for bit.
 
-``encode`` reads a modality that every row of a block carries as a view of
-its feature block (when the block is a run of consecutive records) and
-writes it as a whole output slot, and ``fuse`` reads such a modality as a
-view of its embedding slot and, for mean vector, accumulates and divides
-in place. The references below are the earlier versions, which gathered the
-carrying rows of every modality and scattered the results back; each case
-must give the same bits.
+``encode`` writes a modality that every row of a block carries as a whole
+output slot, and ``fuse`` reads such a modality as a view of its embedding
+slot and, for mean vector, accumulates and divides in place. The references
+below are the earlier versions, which gathered the carrying rows of every
+modality and scattered the results back; each case must give the same bits.
 """
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, N_MODALITIES, Cohort, Mod
 from mmsurv.fusion import SCORE_CHUNK, FusionStrategy, fuse, init_fusion_model, tensor_product
 from mmsurv import pipeline
 from mmsurv.pipeline import score_records
-from mmsurv.unimodal import _as_run, encode, init_encoder
+from mmsurv.unimodal import encode, init_encoder
 
 
 def encode_gathered(nets, cohort, idx):
@@ -100,14 +98,6 @@ COHORTS = {"complete": complete_cohort, "gaps": gappy_cohort, "scenario-drop": d
 # besides full scoring blocks, blocks of a few rows, in which a gappy modality
 # often covers every row and takes the whole-block path
 CHUNKS = [SCORE_CHUNK, 3]
-
-
-def test_only_a_strict_run_reads_as_a_slice():
-    assert _as_run(np.arange(3, 9)) == slice(3, 9)
-    assert _as_run(np.array([4])) == slice(4, 5)
-    for idx in (swapped_range(8), np.array([0, 2, 1, 3]), np.array([0, 1, 1, 3]),
-                np.array([-1, 0]), np.array([5, 4, 3, 2]), np.arange(0)):
-        assert _as_run(idx) is idx
 
 
 @pytest.mark.parametrize("name", sorted(COHORTS))

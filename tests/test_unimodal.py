@@ -2,14 +2,14 @@
 import numpy as np
 import pytest
 
-from conftest import block_cohort, cohort_from_rows
+from conftest import block_cohort, hide, with_columns
 from mmsurv.cohort import (DEFAULT_SCHEMA, MODALITIES, ModalityId, ModalitySchema,
                            embedding_schema, generate_synthetic)
 from mmsurv.config import TrainConfig
 from mmsurv.errors import DataError
 from mmsurv.fusion import SCORE_CHUNK
 from mmsurv.nets import init_net
-from mmsurv.unimodal import (ENCODER_HIDDEN, embedding_table, encode, load_unimodal,
+from mmsurv.unimodal import (ENCODER_HIDDEN, embedding_table, encode, init_encoder, load_unimodal,
                              save_unimodal, train_unimodal)
 
 GENOMICS = ModalityId.GENOMICS
@@ -35,7 +35,7 @@ def test_trained_encoder_beats_chance_on_heldout_data():
     test = generate_synthetic(150, 1_000_003, missing_rate=(0.0,) * 4, censor_rate=0.2)
     bundle = train_unimodal(train, GENOMICS, TrainConfig(seed=3, stage1_epochs=60))
     from mmsurv.survival import concordance_index
-    risks = stage1_risks(bundle, np.stack([r.features[GENOMICS] for r in test.records]))
+    risks = stage1_risks(bundle, test.block(GENOMICS))
     ci = concordance_index(risks, test.times, test.events)
     assert ci > 0.6
 
@@ -53,47 +53,37 @@ def test_other_modalities_cannot_influence_training():
     # same genomics blocks, totally different everything else
     base = small_cohort(seed=9, n=120)
     rng = np.random.default_rng(0)
-    scrambled = []
-    for r in base.records:
-        feats = list(r.features)
-        for m in MODALITIES:
-            if m != GENOMICS and feats[m] is not None:
-                feats[m] = rng.normal(0, 5, feats[m].shape[0])
-        scrambled.append((r.id, r.time, r.event, tuple(feats)))
+    scrambled = [base.block(m) if m == GENOMICS else
+                 np.where(base.availability[:, m, None] == 1, rng.normal(0, 5, base.block(m).shape), 0.0)
+                 for m in MODALITIES]
     a = train_unimodal(base, GENOMICS, SMALL_CONFIG)
-    b = train_unimodal(cohort_from_rows(base.schema, scrambled, base.ground_truth_risk),
-                       GENOMICS, SMALL_CONFIG)
+    b = train_unimodal(with_columns(base, blocks=scrambled), GENOMICS, SMALL_CONFIG)
     assert nets_equal(a.encoder, b.encoder)
 
 
 def test_training_pool_is_presence_filtered():
     # drop genomics from most records; training must still run on the rest
     base = small_cohort(seed=2, n=100, missing=0.0)
-    records = []
-    for i, r in enumerate(base.records):
-        feats = list(r.features)
-        if i % 4 != 0:
-            feats[GENOMICS] = None
-        records.append((r.id, r.time, r.event, tuple(feats)))
-    cohort = cohort_from_rows(base.schema, records, base.ground_truth_risk)
+    hidden = np.zeros(base.availability.shape, dtype=bool)
+    hidden[np.arange(len(base)) % 4 != 0, GENOMICS] = True
+    cohort = hide(base, hidden)
     bundle = train_unimodal(cohort, GENOMICS, SMALL_CONFIG)
     assert bundle.encoder.input_dim == cohort.schema.dim(GENOMICS)
 
 
 def test_absent_modality_raises():
     base = small_cohort(seed=2, n=40, missing=0.0)
-    records = [(r.id, r.time, r.event, (r.features[0], r.features[1], None, r.features[3]))
-               for r in base.records]
-    cohort = cohort_from_rows(base.schema, records)
+    hidden = np.zeros(base.availability.shape, dtype=bool)
+    hidden[:, GENOMICS] = True
+    cohort = hide(base, hidden)
     with pytest.raises(DataError):
         train_unimodal(cohort, GENOMICS, SMALL_CONFIG)
 
 
 def test_eventless_pool_raises():
     base = small_cohort(seed=2, n=30, missing=0.0)
-    records = [(r.id, r.time, 0, r.features) for r in base.records]
     with pytest.raises(DataError):
-        train_unimodal(cohort_from_rows(base.schema, records), GENOMICS, SMALL_CONFIG)
+        train_unimodal(with_columns(base, events=np.zeros(len(base))), GENOMICS, SMALL_CONFIG)
 
 
 def test_early_stopping_can_end_before_the_epoch_budget():
@@ -108,19 +98,15 @@ def test_embedding_table_preserves_outcomes_and_availability():
     encoders = {m: train_unimodal(cohort, m, SMALL_CONFIG) for m in MODALITIES}
     table = embedding_table({m: u.encoder for m, u in encoders.items()}, cohort)
     assert table.schema == embedding_schema(cohort.schema)
-    assert [r.id for r in table.records] == [r.id for r in cohort.records]
+    assert table.ids.tolist() == cohort.ids.tolist()
     assert np.array_equal(table.times, cohort.times)
     assert np.array_equal(table.events, cohort.events)
     assert np.array_equal(table.availability, cohort.availability)
     for m in MODALITIES:
-        carriers = [i for i, r in enumerate(cohort.records) if r.has(m)]
-        expected = encoders[m].encoder.forward(
-            np.stack([cohort.records[i].features[m] for i in carriers]))[0]
-        for i, r in enumerate(table.records):
-            if i in carriers:
-                assert np.array_equal(r.features[m], expected[carriers.index(i)])
-            else:
-                assert r.features[m] is None
+        carried = cohort.availability[:, m] == 1
+        expected = encoders[m].encoder.forward(cohort.block(m)[carried])[0]
+        assert np.array_equal(table.block(m)[carried], expected)
+        assert not table.block(m)[~carried].any()
 
 
 def test_embedding_table_is_filled_one_scoring_block_at_a_time():
@@ -136,6 +122,21 @@ def test_embedding_table_is_filled_one_scoring_block_at_a_time():
     # one call over every record agrees to rounding: BLAS may pick another
     # kernel, and so another summation order, for a product of few rows
     np.testing.assert_allclose(got, encode(nets, cohort, np.arange(n)), rtol=1e-12, atol=1e-14)
+
+
+def test_an_embedding_table_of_an_embedding_wide_cohort_starts_its_own_memo():
+    # the table has its cohort's rows and schema but other blocks, so it must encode them itself
+    schema = embedding_schema(DEFAULT_SCHEMA)
+    cohort = block_cohort(schema, SCORE_CHUNK + 5, seed=4)
+    nets = {m: init_encoder(schema, m, np.random.SeedSequence([20, int(m)])) for m in MODALITIES}
+    table = embedding_table(nets, cohort)
+    assert table.schema == cohort.schema and table.ids.tolist() == cohort.ids.tolist()
+    assert table._memo == {} and table._memo is not cohort._memo
+    again = embedding_table(nets, table)
+    fresh = embedding_table(nets, with_columns(table))  # a checked copy, whose memo starts empty
+    for m in MODALITIES:
+        assert np.array_equal(again.block(m).view(np.int64), fresh.block(m).view(np.int64))
+        assert not np.array_equal(again.block(m), table.block(m))
 
 
 def test_embedding_table_requires_an_encoder_per_present_modality():
@@ -163,6 +164,5 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded.modality == GENOMICS
     assert nets_equal(loaded.encoder, bundle.encoder)
     assert nets_equal(loaded.head, bundle.head)
-    x = cohort.records[0].features[GENOMICS]
-    if x is not None:
-        assert np.array_equal(stage1_risks(loaded, x[None, :]), stage1_risks(bundle, x[None, :]))
+    x = cohort.block(GENOMICS)[cohort.availability[:, GENOMICS] == 1]
+    assert np.array_equal(stage1_risks(loaded, x), stage1_risks(bundle, x))
